@@ -29,9 +29,10 @@ from .linear import (CvReport, LinearModel, cv_tune_c, load_model, predict,
                      save_model, train_logreg)
 from .neural import (AttentionParams, ClassifierHead, EmbeddedInstance,
                      LstmParams, ModelParams, TrainConfig, Variant, attend,
-                     backward, embed_instance, encode, evaluate_model,
-                     forward, grid_search, init_params, load_checkpoint,
-                     lstm_step, predict_neural, save_checkpoint, train_model)
+                     backward, backward_batch, embed_instance, encode,
+                     evaluate_model, forward, forward_batch, grid_search,
+                     init_params, load_checkpoint, lstm_step, predict_neural,
+                     save_checkpoint, train_model)
 
 __version__ = "0.1.0"
 
@@ -56,7 +57,8 @@ __all__ = [
     "save_model", "train_logreg",
     "AttentionParams", "ClassifierHead", "EmbeddedInstance", "LstmParams",
     "ModelParams", "TrainConfig", "Variant", "attend", "backward",
-    "embed_instance", "encode", "evaluate_model", "forward", "grid_search",
+    "backward_batch", "embed_instance", "encode", "evaluate_model", "forward",
+    "forward_batch", "grid_search",
     "init_params", "load_checkpoint", "lstm_step", "predict_neural",
     "save_checkpoint", "train_model",
     "__version__",

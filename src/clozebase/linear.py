@@ -56,14 +56,15 @@ def logreg_objective(theta: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
     # log(1+exp(-m)) computed stably for both signs of m
     value = 0.5 * float(w @ w) + c * float(np.logaddexp(0.0, -margins).sum())
     # d/dm log(1+exp(-m)) = -sigma(-m)
-    coeff = -y_pm * _sigmoid(-margins)
+    coeff = -y_pm * sigmoid(-margins)
     grad = np.empty_like(theta)
     grad[:-1] = w + c * (x.T @ coeff)
     grad[-1] = c * float(coeff.sum())
     return value, grad
 
 
-def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+    """The logistic function, clipped so exp never overflows."""
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
@@ -180,7 +181,7 @@ def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, flo
         if values.shape != model.weights.shape:
             raise ValueError(f"expected {model.weights.shape[0]} features, "
                              f"got {values.shape}")
-    p = float(_sigmoid(model.weights @ values + model.intercept))
+    p = float(sigmoid(model.weights @ values + model.intercept))
     return (2 if p >= 0.5 else 1), p
 
 

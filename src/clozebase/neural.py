@@ -12,6 +12,14 @@ Attention over story outputs H_1..H_L conditioned on an ending state h_e:
 M_t = tanh(W_y H_t + W_h h_e), alpha = softmax_t(w . M_t), r = sum alpha_t H_t,
 h* = tanh(W_p r + W_x h_e).
 
+The LSTM's gates are fused: W_x (4h x d), W_h (4h x h) and b (4h) stack the
+rows of the input, forget, cell and output gates, in that order. One cell
+runs a whole minibatch: its sequences are padded into a time-major block
+sorted by length, the input projection of the block is one matrix product,
+each time step is one (B x h)(h x 4h) product over the rows still running,
+and each weight gradient is one product over the stacked gate deltas.
+Single-instance calls are batches of one.
+
 Everything is float64 and hand-differentiated; `backward` returns exact
 cross-entropy gradients for every tensor, including paths through the
 story-to-ending state seeding and the attention readout. Training uses Adam
@@ -33,12 +41,17 @@ from .annotate import tokenize
 from .corpus import ClozeInstance
 from .embeddings import EmbeddingTable, lookup
 from .errors import ParseError
+from .linear import sigmoid
 
 MAX_SEQUENCE_TOKENS = 128
+# Instances per forward pass when evaluating; bounds the memory of the caches.
+EVAL_BATCH_SIZE = 16
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+GATES = "ifgo"
 
 
 class Variant(enum.Enum):
@@ -49,26 +62,18 @@ class Variant(enum.Enum):
 
 @dataclass
 class LstmParams:
-    w_xi: np.ndarray
-    w_hi: np.ndarray
-    b_i: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    b_f: np.ndarray
-    w_xg: np.ndarray
-    w_hg: np.ndarray
-    b_g: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    b_o: np.ndarray
+    """Fused gates: rows k*h .. (k+1)*h - 1 of each tensor belong to GATES[k]."""
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_xi.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_xi.shape[1]
+        return self.w_x.shape[1]
 
 
 @dataclass
@@ -101,8 +106,7 @@ def representation_width(variant: Variant, hidden_size: int) -> int:
 def tensors(params: ModelParams) -> dict[str, np.ndarray]:
     """Stable name -> array view of every trainable tensor."""
     out: dict[str, np.ndarray] = {}
-    for name in ("w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-                 "w_xg", "w_hg", "b_g", "w_xo", "w_ho", "b_o"):
+    for name in ("w_x", "w_h", "b"):
         out[f"lstm.{name}"] = getattr(params.lstm, name)
     if params.attention is not None:
         for name in ("w_y", "w_h", "w", "w_p", "w_x"):
@@ -122,16 +126,18 @@ def _xavier(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
-    """Xavier-uniform weights, zero biases; draw order is fixed for determinism."""
+    """Xavier-uniform weights, zero biases; draw order is fixed for determinism.
+
+    Each gate's W_x and W_h blocks are drawn in turn with that gate's own
+    Xavier bound, then stacked.
+    """
     rng = np.random.default_rng(seed)
-    def gate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _xavier(rng, (h, d)), _xavier(rng, (h, h)), np.zeros(h)
-    w_xi, w_hi, b_i = gate()
-    w_xf, w_hf, b_f = gate()
-    w_xg, w_hg, b_g = gate()
-    w_xo, w_ho, b_o = gate()
-    lstm = LstmParams(w_xi, w_hi, b_i, w_xf, w_hf, b_f,
-                      w_xg, w_hg, b_g, w_xo, w_ho, b_o)
+    w_x, w_h = [], []
+    for _ in GATES:
+        w_x.append(_xavier(rng, (h, d)))
+        w_h.append(_xavier(rng, (h, h)))
+    lstm = LstmParams(np.concatenate(w_x), np.concatenate(w_h),
+                      np.zeros(len(GATES) * h))
     attention = None
     if variant is not Variant.RAW:
         attention = AttentionParams(
@@ -147,9 +153,8 @@ def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    lstm = LstmParams(*(getattr(params.lstm, f).copy() for f in (
-        "w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-        "w_xg", "w_hg", "b_g", "w_xo", "w_ho", "b_o")))
+    lstm = LstmParams(params.lstm.w_x.copy(), params.lstm.w_h.copy(),
+                      params.lstm.b.copy())
     attention = None
     if params.attention is not None:
         attention = AttentionParams(*(getattr(params.attention, f).copy()
@@ -159,101 +164,137 @@ def clone_params(params: ModelParams) -> ModelParams:
                        variant=params.variant)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+def _split_gates(z: np.ndarray, h: int) -> list[np.ndarray]:
+    """Views of the i, f, g, o column blocks of a (rows x 4h) array."""
+    return [z[:, k * h:(k + 1) * h] for k in range(len(GATES))]
+
+
+@dataclass
+class _Encoded:
+    """One LSTM pass over a batch of sequences.
+
+    Columns are the batch's rows sorted by length, longest first (column j
+    is row order[j]), so the rows still running at step t are the first
+    active[t] columns. xs, gates and c are packed time-major with no
+    padding: step t owns rows start[t] .. start[t] + active[t] - 1. The
+    outputs h are a padded (T x B x h) block, zero past a column's length.
+    """
+    order: np.ndarray
+    active: np.ndarray
+    start: np.ndarray
+    xs: np.ndarray          # (tokens, d)
+    h0: np.ndarray          # (B, h), column order
+    c0: np.ndarray
+    gates: np.ndarray       # (tokens, 4h), activated i, f, g, o
+    c: np.ndarray           # (tokens, h)
+    h: np.ndarray           # (T, B, h)
+    h_last: np.ndarray      # (B, h), batch-row order
+    c_last: np.ndarray
+
+
+def _encode(params: LstmParams, seqs: Sequence[np.ndarray], h0: np.ndarray,
+            c0: np.ndarray) -> _Encoded:
+    """Run the cell over a batch of sequences from per-row states (B x h)."""
+    d, h_size = params.input_size, params.hidden_size
+    lengths = np.array([len(seq) for seq in seqs])
+    if lengths.min() == 0:
+        raise ValueError("cannot encode an empty sequence")
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    steps, batch = int(sorted_lengths[0]), len(seqs)
+    active = (sorted_lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
+    start = np.cumsum(active) - active
+    xs = np.empty((int(active.sum()), d))
+    for col, row in enumerate(order):
+        seq = seqs[row]
+        if seq.ndim != 2 or seq.shape[1] != d:
+            raise ValueError(f"input width {seq.shape[-1]} does not match "
+                             f"the LSTM's input_size {d}")
+        xs[start[:len(seq)] + col] = seq
+
+    gates = xs @ params.w_x.T
+    gates += params.b
+    c = np.empty((len(xs), h_size))
+    h = np.zeros((steps, batch, h_size))
+    h0, c0 = h0[order], c0[order]
+    h_prev, c_prev = h0, c0
+    for t in range(steps):
+        n, s = active[t], start[t]
+        z = gates[s:s + n]
+        z += h_prev[:n] @ params.w_h.T
+        z[:, :2 * h_size] = sigmoid(z[:, :2 * h_size])
+        z[:, 2 * h_size:3 * h_size] = np.tanh(z[:, 2 * h_size:3 * h_size])
+        z[:, 3 * h_size:] = sigmoid(z[:, 3 * h_size:])
+        i, f, g, o = _split_gates(z, h_size)
+        c_t = c[s:s + n]
+        c_t[...] = f * c_prev[:n] + i * g
+        h[t, :n] = o * np.tanh(c_t)
+        h_prev, c_prev = h[t], c_t
+
+    cols = np.arange(batch)
+    h_last = np.empty((batch, h_size))
+    c_last = np.empty((batch, h_size))
+    h_last[order] = h[sorted_lengths - 1, cols]
+    c_last[order] = c[start[sorted_lengths - 1] + cols]
+    return _Encoded(order=order, active=active, start=start, xs=xs, h0=h0,
+                    c0=c0, gates=gates, c=c, h=h, h_last=h_last, c_last=c_last)
 
 
 def lstm_step(params: LstmParams, x: np.ndarray, h: np.ndarray,
               c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if x.shape != (params.input_size,) or h.shape != (params.hidden_size,):
-        raise ValueError(f"input {x.shape} / state {h.shape} do not match "
-                         f"LSTM of d={params.input_size}, h={params.hidden_size}")
-    i = _sigmoid(params.w_xi @ x + params.w_hi @ h + params.b_i)
-    f = _sigmoid(params.w_xf @ x + params.w_hf @ h + params.b_f)
-    g = np.tanh(params.w_xg @ x + params.w_hg @ h + params.b_g)
-    o = _sigmoid(params.w_xo @ x + params.w_ho @ h + params.b_o)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
+    """One step of the cell: a length-1 `encode`."""
+    _, h_new, c_new = encode(params, x[None], h, c)
     return h_new, c_new
-
-
-@dataclass
-class _EncodeCache:
-    xs: np.ndarray
-    h0: np.ndarray
-    c0: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
-
-def _encode_full(params: LstmParams, xs: np.ndarray, h0: np.ndarray,
-                 c0: np.ndarray) -> _EncodeCache:
-    length = xs.shape[0]
-    if length == 0:
-        raise ValueError("cannot encode an empty sequence")
-    h_size = params.hidden_size
-    cache = _EncodeCache(
-        xs=xs, h0=h0, c0=c0,
-        i=np.empty((length, h_size)), f=np.empty((length, h_size)),
-        g=np.empty((length, h_size)), o=np.empty((length, h_size)),
-        c=np.empty((length, h_size)), tanh_c=np.empty((length, h_size)),
-        h=np.empty((length, h_size)),
-    )
-    h, c = h0, c0
-    for t in range(length):
-        x = xs[t]
-        i = _sigmoid(params.w_xi @ x + params.w_hi @ h + params.b_i)
-        f = _sigmoid(params.w_xf @ x + params.w_hf @ h + params.b_f)
-        g = np.tanh(params.w_xg @ x + params.w_hg @ h + params.b_g)
-        o = _sigmoid(params.w_xo @ x + params.w_ho @ h + params.b_o)
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache.i[t], cache.f[t], cache.g[t] = i, f, g
-        cache.o[t], cache.c[t], cache.tanh_c[t], cache.h[t] = o, c, tanh_c, h
-    return cache
 
 
 def encode(params: LstmParams, xs: np.ndarray, h0: np.ndarray,
            c0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold lstm_step over a sequence; returns (all outputs, h_last, c_last)."""
-    cache = _encode_full(params, xs, h0, c0)
-    return cache.h, cache.h[-1], cache.c[-1]
+    """Run the cell over one sequence; returns (all outputs, h_last, c_last)."""
+    enc = _encode(params, [xs], h0[None], c0[None])
+    return enc.h[:, 0], enc.h_last[0], enc.c_last[0]
 
 
 @dataclass
-class _AttendCache:
-    outputs: np.ndarray
-    h_e: np.ndarray
-    m: np.ndarray
-    alpha: np.ndarray
-    r: np.ndarray
-    h_star: np.ndarray
+class _Attended:
+    h_e: np.ndarray         # (B, h)
+    alpha: np.ndarray       # (T, B), zero past each story's length
+    r: np.ndarray           # (B, h)
+    h_star: np.ndarray      # (B, h)
 
 
-def _attend_full(ap: AttentionParams, outputs: np.ndarray,
-                 h_e: np.ndarray) -> _AttendCache:
-    m = np.tanh(outputs @ ap.w_y.T + ap.w_h @ h_e)
-    scores = m @ ap.w
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    alpha = exp / exp.sum()
-    r = outputs.T @ alpha
-    h_star = np.tanh(ap.w_p @ r + ap.w_x @ h_e)
-    return _AttendCache(outputs=outputs, h_e=h_e, m=m, alpha=alpha, r=r,
-                        h_star=h_star)
+def _project(outputs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """outputs (T x B x h) @ w as one product, not one per time step."""
+    return (outputs.reshape(-1, outputs.shape[2]) @ w).reshape(outputs.shape)
+
+
+def _attention_m(ap: AttentionParams, projected: np.ndarray,
+                 h_e: np.ndarray) -> np.ndarray:
+    m = projected + h_e @ ap.w_h.T
+    return np.tanh(m, out=m)
+
+
+def _attend(ap: AttentionParams, outputs: np.ndarray, projected: np.ndarray,
+            valid: np.ndarray, h_e: np.ndarray) -> _Attended:
+    """Batched readout over time-major story outputs (T x B x h).
+
+    projected is outputs @ W_y^T, shared by the readouts of both endings;
+    valid (T x B) marks the steps within each story's length.
+    """
+    scores = np.where(valid, _attention_m(ap, projected, h_e) @ ap.w, -np.inf)
+    exp = np.exp(scores - scores.max(axis=0))
+    alpha = exp / exp.sum(axis=0)
+    r = np.einsum("tb,tbh->bh", alpha, outputs)
+    h_star = np.tanh(r @ ap.w_p.T + h_e @ ap.w_x.T)
+    return _Attended(h_e=h_e, alpha=alpha, r=r, h_star=h_star)
 
 
 def attend(ap: AttentionParams, outputs: np.ndarray,
            h_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attention readout over story outputs; returns (h_star, alpha)."""
-    cache = _attend_full(ap, outputs, h_e)
-    return cache.h_star, cache.alpha
+    column = outputs[:, None]
+    att = _attend(ap, column, _project(column, ap.w_y.T),
+                  np.ones((len(outputs), 1), dtype=bool), h_e[None])
+    return att.h_star[0], att.alpha[:, 0]
 
 
 @dataclass(frozen=True)
@@ -268,12 +309,13 @@ class EmbeddedInstance:
 
 def embed_tokens(tokens: Sequence[str], table: EmbeddingTable,
                  max_tokens: int = MAX_SEQUENCE_TOKENS) -> np.ndarray:
+    """One row per token; an empty sequence reads as one all-OOV token."""
     rows = []
     for token in tokens[:max_tokens]:
         vec = lookup(table, token)
         rows.append(np.zeros(table.dim) if vec is None else vec)
     if not rows:
-        raise ValueError("cannot embed an empty token sequence")
+        return np.zeros((1, table.dim))
     return np.stack(rows)
 
 
@@ -291,42 +333,76 @@ def embed_instance(instance: ClozeInstance, table: EmbeddingTable,
 
 @dataclass
 class ForwardCache:
+    """What `backward_batch` needs from one batched forward pass.
+
+    Rows are the batch's instances sorted by story length, longest first, so
+    the story pass keeps them in row order; order[k] is the caller's index
+    of row k. The ending pass holds every first ending, then every second.
+    """
     params: ModelParams
-    story: _EncodeCache
-    endings: tuple[_EncodeCache, _EncodeCache]
-    attends: tuple[_AttendCache, _AttendCache] | None
-    o_vec: np.ndarray
-    probs: np.ndarray
+    order: np.ndarray
+    story: _Encoded
+    endings: _Encoded
+    projected: np.ndarray | None     # story outputs @ W_y^T, for attention
+    attends: tuple[_Attended, _Attended] | None
+    o_vec: np.ndarray       # (B, representation width)
+    probs: np.ndarray       # (B, 2)
+    spent: bool = False     # backward has overwritten the gate activations
+
+
+def forward_batch(insts: Sequence[EmbeddedInstance],
+                  params: ModelParams) -> tuple[np.ndarray, ForwardCache]:
+    """Class probabilities (B x 2, in the order given) for a batch."""
+    if not insts:
+        raise ValueError("cannot run an empty batch")
+    d, h_size = params.lstm.input_size, params.lstm.hidden_size
+    for inst in insts:
+        for seq in (inst.story, inst.ending1, inst.ending2):
+            if seq.ndim != 2 or seq.shape[1] != d:
+                raise ValueError(f"instance {inst.id}: input width "
+                                 f"{seq.shape[-1]} does not match the model's "
+                                 f"input_size {d}")
+    order = np.argsort([-len(inst.story) for inst in insts], kind="stable")
+    rows = [insts[k] for k in order]
+    batch = len(rows)
+    zeros = np.zeros((batch, h_size))
+    story = _encode(params.lstm, [r.story for r in rows], zeros, zeros)
+    endings = _encode(params.lstm,
+                      [r.ending1 for r in rows] + [r.ending2 for r in rows],
+                      np.concatenate([story.h_last, story.h_last]),
+                      np.concatenate([story.c_last, story.c_last]))
+    e1, e2 = endings.h_last[:batch], endings.h_last[batch:]
+
+    projected = attends = None
+    if params.variant is Variant.RAW:
+        o_vec = np.concatenate([e1, e2], axis=1)
+    else:
+        ap = params.attention
+        assert ap is not None
+        valid = np.arange(batch)[None, :] < story.active[:, None]
+        projected = _project(story.h, ap.w_y.T)
+        a1 = _attend(ap, story.h, projected, valid, e1)
+        a2 = _attend(ap, story.h, projected, valid, e2)
+        attends = (a1, a2)
+        if params.variant is Variant.ATTENTION:
+            o_vec = np.concatenate([a1.h_star, a2.h_star], axis=1)
+        else:
+            o_vec = np.concatenate([e1, a1.h_star, e2, a2.h_star], axis=1)
+
+    logits = o_vec @ params.head.w_out.T + params.head.b_out
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    cache = ForwardCache(params=params, order=order, story=story,
+                         endings=endings, projected=projected,
+                         attends=attends, o_vec=o_vec, probs=probs)
+    out = np.empty_like(probs)
+    out[order] = probs
+    return out, cache
 
 
 def forward(inst: EmbeddedInstance, params: ModelParams) -> tuple[np.ndarray, ForwardCache]:
-    h_size = params.lstm.hidden_size
-    zeros = np.zeros(h_size)
-    story = _encode_full(params.lstm, inst.story, zeros, zeros)
-    h_s, c_s = story.h[-1], story.c[-1]
-    e1 = _encode_full(params.lstm, inst.ending1, h_s, c_s)
-    e2 = _encode_full(params.lstm, inst.ending2, h_s, c_s)
-
-    attends = None
-    if params.variant is Variant.RAW:
-        o_vec = np.concatenate([e1.h[-1], e2.h[-1]])
-    else:
-        assert params.attention is not None
-        a1 = _attend_full(params.attention, story.h, e1.h[-1])
-        a2 = _attend_full(params.attention, story.h, e2.h[-1])
-        attends = (a1, a2)
-        if params.variant is Variant.ATTENTION:
-            o_vec = np.concatenate([a1.h_star, a2.h_star])
-        else:
-            o_vec = np.concatenate([e1.h[-1], a1.h_star, e2.h[-1], a2.h_star])
-
-    logits = params.head.w_out @ o_vec + params.head.b_out
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    cache = ForwardCache(params=params, story=story, endings=(e1, e2),
-                         attends=attends, o_vec=o_vec, probs=probs)
-    return probs, cache
+    probs, cache = forward_batch([inst], params)
+    return probs[0], cache
 
 
 def cross_entropy(probs: np.ndarray, gold: int) -> float:
@@ -337,117 +413,142 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in tensors(params).items()}
 
 
-def _lstm_backward(params: LstmParams, cache: _EncodeCache,
-                   d_outputs: np.ndarray | None, d_h_last: np.ndarray,
-                   d_c_last: np.ndarray,
-                   grads: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one encoded sequence; returns gradients w.r.t. (h0, c0).
-
-    d_outputs carries gradient into every per-step output h_t (attention);
-    d_h_last / d_c_last carry gradient into the final state (state seeding,
-    raw ending representation).
-    """
-    carry_dh = d_h_last.copy()
-    carry_dc = d_c_last.copy()
-    for t in range(cache.xs.shape[0] - 1, -1, -1):
-        dh = carry_dh if d_outputs is None else carry_dh + d_outputs[t]
-        i, f, g, o = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-        tanh_c = cache.tanh_c[t]
-        prev_h = cache.h[t - 1] if t > 0 else cache.h0
-        prev_c = cache.c[t - 1] if t > 0 else cache.c0
-        do_gate = dh * tanh_c
-        dc = carry_dc + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * prev_c
-        carry_dc = dc * f
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_g = dg * (1.0 - g ** 2)
-        da_o = do_gate * o * (1.0 - o)
-        x = cache.xs[t]
-        grads["lstm.w_xi"] += np.outer(da_i, x)
-        grads["lstm.w_hi"] += np.outer(da_i, prev_h)
-        grads["lstm.b_i"] += da_i
-        grads["lstm.w_xf"] += np.outer(da_f, x)
-        grads["lstm.w_hf"] += np.outer(da_f, prev_h)
-        grads["lstm.b_f"] += da_f
-        grads["lstm.w_xg"] += np.outer(da_g, x)
-        grads["lstm.w_hg"] += np.outer(da_g, prev_h)
-        grads["lstm.b_g"] += da_g
-        grads["lstm.w_xo"] += np.outer(da_o, x)
-        grads["lstm.w_ho"] += np.outer(da_o, prev_h)
-        grads["lstm.b_o"] += da_o
-        carry_dh = (params.w_hi.T @ da_i + params.w_hf.T @ da_f
-                    + params.w_hg.T @ da_g + params.w_ho.T @ da_o)
-    return carry_dh, carry_dc
-
-
-def _attend_backward(ap: AttentionParams, cache: _AttendCache,
-                     d_h_star: np.ndarray,
+def _encode_backward(params: LstmParams, enc: _Encoded,
+                     d_outputs: np.ndarray | None, d_h_last: np.ndarray,
+                     d_c_last: np.ndarray,
                      grads: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop the attention readout; returns (d_outputs, d_h_e)."""
-    dz = d_h_star * (1.0 - cache.h_star ** 2)
-    grads["att.w_p"] += np.outer(dz, cache.r)
-    grads["att.w_x"] += np.outer(dz, cache.h_e)
-    dr = ap.w_p.T @ dz
-    d_h_e = ap.w_x.T @ dz
-    d_alpha = cache.outputs @ dr
-    d_outputs = np.outer(cache.alpha, dr)
-    ds = cache.alpha * (d_alpha - float(cache.alpha @ d_alpha))
-    grads["att.w"] += cache.m.T @ ds
-    dm = np.outer(ds, ap.w)
-    da = dm * (1.0 - cache.m ** 2)
-    grads["att.w_y"] += da.T @ cache.outputs
-    da_sum = da.sum(axis=0)
-    grads["att.w_h"] += np.outer(da_sum, cache.h_e)
-    d_outputs += da @ ap.w_y
-    d_h_e += ap.w_h.T @ da_sum
-    return d_outputs, d_h_e
+    """Backprop one batched pass; returns gradients w.r.t. (h0, c0) by row.
+
+    d_outputs (T x B x h, column order) carries gradient into every output
+    h_t (attention); d_h_last / d_c_last (B x h, row order) carry gradient
+    into each row's final state (state seeding, raw ending representation).
+    The gate deltas overwrite enc.gates, so a pass is backpropagated once.
+    """
+    h_size = params.hidden_size
+    dh = d_h_last[enc.order]
+    dc = d_c_last[enc.order]
+    for t in range(len(enc.active) - 1, -1, -1):
+        n, s = enc.active[t], enc.start[t]
+        dh_t = dh[:n] if d_outputs is None else dh[:n] + d_outputs[t, :n]
+        i, f, g, o = _split_gates(enc.gates[s:s + n], h_size)
+        tanh_c = np.tanh(enc.c[s:s + n])
+        if t > 0:
+            prev = enc.start[t - 1]
+            prev_c = enc.c[prev:prev + n]
+        else:
+            prev_c = enc.c0
+        dc_t = dc[:n] + dh_t * o * (1.0 - tanh_c ** 2)
+        delta = np.empty((n, len(GATES) * h_size))
+        da_i, da_f, da_g, da_o = _split_gates(delta, h_size)
+        da_i[...] = dc_t * g * i * (1.0 - i)
+        da_f[...] = dc_t * prev_c * f * (1.0 - f)
+        da_g[...] = dc_t * i * (1.0 - g ** 2)
+        da_o[...] = dh_t * tanh_c * o * (1.0 - o)
+        dc[:n] = dc_t * f
+        dh[:n] = delta @ params.w_h
+        enc.gates[s:s + n] = delta
+    deltas = enc.gates
+    # each token's previous output: h0 for step 0, else the step before's
+    steps = np.repeat(np.arange(len(enc.active)), enc.active)
+    h_prev = enc.h[steps - 1, np.arange(len(steps)) - enc.start[steps]]
+    h_prev[:len(enc.h0)] = enc.h0
+    grads["lstm.w_x"] += deltas.T @ enc.xs
+    grads["lstm.w_h"] += deltas.T @ h_prev
+    grads["lstm.b"] += deltas.sum(axis=0)
+    d_h0 = np.empty_like(dh)
+    d_c0 = np.empty_like(dc)
+    d_h0[enc.order] = dh
+    d_c0[enc.order] = dc
+    return d_h0, d_c0
 
 
-def backward(cache: ForwardCache, gold: int) -> dict[str, np.ndarray]:
-    """Exact cross-entropy gradients for every tensor of the model."""
-    if gold not in (1, 2):
-        raise ValueError(f"gold label must be 1 or 2, got {gold!r}")
+def _attend_backward(ap: AttentionParams, outputs: np.ndarray,
+                     projected: np.ndarray, attends: Sequence[_Attended],
+                     d_h_stars: Sequence[np.ndarray],
+                     grads: Mapping[str, np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backprop readouts over one story batch; returns (d_outputs, [d_h_e])."""
+    h_size = outputs.shape[2]
+    d_outputs = np.zeros_like(outputs)
+    da_total = np.zeros_like(outputs)
+    d_h_es = []
+    for att, d_h_star in zip(attends, d_h_stars):
+        dz = d_h_star * (1.0 - att.h_star ** 2)
+        grads["att.w_p"] += dz.T @ att.r
+        grads["att.w_x"] += dz.T @ att.h_e
+        dr = dz @ ap.w_p
+        d_alpha = np.einsum("tbh,bh->tb", outputs, dr)
+        d_outputs += att.alpha[:, :, None] * dr
+        ds = att.alpha * (d_alpha - (att.alpha * d_alpha).sum(axis=0))
+        m = _attention_m(ap, projected, att.h_e)
+        grads["att.w"] += m.reshape(-1, h_size).T @ ds.reshape(-1)
+        one_minus_m2 = np.subtract(1.0, np.square(m, out=m), out=m)
+        da = ds[:, :, None] * ap.w
+        da *= one_minus_m2
+        del m, one_minus_m2
+        da_sum = da.sum(axis=0)
+        grads["att.w_h"] += da_sum.T @ att.h_e
+        d_h_es.append(dz @ ap.w_x + da_sum @ ap.w_h)
+        da_total += da
+        del da
+    grads["att.w_y"] += da_total.reshape(-1, h_size).T @ outputs.reshape(-1, h_size)
+    d_outputs += _project(da_total, ap.w_y)
+    return d_outputs, d_h_es
+
+
+def backward_batch(cache: ForwardCache,
+                   golds: Sequence[int]) -> dict[str, np.ndarray]:
+    """Exact gradients of the batch's summed cross-entropy for every tensor.
+
+    golds follow the order the instances were given to `forward_batch`. The
+    cache is used up: a second call on it raises.
+    """
+    batch = len(cache.order)
+    if len(golds) != batch:
+        raise ValueError(f"{len(golds)} gold labels for a batch of {batch}")
+    for gold in golds:
+        if gold not in (1, 2):
+            raise ValueError(f"gold label must be 1 or 2, got {gold!r}")
+    if cache.spent:
+        raise ValueError("backward already ran on this forward cache")
+    cache.spent = True
     params = cache.params
     h_size = params.lstm.hidden_size
     grads = zero_grads(params)
 
     d_logits = cache.probs.copy()
-    d_logits[gold - 1] -= 1.0
-    grads["head.w_out"] += np.outer(d_logits, cache.o_vec)
-    grads["head.b_out"] += d_logits
-    d_o = params.head.w_out.T @ d_logits
+    d_logits[np.arange(batch), np.asarray(golds)[cache.order] - 1] -= 1.0
+    grads["head.w_out"] += d_logits.T @ cache.o_vec
+    grads["head.b_out"] += d_logits.sum(axis=0)
+    d_o = d_logits @ params.head.w_out
+    blocks = [d_o[:, k * h_size:(k + 1) * h_size]
+              for k in range(d_o.shape[1] // h_size)]
 
     if params.variant is Variant.RAW:
-        d_e = [d_o[:h_size], d_o[h_size:]]
-        d_h_star = [None, None]
+        d_e, d_h_star = blocks, None
     elif params.variant is Variant.ATTENTION:
-        d_e = [np.zeros(h_size), np.zeros(h_size)]
-        d_h_star = [d_o[:h_size], d_o[h_size:]]
+        d_e, d_h_star = [np.zeros((batch, h_size))] * 2, blocks
     else:
-        d_e = [d_o[0:h_size], d_o[2 * h_size:3 * h_size]]
-        d_h_star = [d_o[h_size:2 * h_size], d_o[3 * h_size:4 * h_size]]
+        d_e, d_h_star = [blocks[0], blocks[2]], [blocks[1], blocks[3]]
 
-    d_story_outputs = np.zeros_like(cache.story.h)
-    d_story_h = np.zeros(h_size)
-    d_story_c = np.zeros(h_size)
-    for k in (0, 1):
-        d_h_last = d_e[k].copy()
-        if d_h_star[k] is not None:
-            assert cache.attends is not None and params.attention is not None
-            d_out, d_h_e = _attend_backward(params.attention, cache.attends[k],
-                                            d_h_star[k], grads)
-            d_story_outputs += d_out
-            d_h_last += d_h_e
-        d_h0, d_c0 = _lstm_backward(params.lstm, cache.endings[k], None,
-                                    d_h_last, np.zeros(h_size), grads)
-        d_story_h += d_h0
-        d_story_c += d_c0
-    _lstm_backward(params.lstm, cache.story, d_story_outputs,
-                   d_story_h, d_story_c, grads)
+    d_last = np.concatenate(d_e)
+    d_story_outputs = None
+    if d_h_star is not None:
+        assert cache.attends is not None and params.attention is not None
+        d_story_outputs, d_h_es = _attend_backward(
+            params.attention, cache.story.h, cache.projected, cache.attends,
+            d_h_star, grads)
+        d_last += np.concatenate(d_h_es)
+    d_h0, d_c0 = _encode_backward(params.lstm, cache.endings, None, d_last,
+                                  np.zeros_like(d_last), grads)
+    _encode_backward(params.lstm, cache.story, d_story_outputs,
+                     d_h0[:batch] + d_h0[batch:], d_c0[:batch] + d_c0[batch:],
+                     grads)
     return grads
+
+
+def backward(cache: ForwardCache, gold: int) -> dict[str, np.ndarray]:
+    """Exact cross-entropy gradients for every tensor of the model."""
+    return backward_batch(cache, [gold])
 
 
 @dataclass
@@ -471,11 +572,20 @@ def adam_update(params: ModelParams, state: AdamState,
     t = state.step
     for name, arr in tensors(params).items():
         g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        # in place, with the same operations in the same order as
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat *= lr
+        m_hat /= v_hat
+        arr -= m_hat
 
 
 HIDDEN_GRID = (128, 256, 384, 512)
@@ -505,6 +615,7 @@ class TrainResult:
     best_epoch: int
     best_dev_accuracy: float
     epoch_dev_accuracies: tuple[float, ...]
+    epoch_train_losses: tuple[float, ...]
 
 
 def predict_neural(inst: EmbeddedInstance, params: ModelParams) -> tuple[int, np.ndarray]:
@@ -512,25 +623,39 @@ def predict_neural(inst: EmbeddedInstance, params: ModelParams) -> tuple[int, np
     return int(np.argmax(probs)) + 1, probs
 
 
+def _golds(instances: Sequence[EmbeddedInstance]) -> list[int]:
+    golds = []
+    for inst in instances:
+        if inst.gold is None:
+            raise ValueError(f"instance {inst.id} is unlabeled")
+        golds.append(inst.gold)
+    return golds
+
+
 def evaluate_model(instances: Sequence[EmbeddedInstance],
                    params: ModelParams) -> float:
     if not instances:
         raise ValueError("nothing to evaluate")
+    golds = _golds(instances)
     correct = 0
-    for inst in instances:
-        if inst.gold is None:
-            raise ValueError(f"instance {inst.id} is unlabeled")
-        if predict_neural(inst, params)[0] == inst.gold:
-            correct += 1
+    for start in range(0, len(instances), EVAL_BATCH_SIZE):
+        probs = forward_batch(instances[start:start + EVAL_BATCH_SIZE], params)[0]
+        labels = np.argmax(probs, axis=1) + 1
+        correct += int(np.sum(labels == golds[start:start + EVAL_BATCH_SIZE]))
     return correct / len(instances)
 
 
 def train_model(train: Sequence[EmbeddedInstance],
                 dev: Sequence[EmbeddedInstance],
                 config: TrainConfig) -> TrainResult:
-    """One training run: per-epoch dev eval, best epoch kept (ties -> earlier)."""
+    """One training run: per-epoch dev eval, best epoch kept (ties -> earlier).
+
+    Each minibatch is one `forward_batch`/`backward_batch` pass; a loss or
+    gradient that is not finite stops the run with a ValueError.
+    """
     if not train or not dev:
         raise ValueError("train and dev sets must be nonempty")
+    golds = _golds(train)
     d = train[0].story.shape[1]
     params = init_params(config.seed, d, config.hidden_size, config.variant)
     state = adam_init(params)
@@ -541,21 +666,26 @@ def train_model(train: Sequence[EmbeddedInstance],
     best_acc = -1.0
     best_params = clone_params(params)
     accuracies: list[float] = []
+    losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
         shuffler.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
+        epoch_loss = 0.0
+        for number, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[start:start + config.batch_size]
-            grads = zero_grads(params)
-            for idx in batch:
-                inst = train[idx]
-                if inst.gold is None:
-                    raise ValueError(f"instance {inst.id} is unlabeled")
-                _, cache = forward(inst, params)
-                for name, g in backward(cache, inst.gold).items():
-                    grads[name] += g
-            for name in grads:
-                grads[name] /= len(batch)
+            batch_golds = [golds[idx] for idx in batch]
+            probs, cache = forward_batch([train[idx] for idx in batch], params)
+            loss = sum(cross_entropy(p, g) for p, g in zip(probs, batch_golds))
+            grads = backward_batch(cache, batch_golds)
+            del cache           # free it before the next batch's forward pass
+            for g in grads.values():
+                g /= len(batch)
+            if not (np.isfinite(loss)
+                    and all(np.isfinite(g).all() for g in grads.values())):
+                raise ValueError(f"epoch {epoch}, batch {number}: loss or "
+                                 f"gradient is not finite (loss {loss})")
             adam_update(params, state, grads, config.learning_rate)
+            epoch_loss += loss
+        losses.append(epoch_loss / len(train))
         acc = evaluate_model(dev, params)
         accuracies.append(acc)
         if acc > best_acc:
@@ -564,7 +694,8 @@ def train_model(train: Sequence[EmbeddedInstance],
             best_params = clone_params(params)
     return TrainResult(params=best_params, best_epoch=best_epoch,
                        best_dev_accuracy=best_acc,
-                       epoch_dev_accuracies=tuple(accuracies))
+                       epoch_dev_accuracies=tuple(accuracies),
+                       epoch_train_losses=tuple(losses))
 
 
 @dataclass(frozen=True)
@@ -645,7 +776,10 @@ def save_grid_report(path: str | Path, result: GridSearchResult) -> None:
                                  run.best_epoch, repr(run.dev_accuracy)])
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Version 1 stored each gate's LSTM tensors apart, under these names.
+_V1_GATE_TENSORS = {"lstm.w_x": "lstm.w_x{}", "lstm.w_h": "lstm.w_h{}",
+                    "lstm.b": "lstm.b_{}"}
 
 
 def save_checkpoint(path: str | Path, params: ModelParams) -> None:
@@ -662,23 +796,31 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint; version 1 gate tensors are stacked in gate order."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data:
             raise ParseError(f"{path}: not a model checkpoint (no metadata)")
         meta = json.loads(str(data["__meta__"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
+        version = meta.get("version")
+        if version not in (1, CHECKPOINT_VERSION):
             raise ParseError(f"{path}: unsupported checkpoint version "
-                             f"{meta.get('version')!r}")
+                             f"{version!r}")
         variant = Variant(meta["variant"])
         d, h = int(meta["input_size"]), int(meta["hidden_size"])
         params = init_params(0, d, h, variant)
         for name, arr in tensors(params).items():
-            if name not in data:
-                raise ParseError(f"{path}: checkpoint missing tensor {name!r}")
-            stored = data[name]
-            if stored.shape != arr.shape:
-                raise ParseError(f"{path}: tensor {name!r} has shape "
-                                 f"{stored.shape}, expected {arr.shape}")
-            arr[...] = stored
+            parts = [name]
+            if version == 1 and name in _V1_GATE_TENSORS:
+                parts = [_V1_GATE_TENSORS[name].format(g) for g in GATES]
+            rows = arr.shape[0] // len(parts)
+            for k, part in enumerate(parts):
+                if part not in data:
+                    raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
+                stored = data[part]
+                if stored.shape != (rows,) + arr.shape[1:]:
+                    raise ParseError(f"{path}: tensor {part!r} has shape "
+                                     f"{stored.shape}, expected "
+                                     f"{(rows,) + arr.shape[1:]}")
+                arr[k * rows:(k + 1) * rows] = stored
     return params

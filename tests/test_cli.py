@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from clozebase.cli import main
-from clozebase.corpus import parse_cloze_csv, write_cloze_csv, write_roc_csv
+from clozebase.corpus import (ClozeInstance, parse_cloze_csv, write_cloze_csv,
+                              write_roc_csv)
 from clozebase.linear import load_model
 from clozebase.neural import load_checkpoint
 
@@ -148,6 +149,55 @@ class TestLstmPipeline:
         assert "kept" in capsys.readouterr().out
         survivors = parse_cloze_csv(kept)
         assert len(survivors) <= 20
+
+    def test_eval_with_table_of_another_width(self, data_path, glove_path,
+                                              tmp_path, capsys):
+        checkpoint = str(tmp_path / "lstm.npz")
+        assert main(["train-lstm", "--dev", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--hidden", "4", "--batch", "8", "--epochs", "1",
+                     "--model-out", checkpoint]) == 0
+        narrow = tmp_path / "narrow.txt"
+        narrow.write_text("".join(f"{w} 0.5 -0.5 0.25\n" for w in VOCAB),
+                          encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--model", checkpoint, "--data", data_path,
+                     "--embeddings", str(narrow), "--format", "glove-txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "instance inst-000" in err
+        assert f"input width 3 does not match the model's input_size {EMBED_DIM}" in err
+
+    def test_empty_ending_row_with_both_model_kinds(self, data_path,
+                                                    glove_path, tmp_path,
+                                                    capsys):
+        checkpoint = str(tmp_path / "lstm.npz")
+        features = str(tmp_path / "features.csv")
+        linear = str(tmp_path / "model.txt")
+        assert main(["train-lstm", "--dev", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--hidden", "4", "--batch", "8", "--epochs", "1",
+                     "--model-out", checkpoint]) == 0
+        assert main(["extract", "--data", data_path, "--embeddings", glove_path,
+                     "--format", "glove-txt", "--config", "sims-only",
+                     "--out", features]) == 0
+        assert main(["train-linear", "--features", features, "--cv-folds", "2",
+                     "--c-grid", "1.0", "--model-out", linear]) == 0
+        instances = make_instances(4, seed=86)
+        instances[1] = ClozeInstance(instances[1].id, instances[1].context,
+                                     instances[1].ending1, "", 1)
+        data = tmp_path / "empty-ending.csv"
+        write_cloze_csv(data, instances)
+        capsys.readouterr()
+        for model in (checkpoint, linear):
+            code = main(["eval", "--model", model, "--data", str(data),
+                         "--embeddings", glove_path, "--format", "glove-txt"])
+            assert code == 0, capsys.readouterr().err
+            assert "on 4 instances" in capsys.readouterr().out
+            kept = str(tmp_path / "kept.csv")
+            assert main(["filter", "--data", str(data), "--models", model,
+                         "--embeddings", glove_path, "--format", "glove-txt",
+                         "--out", kept]) == 0
 
     def test_variant_choices_enforced(self, data_path, glove_path, capsys):
         with pytest.raises(SystemExit):

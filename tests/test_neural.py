@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from clozebase.corpus import ClozeInstance
 from clozebase.errors import ParseError
-from clozebase.neural import (ADAM_EPS, AttentionParams, EmbeddedInstance,
-                              LstmParams, ModelParams, TrainConfig, Variant,
-                              adam_init, adam_update, attend, backward,
-                              clone_params, cross_entropy, embed_instance,
-                              encode, evaluate_model, forward, grid_search,
-                              init_params, load_checkpoint, lstm_step,
-                              predict_neural, save_checkpoint,
+from clozebase.neural import (ADAM_EPS, GATES, AttentionParams,
+                              EmbeddedInstance, LstmParams, ModelParams,
+                              TrainConfig, Variant, adam_init, adam_update,
+                              attend, backward, backward_batch, clone_params,
+                              cross_entropy, embed_instance, embed_tokens,
+                              encode, evaluate_model, forward, forward_batch,
+                              grid_search, init_params, load_checkpoint,
+                              lstm_step, predict_neural, save_checkpoint,
                               save_grid_report, tensors, train_model)
 
 
@@ -52,12 +54,241 @@ def make_synthetic(n, d, seed):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the per-gate LSTM that the fused, batched cell replaced, one
+# instance and one time step at a time. It reads views of the fused tensors
+# (rows k*h .. (k+1)*h - 1 are gate GATES[k]) and reports gradients in the
+# fused layout.
+# ---------------------------------------------------------------------------
+
+
+def gate_views(lstm):
+    h = lstm.hidden_size
+    views = {}
+    for k, gate in enumerate(GATES):
+        rows = slice(k * h, (k + 1) * h)
+        views[f"w_x{gate}"] = lstm.w_x[rows]
+        views[f"w_h{gate}"] = lstm.w_h[rows]
+        views[f"b_{gate}"] = lstm.b[rows]
+    return views
+
+
+def o_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+
+
+def o_encode(w, xs, h0, c0):
+    steps = []
+    h, c = h0, c0
+    for x in xs:
+        i = o_sigmoid(w["w_xi"] @ x + w["w_hi"] @ h + w["b_i"])
+        f = o_sigmoid(w["w_xf"] @ x + w["w_hf"] @ h + w["b_f"])
+        g = np.tanh(w["w_xg"] @ x + w["w_hg"] @ h + w["b_g"])
+        o = o_sigmoid(w["w_xo"] @ x + w["w_ho"] @ h + w["b_o"])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        steps.append({"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f,
+                      "g": g, "o": o, "tanh_c": tanh_c, "h": h_new,
+                      "c": c_new})
+        h, c = h_new, c_new
+    return steps
+
+
+def o_encode_backward(w, steps, d_outputs, d_h_last, d_c_last, grads):
+    carry_dh, carry_dc = d_h_last.copy(), d_c_last.copy()
+    for t in range(len(steps) - 1, -1, -1):
+        st = steps[t]
+        dh = carry_dh if d_outputs is None else carry_dh + d_outputs[t]
+        dc = carry_dc + dh * st["o"] * (1.0 - st["tanh_c"] ** 2)
+        da = {"i": dc * st["g"] * st["i"] * (1.0 - st["i"]),
+              "f": dc * st["c_prev"] * st["f"] * (1.0 - st["f"]),
+              "g": dc * st["i"] * (1.0 - st["g"] ** 2),
+              "o": dh * st["tanh_c"] * st["o"] * (1.0 - st["o"])}
+        carry_dc = dc * st["f"]
+        for gate, a in da.items():
+            grads[f"w_x{gate}"] += np.outer(a, st["x"])
+            grads[f"w_h{gate}"] += np.outer(a, st["h_prev"])
+            grads[f"b_{gate}"] += a
+        carry_dh = sum(w[f"w_h{gate}"].T @ da[gate] for gate in GATES)
+    return carry_dh, carry_dc
+
+
+def o_attend(ap, outputs, h_e):
+    m = np.tanh(outputs @ ap.w_y.T + ap.w_h @ h_e)
+    scores = m @ ap.w
+    exp = np.exp(scores - scores.max())
+    alpha = exp / exp.sum()
+    r = outputs.T @ alpha
+    h_star = np.tanh(ap.w_p @ r + ap.w_x @ h_e)
+    return {"h_e": h_e, "m": m, "alpha": alpha, "r": r, "h_star": h_star}
+
+
+def o_attend_backward(ap, outputs, a, d_h_star, grads):
+    dz = d_h_star * (1.0 - a["h_star"] ** 2)
+    grads["att.w_p"] += np.outer(dz, a["r"])
+    grads["att.w_x"] += np.outer(dz, a["h_e"])
+    dr = ap.w_p.T @ dz
+    d_h_e = ap.w_x.T @ dz
+    d_alpha = outputs @ dr
+    d_outputs = np.outer(a["alpha"], dr)
+    ds = a["alpha"] * (d_alpha - float(a["alpha"] @ d_alpha))
+    grads["att.w"] += a["m"].T @ ds
+    da = np.outer(ds, ap.w) * (1.0 - a["m"] ** 2)
+    grads["att.w_y"] += da.T @ outputs
+    da_sum = da.sum(axis=0)
+    grads["att.w_h"] += np.outer(da_sum, a["h_e"])
+    d_outputs += da @ ap.w_y
+    d_h_e += ap.w_h.T @ da_sum
+    return d_outputs, d_h_e
+
+
+def o_forward(inst, params):
+    w = gate_views(params.lstm)
+    h = params.lstm.hidden_size
+    zeros = np.zeros(h)
+    story = o_encode(w, inst.story, zeros, zeros)
+    ends = [o_encode(w, seq, story[-1]["h"], story[-1]["c"])
+            for seq in (inst.ending1, inst.ending2)]
+    e = [steps[-1]["h"] for steps in ends]
+    outputs = np.array([st["h"] for st in story])
+    atts = None
+    if params.variant is Variant.RAW:
+        o_vec = np.concatenate(e)
+    else:
+        atts = [o_attend(params.attention, outputs, e[k]) for k in (0, 1)]
+        if params.variant is Variant.ATTENTION:
+            o_vec = np.concatenate([atts[0]["h_star"], atts[1]["h_star"]])
+        else:
+            o_vec = np.concatenate([e[0], atts[0]["h_star"],
+                                    e[1], atts[1]["h_star"]])
+    logits = params.head.w_out @ o_vec + params.head.b_out
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
+    return probs, {"story": story, "ends": ends, "atts": atts,
+                   "outputs": outputs, "o_vec": o_vec, "probs": probs}
+
+
+def o_backward(params, cache, gold):
+    w = gate_views(params.lstm)
+    h = params.lstm.hidden_size
+    grads = {name: np.zeros_like(arr) for name, arr in w.items()}
+    for name, arr in tensors(params).items():
+        if not name.startswith("lstm."):
+            grads[name] = np.zeros_like(arr)
+    d_logits = cache["probs"].copy()
+    d_logits[gold - 1] -= 1.0
+    grads["head.w_out"] += np.outer(d_logits, cache["o_vec"])
+    grads["head.b_out"] += d_logits
+    d_o = params.head.w_out.T @ d_logits
+    if params.variant is Variant.RAW:
+        d_e, d_h_star = [d_o[:h], d_o[h:]], [None, None]
+    elif params.variant is Variant.ATTENTION:
+        d_e, d_h_star = [np.zeros(h), np.zeros(h)], [d_o[:h], d_o[h:]]
+    else:
+        d_e = [d_o[:h], d_o[2 * h:3 * h]]
+        d_h_star = [d_o[h:2 * h], d_o[3 * h:]]
+    d_story_outputs = np.zeros_like(cache["outputs"])
+    d_story_h, d_story_c = np.zeros(h), np.zeros(h)
+    for k in (0, 1):
+        d_h_last = d_e[k].copy()
+        if d_h_star[k] is not None:
+            d_out, d_h_e = o_attend_backward(params.attention,
+                                             cache["outputs"],
+                                             cache["atts"][k], d_h_star[k],
+                                             grads)
+            d_story_outputs += d_out
+            d_h_last += d_h_e
+        d_h0, d_c0 = o_encode_backward(w, cache["ends"][k], None, d_h_last,
+                                       np.zeros(h), grads)
+        d_story_h += d_h0
+        d_story_c += d_c0
+    o_encode_backward(w, cache["story"], d_story_outputs, d_story_h,
+                      d_story_c, grads)
+    fused = {f"lstm.{name}": np.concatenate([grads[pattern.format(g)]
+                                             for g in GATES])
+             for name, pattern in (("w_x", "w_x{}"), ("w_h", "w_h{}"),
+                                   ("b", "b_{}"))}
+    fused.update({k: v for k, v in grads.items() if "." in k})
+    return fused
+
+
+def ragged_batch(rng, d=4):
+    """Stories of different lengths, length-1 endings, both gold labels."""
+    lengths = [(3, 1, 2), (6, 2, 1), (1, 1, 1), (4, 3, 4), (6, 1, 5)]
+    return [EmbeddedInstance(f"r-{k}", rng.standard_normal((s, d)),
+                             rng.standard_normal((a, d)),
+                             rng.standard_normal((b, d)), gold=1 + k % 2)
+            for k, (s, a, b) in enumerate(lengths)]
+
+
+class TestAgainstPerGateOracle:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_probabilities(self, variant):
+        rng = np.random.default_rng(40)
+        params = init_params(41, 4, 5, variant)
+        for inst in ragged_batch(rng):
+            assert rel_err(forward(inst, params)[0],
+                           o_forward(inst, params)[0]) < 1e-12
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_minibatch_gradients(self, variant):
+        rng = np.random.default_rng(42)
+        params = init_params(43, 4, 5, variant)
+        batch = ragged_batch(rng)
+        _, cache = forward_batch(batch, params)
+        got = backward_batch(cache, [inst.gold for inst in batch])
+        want = {name: np.zeros_like(arr) for name, arr in tensors(params).items()}
+        for inst in batch:
+            _, o_cache = o_forward(inst, params)
+            for name, g in o_backward(params, o_cache, inst.gold).items():
+                want[name] += g
+        assert set(got) == set(want)
+        for name in want:
+            assert rel_err(got[name], want[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_padded_batch_matches_batch_of_one(self, variant):
+        rng = np.random.default_rng(44)
+        params = init_params(45, 4, 5, variant)
+        batch = ragged_batch(rng)
+        probs, _ = forward_batch(batch, params)
+        for inst, p in zip(batch, probs):
+            assert rel_err(p, forward(inst, params)[0]) < 1e-12
+
+
+class TestBatchedCell:
+    def test_width_mismatch_names_instance(self):
+        rng = np.random.default_rng(46)
+        params = init_params(47, 4, 5, Variant.RAW)
+        batch = ragged_batch(rng)
+        bad = random_embedded(rng, d=6)
+        with pytest.raises(ValueError, match="fixture.*width 6.*input_size 4"):
+            forward(bad, params)
+        with pytest.raises(ValueError, match="fixture.*width 6.*input_size 4"):
+            forward_batch(batch + [bad], params)
+        with pytest.raises(ValueError, match="width 6.*input_size 4"):
+            encode(params.lstm, np.zeros((2, 6)), np.zeros(5), np.zeros(5))
+
+    def test_backward_uses_up_the_cache(self):
+        rng = np.random.default_rng(48)
+        params = init_params(49, 4, 5, Variant.COMBINED)
+        _, cache = forward(random_embedded(rng), params)
+        backward(cache, 1)
+        with pytest.raises(ValueError, match="already"):
+            backward(cache, 1)
+
+    def test_gold_count_must_match_batch(self):
+        rng = np.random.default_rng(50)
+        params = init_params(51, 4, 5, Variant.RAW)
+        _, cache = forward_batch(ragged_batch(rng), params)
+        with pytest.raises(ValueError, match="gold labels"):
+            backward_batch(cache, [1, 2])
+
+
 class TestLstmStep:
     def test_zero_params_zero_state(self):
-        zeros = lambda *shape: np.zeros(shape)
-        params = LstmParams(*(zeros(3, 2) if i % 3 == 0 else
-                              zeros(3, 3) if i % 3 == 1 else zeros(3)
-                              for i in range(12)))
+        params = LstmParams(np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
         h, c = lstm_step(params, np.zeros(2), np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
@@ -77,15 +308,16 @@ class TestLstmStep:
         h0 = rng.standard_normal(4) * 0.1
         c0 = rng.standard_normal(4) * 0.1
         h, c = lstm_step(params, x, h0, c0)
+        w = gate_views(params)
         for j in range(4):
-            ai = sum(params.w_xi[j, k] * x[k] for k in range(3)) \
-                + sum(params.w_hi[j, k] * h0[k] for k in range(4)) + params.b_i[j]
-            af = sum(params.w_xf[j, k] * x[k] for k in range(3)) \
-                + sum(params.w_hf[j, k] * h0[k] for k in range(4)) + params.b_f[j]
-            ag = sum(params.w_xg[j, k] * x[k] for k in range(3)) \
-                + sum(params.w_hg[j, k] * h0[k] for k in range(4)) + params.b_g[j]
-            ao = sum(params.w_xo[j, k] * x[k] for k in range(3)) \
-                + sum(params.w_ho[j, k] * h0[k] for k in range(4)) + params.b_o[j]
+            ai = sum(w["w_xi"][j, k] * x[k] for k in range(3)) \
+                + sum(w["w_hi"][j, k] * h0[k] for k in range(4)) + w["b_i"][j]
+            af = sum(w["w_xf"][j, k] * x[k] for k in range(3)) \
+                + sum(w["w_hf"][j, k] * h0[k] for k in range(4)) + w["b_f"][j]
+            ag = sum(w["w_xg"][j, k] * x[k] for k in range(3)) \
+                + sum(w["w_hg"][j, k] * h0[k] for k in range(4)) + w["b_g"][j]
+            ao = sum(w["w_xo"][j, k] * x[k] for k in range(3)) \
+                + sum(w["w_ho"][j, k] * h0[k] for k in range(4)) + w["b_o"][j]
             cj = sigmoid(af) * c0[j] + sigmoid(ai) * math.tanh(ag)
             hj = sigmoid(ao) * math.tanh(cj)
             assert c[j] == pytest.approx(cj, abs=1e-12)
@@ -209,7 +441,7 @@ class TestForward:
                                 (Variant.COMBINED, 4)]:
             params = init_params(13, 4, 5, variant)
             _, cache = forward(inst, params)
-            assert cache.o_vec.shape == (factor * 5,)
+            assert cache.o_vec.shape == (1, factor * 5)
             assert params.head.w_out.shape == (2, factor * 5)
 
     def test_raw_matches_seeded_encodes(self):
@@ -221,7 +453,7 @@ class TestForward:
         _, h_s, c_s = encode(params.lstm, inst.story, zeros, zeros)
         _, e1, _ = encode(params.lstm, inst.ending1, h_s, c_s)
         _, e2, _ = encode(params.lstm, inst.ending2, h_s, c_s)
-        np.testing.assert_allclose(cache.o_vec, np.concatenate([e1, e2]),
+        np.testing.assert_allclose(cache.o_vec[0], np.concatenate([e1, e2]),
                                    atol=1e-15)
 
 
@@ -297,6 +529,26 @@ class TestAdam:
         for name, arr in tensors(params).items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_matches_plain_formula_bitwise(self):
+        params = init_params(34, 3, 4, Variant.COMBINED)
+        state = adam_init(params)
+        want = {k: v.copy() for k, v in tensors(params).items()}
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v2 = {k: np.zeros_like(v) for k, v in want.items()}
+        rng = np.random.default_rng(35)
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.uniform(-9, 1)
+                     for k, v in want.items()}
+            adam_update(params, state, grads, lr=0.01)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v2[k] = 0.999 * v2[k] + (1.0 - 0.999) * g * g
+                m_hat = m[k] / (1.0 - 0.9 ** t)
+                v_hat = v2[k] / (1.0 - 0.999 ** t)
+                want[k] -= 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for name, arr in tensors(params).items():
+            np.testing.assert_array_equal(arr, want[name])
+
     def test_trajectories_are_deterministic(self):
         runs = []
         for _ in range(2):
@@ -315,25 +567,42 @@ class TestAdam:
 class TestInitParams:
     def test_biases_are_zero(self):
         params = init_params(22, 5, 7, Variant.COMBINED)
-        for name, arr in tensors(params).items():
-            if name.endswith(("b_i", "b_f", "b_g", "b_o", "b_out")):
-                np.testing.assert_array_equal(arr, np.zeros_like(arr))
+        for name in ("lstm.b", "head.b_out"):
+            arr = tensors(params)[name]
+            np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_weights_within_xavier_bound(self):
         params = init_params(23, 5, 7, Variant.COMBINED)
-        for name, arr in tensors(params).items():
-            if name.endswith(("b_i", "b_f", "b_g", "b_o", "b_out")):
-                continue
+        weights = {name: arr for name, arr in tensors(params).items()
+                   if name not in ("lstm.b", "head.b_out")}
+        # the fused LSTM tensors hold one Xavier draw per gate block
+        for name in ("w_x", "w_h"):
+            for gate in GATES:
+                weights[f"lstm.{name}{gate}"] = gate_views(params.lstm)[f"{name}{gate}"]
+            del weights[f"lstm.{name}"]
+        for name, arr in weights.items():
             if arr.ndim == 2:
                 fan_out, fan_in = arr.shape
             else:
                 fan_in, fan_out = arr.shape[0], 1
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.abs(arr).max() <= bound, name
+        assert len(weights) == 2 * len(GATES) + 6
+
+    def test_gate_blocks_drawn_in_turn(self):
+        d, h = 3, 4
+        params = init_params(29, d, h, Variant.RAW)
+        rng = np.random.default_rng(29)
+        w = gate_views(params.lstm)
+        for gate in GATES:
+            for name, shape in (("w_x", (h, d)), ("w_h", (h, h))):
+                limit = np.sqrt(6.0 / sum(shape))
+                np.testing.assert_array_equal(
+                    w[f"{name}{gate}"], rng.uniform(-limit, limit, size=shape))
 
     def test_large_draw_variance(self):
         rng_params = init_params(24, 512, 512, Variant.RAW)
-        w = rng_params.lstm.w_hi            # 512 x 512
+        w = gate_views(rng_params.lstm)["w_hi"]     # 512 x 512
         expected_var = 2.0 / (512 + 512)
         assert abs(w.var() - expected_var) < 0.1 * expected_var
 
@@ -389,6 +658,50 @@ class TestTraining:
         with pytest.raises(ValueError, match="nonempty"):
             train_model([], [], config)
 
+    def test_epoch_train_losses(self):
+        train = make_synthetic(10, 6, seed=800)
+        config = TrainConfig(hidden_size=8, batch_size=10, epochs=1,
+                             learning_rate=0.001, seed=2, variant=Variant.COMBINED)
+        result = train_model(train, train, config)
+        # one batch: the loss is taken before the only update
+        params = init_params(2, 6, 8, Variant.COMBINED)
+        want = np.mean([cross_entropy(forward(e, params)[0], e.gold)
+                        for e in train])
+        assert result.epoch_train_losses == pytest.approx((want,), rel=1e-12)
+
+        config = TrainConfig(hidden_size=16, batch_size=5, epochs=30,
+                             learning_rate=0.001, seed=0, variant=Variant.RAW)
+        marked = make_synthetic(20, 8, seed=100)
+        losses = train_model(marked, marked, config).epoch_train_losses
+        assert len(losses) == 30
+        assert losses[-1] < 0.5 * losses[0]
+
+    def test_non_finite_loss_stops_training(self):
+        train = make_synthetic(6, 6, seed=900)
+        broken = train[4]
+        train[4] = EmbeddedInstance(broken.id, np.full_like(broken.story, np.nan),
+                                    broken.ending1, broken.ending2, broken.gold)
+        config = TrainConfig(hidden_size=4, batch_size=6, epochs=2,
+                             learning_rate=0.01, seed=0, variant=Variant.RAW)
+        with pytest.raises(ValueError, match="epoch 1, batch 1: .*not finite"):
+            train_model(train, train, config)
+
+    def test_non_finite_gradient_stops_training(self):
+        train = make_synthetic(4, 6, seed=901)
+        config = TrainConfig(hidden_size=4, batch_size=2, epochs=1,
+                             learning_rate=0.01, seed=0, variant=Variant.RAW)
+        # an infinite input saturates every gate: the forward pass and the
+        # loss stay finite, the input-weight gradient does not
+        story = train[0].story.copy()
+        story[0, 0] = np.inf
+        saturated = EmbeddedInstance("inf", story, train[0].ending1,
+                                     train[0].ending2, 1)
+        params = init_params(0, 6, 4, Variant.RAW)
+        assert np.isfinite(cross_entropy(forward(saturated, params)[0], 1))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"epoch 1, batch \d: .*not finite \(loss \d"):
+            train_model(train[:2] + [saturated] * 2, train, config)
+
 
 class TestGridSearch:
     def test_single_cell_single_restart(self):
@@ -419,6 +732,25 @@ class TestGridSearch:
 
 
 class TestEmbedInstance:
+    def test_empty_sequence_is_one_oov_row(self, table):
+        np.testing.assert_array_equal(embed_tokens([], table),
+                                      np.zeros((1, table.dim)))
+        np.testing.assert_array_equal(embed_tokens([], table),
+                                      embed_tokens(["zzqx0"], table))
+
+    def test_empty_ending_predicts(self, table):
+        from clozebase.features import FeatureConfig, extract
+        inst = ClozeInstance(
+            id="x", context=("dog walked.", "cat.", "beach.", "ocean."),
+            ending1="pizza.", ending2="", gold=1)
+        embedded = embed_instance(inst, table)
+        assert embedded.ending2.shape == (1, table.dim)
+        params = init_params(30, table.dim, 4, Variant.COMBINED)
+        label, probs = predict_neural(embedded, params)
+        assert label in (1, 2) and np.all(np.isfinite(probs))
+        vector = extract(inst, table, None, FeatureConfig.ENDINGS_ONLY)
+        assert np.all(np.isfinite(vector.values))
+
     def test_oov_rows_are_zero(self, table):
         from clozebase.annotate import tokenize
         inst = ClozeInstance(
@@ -465,8 +797,44 @@ class TestCheckpoint:
     def test_clone_is_independent(self):
         params = init_params(28, 4, 5, Variant.RAW)
         copy = clone_params(params)
-        copy.lstm.w_xi[0, 0] += 1.0
-        assert params.lstm.w_xi[0, 0] != copy.lstm.w_xi[0, 0]
+        for name, arr in tensors(copy).items():
+            arr[...] += 1.0
+            assert not np.array_equal(tensors(params)[name], arr), name
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_version_1_per_gate_archive_loads(self, tmp_path, variant):
+        params = init_params(31, 4, 5, variant)
+        arrays = {name: arr for name, arr in tensors(params).items()
+                  if not name.startswith("lstm.")}
+        for name, arr in gate_views(params.lstm).items():
+            arrays[f"lstm.{name}"] = arr.copy()
+        meta = {"version": 1, "variant": variant.value, "input_size": 4,
+                "hidden_size": 5}
+        path = tmp_path / "v1.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, __meta__=np.asarray(json.dumps(meta)), **arrays)
+        loaded = load_checkpoint(path)
+        for name in tensors(params):
+            np.testing.assert_array_equal(tensors(loaded)[name],
+                                          tensors(params)[name])
+        inst = random_embedded(np.random.default_rng(32))
+        np.testing.assert_array_equal(predict_neural(inst, loaded)[1],
+                                      predict_neural(inst, params)[1])
+
+    def test_version_1_missing_gate_rejected(self, tmp_path):
+        params = init_params(33, 4, 5, Variant.RAW)
+        arrays = {name: arr for name, arr in tensors(params).items()
+                  if not name.startswith("lstm.")}
+        for name, arr in gate_views(params.lstm).items():
+            if name != "w_hg":
+                arrays[f"lstm.{name}"] = arr
+        meta = {"version": 1, "variant": "raw", "input_size": 4,
+                "hidden_size": 5}
+        path = tmp_path / "v1.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, __meta__=np.asarray(json.dumps(meta)), **arrays)
+        with pytest.raises(ParseError, match="lstm.w_hg"):
+            load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
