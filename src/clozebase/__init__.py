@@ -22,9 +22,9 @@ from .features import (FeatureConfig, FeatureVector, Scaler, aligned_sim,
                        load_features, max_sim_topn, pos_sims, save_features,
                        sim_story_ending)
 from .harness import (AblationReport, EvalResult, accuracy, evaluate_linear,
-                      load_ablation_report, majority_baseline, run_ablation,
-                      run_neural_comparison, save_ablation_report,
-                      train_linear_cell)
+                      fit_linear, load_ablation_report, majority_baseline,
+                      run_ablation, run_neural_comparison,
+                      save_ablation_report, train_linear_cell)
 from .linear import (CvReport, LinearModel, cv_tune_c, load_model, predict,
                      save_model, train_logreg)
 from .neural import (AttentionParams, ClassifierHead, EmbeddedInstance,
@@ -51,7 +51,7 @@ __all__ = [
     "extract", "feature_names", "fit_scaler", "load_features", "max_sim_topn",
     "pos_sims", "save_features", "sim_story_ending",
     "AblationReport", "EvalResult", "accuracy", "evaluate_linear",
-    "load_ablation_report", "majority_baseline", "run_ablation",
+    "fit_linear", "load_ablation_report", "majority_baseline", "run_ablation",
     "run_neural_comparison", "save_ablation_report", "train_linear_cell",
     "CvReport", "LinearModel", "cv_tune_c", "load_model", "predict",
     "save_model", "train_logreg",

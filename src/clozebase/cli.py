@@ -11,20 +11,17 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .annotate import Annotator, SidecarAnnotations, heuristic_tag
 from .corpus import (augment_swap, parse_cloze_csv, parse_roc_csv, split_dev,
                      write_cloze_csv)
 from .datagen import (build_ending_index, consensus_filter, gen_random,
                       gen_random_coherent, gen_shared_args)
 from .embeddings import EmbeddingFormat, load_embeddings
-from .features import (FeatureConfig, apply_scaler, config_from_names,
-                       extract, fit_scaler, load_features, save_features)
-from .harness import (evaluate_linear, linear_predictor, neural_predictor,
-                      run_ablation, save_ablation_report)
-from .linear import (DEFAULT_C_GRID, cv_tune_c, load_model, save_model,
-                     train_logreg)
+from .features import (FeatureConfig, config_from_names, extract,
+                       load_features, save_features)
+from .harness import (evaluate_linear, fit_linear, linear_predictor,
+                      neural_predictor, run_ablation, save_ablation_report)
+from .linear import DEFAULT_C_GRID, load_model, save_model
 from .neural import (TrainConfig, Variant, embed_instance, evaluate_model,
                      load_checkpoint, save_checkpoint, train_model)
 
@@ -176,14 +173,12 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
     grid = [float(c) for c in args.c_grid.split(",") if c]
     if not grid:
         raise ValueError("empty C grid")
-    scaler = fit_scaler(vectors)
-    x = np.stack([apply_scaler(scaler, v).values for v in vectors])
-    report = cv_tune_c(x, labels, folds=args.cv_folds, grid=grid,
-                       seed=args.seed)
+    model, report = fit_linear(vectors, labels, config, folds=args.cv_folds,
+                               c_grid=grid, seed=args.seed)
     for c, mean, _ in report.grid:
         print(f"C={c:g}: mean fold accuracy {mean:.4f}")
-    model = train_logreg(x, labels, report.best_c, names=vectors[0].names,
-                         config=config, scaler=scaler)
+    print(f"final solve at C={model.c:g}: {model.iterations} iterations, "
+          f"{'converged' if model.converged else 'not converged'}")
     save_model(args.model_out, model)
     print(f"best C {report.best_c:g}; model saved to {args.model_out}")
 

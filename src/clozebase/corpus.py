@@ -123,7 +123,7 @@ def write_cloze_csv(path: str | Path, instances: Sequence[ClozeInstance]) -> Non
 
 
 def parse_roc_csv(path: str | Path) -> list[RocStory]:
-    """Parse a ROC Stories CSV: id, title, 5 sentences."""
+    """Parse a ROC Stories CSV: id, title, 5 sentences; story ids must be unique."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as handle:
         rows = csv.reader(handle)
@@ -134,9 +134,14 @@ def parse_roc_csv(path: str | Path) -> list[RocStory]:
         if len(header) != 7:
             raise ParseError(f"{path}: row 1: expected 7 columns in header, got {len(header)}")
         stories: list[RocStory] = []
+        first_row: dict[str, int] = {}
         for rownum, row in enumerate(rows, start=2):
             if len(row) != 7:
                 raise ParseError(f"{path}: row {rownum}: expected 7 columns, got {len(row)}")
+            if row[0] in first_row:
+                raise ParseError(f"{path}: row {rownum}: story id {row[0]!r} "
+                                 f"already used on row {first_row[row[0]]}")
+            first_row[row[0]] = rownum
             stories.append(RocStory(
                 id=row[0],
                 title=row[1],

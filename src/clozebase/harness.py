@@ -19,9 +19,10 @@ from .corpus import ClozeInstance, augment_swap
 from .datagen import Predictor
 from .embeddings import EmbeddingTable
 from .errors import ParseError
-from .features import FeatureConfig, apply_scaler, extract, fit_scaler
-from .linear import (DEFAULT_C_GRID, LinearModel, cv_tune_c, predict,
-                     train_logreg)
+from .features import (FeatureConfig, FeatureVector, apply_scaler, extract,
+                       fit_scaler)
+from .linear import (DEFAULT_C_GRID, CvReport, LinearModel, cv_tune_c,
+                     predict, train_logreg)
 from .neural import (EmbeddedInstance, ModelParams, TrainConfig, Variant,
                      embed_instance, evaluate_model, predict_neural,
                      train_model)
@@ -99,22 +100,32 @@ def load_ablation_report(path: str | Path) -> AblationReport:
     return AblationReport(configs=configs, rows=rows)
 
 
+def fit_linear(vectors: Sequence[FeatureVector], labels: Sequence[int],
+               config: FeatureConfig, folds: int = 5,
+               c_grid: Sequence[float] = DEFAULT_C_GRID,
+               seed: int = 0) -> tuple[LinearModel, CvReport]:
+    """Fit the scaler, tune C by cross-validation, retrain on everything."""
+    scaler = fit_scaler(vectors)
+    x = np.stack([apply_scaler(scaler, v).values for v in vectors])
+    report = cv_tune_c(x, labels, folds=folds, grid=c_grid, seed=seed)
+    model = train_logreg(x, labels, report.best_c, names=vectors[0].names,
+                         config=config, scaler=scaler)
+    return model, report
+
+
 def train_linear_cell(train: Sequence[ClozeInstance], table: EmbeddingTable,
                       config: FeatureConfig, annotator: Annotator | None,
                       folds: int = 5,
                       c_grid: Sequence[float] = DEFAULT_C_GRID,
                       seed: int = 0, augment: bool = True) -> LinearModel:
-    """Swap-augment, extract, scale, tune C, retrain on everything."""
+    """Swap-augment, extract, then `fit_linear`."""
     instances = augment_swap(train) if augment else list(train)
     vectors = [extract(inst, table, annotator, config) for inst in instances]
     labels = [inst.gold for inst in instances]
     if any(label is None for label in labels):
         raise ValueError("training instances must be labeled")
-    scaler = fit_scaler(vectors)
-    x = np.stack([apply_scaler(scaler, v).values for v in vectors])
-    report = cv_tune_c(x, labels, folds=folds, grid=c_grid, seed=seed)
-    return train_logreg(x, labels, report.best_c, names=vectors[0].names,
-                        config=config, scaler=scaler)
+    return fit_linear(vectors, labels, config, folds=folds, c_grid=c_grid,
+                      seed=seed)[0]
 
 
 def evaluate_linear(model: LinearModel, test: Sequence[ClozeInstance],

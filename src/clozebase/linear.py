@@ -5,8 +5,12 @@ Objective (label 2 is the positive class, mapped to +1):
     f(w, b) = 1/2 ||w||^2 + C * sum_i log(1 + exp(-y_i (w.x_i + b)))
 
 The intercept is unregularized. The solver is limited-memory BFGS with an
-Armijo backtracking line search; convergence when the gradient infinity-norm
-drops below tolerance. C is tuned by seeded k-fold cross-validation.
+Armijo backtracking line search. It stops, converged, when the gradient
+infinity-norm falls to `tol` times its value at the start (or times 1 if that
+was smaller), or when FLAT_ITERS accepted steps in a row each lower the
+objective by no more than FLAT_RTOL relative to its size: the objective
+grows with C * n, so an absolute gradient bound is out of reach at large C.
+C is tuned by seeded k-fold cross-validation.
 """
 from __future__ import annotations
 
@@ -21,8 +25,12 @@ from .errors import ParseError
 from .features import FeatureConfig, FeatureVector, Scaler, apply_scaler
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
-GRAD_TOL = 1e-8
+GRAD_TOL = 1e-9
 MAX_ITER = 1000
+# An accepted step is flat when it lowers f by at most
+# FLAT_RTOL * max(|f_prev|, |f|, 1); FLAT_ITERS flat steps in a row end a solve.
+FLAT_RTOL = 10.0 * float(np.finfo(np.float64).eps)
+FLAT_ITERS = 5
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,10 @@ class LinearModel:
     names: tuple[str, ...]
     config: FeatureConfig | None = None
     scaler: Scaler | None = None
+    # diagnostics of the solve that produced the weights (None if unknown)
+    iterations: int | None = None
+    converged: bool | None = None
+    grad_inf: float | None = None
 
     def __post_init__(self) -> None:
         if self.weights.shape != (len(self.names),):
@@ -75,21 +87,35 @@ class SolveResult:
     history: tuple[float, ...]
     iterations: int
     converged: bool
+    grad_inf: float             # ||g||_inf at theta
+    stop: str                   # "gradient", "flat", "line_search" or "max_iter"
 
 
 def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                    x0: np.ndarray, tol: float = GRAD_TOL,
                    max_iter: int = MAX_ITER, memory: int = 10) -> SolveResult:
-    """Limited-memory BFGS with Armijo backtracking (halving) line search."""
+    """Limited-memory BFGS with Armijo backtracking (halving) line search.
+
+    Converged means the relative gradient test or the flat-objective test
+    held (module docstring); a line search that finds no decrease, or
+    `max_iter` steps, end the solve unconverged.
+    """
     x = np.asarray(x0, dtype=np.float64).copy()
     value, grad = fun_grad(x)
     history = [value]
+    grad_bound = tol * max(1.0, float(np.abs(grad).max()))
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
-    iterations = 0
+    flat = 0
+
+    def result(iterations: int, stop: str) -> SolveResult:
+        return SolveResult(x, value, tuple(history), iterations,
+                           stop in ("gradient", "flat"),
+                           float(np.abs(grad).max()), stop)
+
     for iterations in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) < tol:
-            return SolveResult(x, value, tuple(history), iterations - 1, True)
+        if float(np.abs(grad).max()) <= grad_bound:
+            return result(iterations - 1, "gradient")
         # two-loop recursion for the search direction
         q = grad.copy()
         alphas = []
@@ -121,8 +147,7 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                 break
             step *= 0.5
         else:
-            # line search exhausted: flat to machine precision
-            return SolveResult(x, value, tuple(history), iterations, False)
+            return result(iterations, "line_search")
         s = step * direction
         y = new_grad - grad
         if float(s @ y) > 1e-12:
@@ -131,11 +156,16 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
             if len(s_list) > memory:
                 s_list.pop(0)
                 y_list.pop(0)
+        scale = max(abs(value), abs(new_value), 1.0)
+        flat = flat + 1 if value - new_value <= FLAT_RTOL * scale else 0
         x = x + s
         value, grad = new_value, new_grad
         history.append(value)
-    converged = float(np.abs(grad).max()) < tol
-    return SolveResult(x, value, tuple(history), max_iter, converged)
+        if flat == FLAT_ITERS:
+            return result(iterations, "flat")
+    if float(np.abs(grad).max()) <= grad_bound:
+        return result(max_iter, "gradient")
+    return result(max_iter, "max_iter")
 
 
 def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
@@ -165,6 +195,9 @@ def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
         names=tuple(names),
         config=config,
         scaler=scaler,
+        iterations=result.iterations,
+        converged=result.converged,
+        grad_inf=result.grad_inf,
     )
 
 
@@ -189,11 +222,17 @@ def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, flo
 class CvReport:
     grid: tuple[tuple[float, float, tuple[float, ...]], ...]
     best_c: float
+    # (iterations, converged) of each fold's solve, one tuple per grid C
+    solves: tuple[tuple[tuple[int, bool], ...], ...]
 
 
 def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
               grid: Sequence[float], seed: int) -> CvReport:
-    """Seeded shuffle, contiguous folds; mean held-out accuracy per C."""
+    """Seeded shuffle, contiguous folds; mean held-out accuracy per C.
+
+    A fold is scored as `predict` scores one row: sigmoid(x @ w + b) >= 0.5
+    picks label 2.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if not grid:
@@ -209,20 +248,35 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
     fold_indices = [order[bounds[i]:bounds[i + 1]] for i in range(folds)]
 
     rows = []
+    solves = []
     for c in grid:
         fold_accs = []
+        fold_solves = []
         for held_out in fold_indices:
             held = set(held_out)
             train_idx = [i for i in order if i not in held]
             model = train_logreg(x[train_idx], y[train_idx], c)
-            correct = sum(predict(model, x[i])[0] == y[i] for i in held_out)
-            fold_accs.append(correct / len(held_out))
+            p = sigmoid(x[held_out] @ model.weights + model.intercept)
+            labels = np.where(p >= 0.5, 2, 1)
+            fold_accs.append(int(np.count_nonzero(labels == y[held_out]))
+                             / len(held_out))
+            fold_solves.append((model.iterations, model.converged))
         rows.append((float(c), float(np.mean(fold_accs)), tuple(fold_accs)))
+        solves.append(tuple(fold_solves))
     best = max(rows, key=lambda row: (row[1], -row[0]))
-    return CvReport(grid=tuple(rows), best_c=best[0])
+    return CvReport(grid=tuple(rows), best_c=best[0], solves=tuple(solves))
 
 
-_MODEL_MAGIC = "clozebase linear model v1"
+_MODEL_MAGIC = "clozebase linear model v2"
+_MODEL_MAGIC_V1 = "clozebase linear model v1"
+
+
+def _parse_bool(text: str) -> bool:
+    return {"true": True, "false": False}[text]
+
+
+# v2 adds the final solve's diagnostics; a v1 file loads with them set to None
+_DIAGNOSTICS = {"iterations": int, "converged": _parse_bool, "grad_inf": float}
 
 
 def save_model(path: str | Path, model: LinearModel) -> None:
@@ -234,6 +288,12 @@ def save_model(path: str | Path, model: LinearModel) -> None:
         handle.write(f"config\t{model.config.value}\n")
         handle.write(f"c\t{model.c!r}\n")
         handle.write(f"intercept\t{model.intercept!r}\n")
+        if model.iterations is not None:
+            handle.write(f"iterations\t{model.iterations}\n")
+        if model.converged is not None:
+            handle.write(f"converged\t{str(model.converged).lower()}\n")
+        if model.grad_inf is not None:
+            handle.write(f"grad_inf\t{model.grad_inf!r}\n")
         for name, weight, lo, hi in zip(model.names, model.weights,
                                         model.scaler.mins, model.scaler.maxs):
             handle.write(f"{name}\t{float(weight)!r}\t{float(lo)!r}\t{float(hi)!r}\n")
@@ -243,15 +303,25 @@ def load_model(path: str | Path) -> LinearModel:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
+    if not lines or lines[0] not in (_MODEL_MAGIC, _MODEL_MAGIC_V1):
         raise ParseError(f"{path}: not a linear model file "
                          f"(missing {_MODEL_MAGIC!r} header)")
+    keys = ("config", "c", "intercept")
+    if lines[0] == _MODEL_MAGIC:
+        keys += tuple(_DIAGNOSTICS)
     meta: dict[str, str] = {}
+    diagnostics: dict[str, object] = {}
     rows: list[tuple[str, float, float, float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
-        if len(fields) == 2 and fields[0] in ("config", "c", "intercept"):
+        if len(fields) == 2 and fields[0] in keys:
             meta[fields[0]] = fields[1]
+            if fields[0] in _DIAGNOSTICS:
+                try:
+                    diagnostics[fields[0]] = _DIAGNOSTICS[fields[0]](fields[1])
+                except (KeyError, ValueError):
+                    raise ParseError(f"{path}: line {lineno}: bad {fields[0]} "
+                                     f"{fields[1]!r}") from None
         elif len(fields) == 4:
             try:
                 rows.append((fields[0], float(fields[1]),
@@ -277,4 +347,5 @@ def load_model(path: str | Path) -> LinearModel:
         scaler=Scaler(names=names,
                       mins=np.asarray([r[2] for r in rows], dtype=np.float64),
                       maxs=np.asarray([r[3] for r in rows], dtype=np.float64)),
+        **diagnostics,
     )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clozebase.cli import main
-from clozebase.corpus import (ClozeInstance, parse_cloze_csv, write_cloze_csv,
-                              write_roc_csv)
+from clozebase.corpus import (ClozeInstance, RocStory, parse_cloze_csv,
+                              write_cloze_csv, write_roc_csv)
 from clozebase.linear import load_model
 from clozebase.neural import load_checkpoint
 
@@ -61,6 +61,19 @@ class TestGenData:
             outs.append(open(out, encoding="utf-8").read())
         assert outs[0] == outs[1]
 
+    def test_duplicate_story_ids_rejected(self, tmp_path, capsys):
+        stories = make_stories(3, seed=83)
+        stories = [RocStory(id="dup", title=s.title, sentences=s.sentences)
+                   for s in stories]
+        roc = tmp_path / "dup.csv"
+        write_roc_csv(roc, stories)
+        code = main(["gen-data", "--roc", str(roc), "--strategy", "random",
+                     "--k", "2", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 3: story id 'dup' already used on row 2" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file_is_one_line_error(self, tmp_path, capsys):
         code = main(["gen-data", "--roc", str(tmp_path / "nope.csv"),
                      "--strategy", "random", "--out", str(tmp_path / "o.csv")])
@@ -98,6 +111,22 @@ class TestLinearPipeline:
         assert "on 20 instances" in out
         acc = float(out.split()[1])
         assert 0.0 <= acc <= 1.0
+
+    def test_train_linear_reports_the_final_solve(self, data_path, glove_path,
+                                                  tmp_path, capsys):
+        features = str(tmp_path / "features.csv")
+        model_path = str(tmp_path / "model.txt")
+        main(["extract", "--data", data_path, "--embeddings", glove_path,
+              "--format", "glove-txt", "--config", "sims-only",
+              "--swap-augment", "--out", features])
+        capsys.readouterr()
+        assert main(["train-linear", "--features", features, "--cv-folds", "2",
+                     "--c-grid", "1.0", "--model-out", model_path]) == 0
+        out = capsys.readouterr().out
+        model = load_model(model_path)
+        assert model.converged is True
+        assert (f"final solve at C=1: {model.iterations} iterations, converged"
+                in out)
 
     def test_extract_rejects_unlabeled(self, glove_path, tmp_path, capsys):
         data = tmp_path / "unlabeled.csv"

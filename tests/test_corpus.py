@@ -102,6 +102,17 @@ class TestRocCsv:
         with pytest.raises(ParseError, match="row 2"):
             parse_roc_csv(path)
 
+    def test_duplicate_id_names_both_rows(self, tmp_path):
+        stories = make_stories(3, seed=6)
+        stories[2] = RocStory(id=stories[0].id, title=stories[2].title,
+                              sentences=stories[2].sentences)
+        path = tmp_path / "roc.csv"
+        write_roc_csv(path, stories)
+        with pytest.raises(ParseError,
+                           match="row 4: story id 'story-000' already used "
+                                 "on row 2"):
+            parse_roc_csv(path)
+
 
 class TestSplitDev:
     def test_sizes_round_half_away_from_zero(self):

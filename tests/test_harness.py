@@ -5,9 +5,10 @@ import pytest
 
 from clozebase.annotate import heuristic_tag
 from clozebase.errors import ParseError
-from clozebase.features import FeatureConfig
+from clozebase.corpus import augment_swap
+from clozebase.features import FeatureConfig, extract
 from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
-                               evaluate_linear, linear_predictor,
+                               evaluate_linear, fit_linear, linear_predictor,
                                load_ablation_report, majority_baseline,
                                neural_predictor, run_ablation,
                                run_neural_comparison, save_ablation_report,
@@ -151,6 +152,22 @@ class TestLinearCell:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
         assert a.c == b.c
+
+    def test_fit_linear_is_the_cell_after_extraction(self, table):
+        train = make_instances(16, seed=48)
+        cell = train_linear_cell(train, table, FeatureConfig.SIMS_ONLY,
+                                 heuristic_tag, folds=3, seed=2)
+        instances = augment_swap(train)
+        vectors = [extract(i, table, heuristic_tag, FeatureConfig.SIMS_ONLY)
+                   for i in instances]
+        model, report = fit_linear(vectors, [i.gold for i in instances],
+                                   FeatureConfig.SIMS_ONLY, folds=3, seed=2)
+        np.testing.assert_array_equal(model.weights, cell.weights)
+        assert model.intercept == cell.intercept
+        assert model.c == cell.c == report.best_c
+        assert model.converged is cell.converged is True
+        assert all(converged for per_fold in report.solves
+                   for _, converged in per_fold)
 
 
 class TestRunAblation:

@@ -9,9 +9,9 @@ import pytest
 from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 fit_scaler)
-from clozebase.linear import (DEFAULT_C_GRID, cv_tune_c, load_model,
-                              logreg_objective, minimize_lbfgs, predict,
-                              save_model, train_logreg)
+from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, cv_tune_c,
+                              load_model, logreg_objective, minimize_lbfgs,
+                              predict, save_model, train_logreg)
 
 
 def random_problem(rng, n=20, d=8):
@@ -20,6 +20,80 @@ def random_problem(rng, n=20, d=8):
     if len(np.unique(y)) < 2:          # resample degenerate draws
         y[0], y[1] = 1, 2
     return x, y
+
+
+def absolute_tol_lbfgs(fun_grad, x0, tol=1e-8, max_iter=1000, memory=10):
+    """The solver before the relative stopping rule, kept as an oracle.
+
+    Same L-BFGS and line search as minimize_lbfgs, but it stops only when
+    ||g||_inf < tol, an absolute bound. Returns (theta, value, iterations,
+    converged).
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    value, grad = fun_grad(x)
+    s_list, y_list = [], []
+    for iterations in range(1, max_iter + 1):
+        if float(np.abs(grad).max()) < tol:
+            return x, value, iterations - 1, True
+        q = grad.copy()
+        alphas = []
+        for s, y in zip(reversed(s_list), reversed(y_list)):
+            rho = 1.0 / float(y @ s)
+            a = rho * float(s @ q)
+            alphas.append((a, rho))
+            q -= a * y
+        if s_list:
+            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+            q *= gamma
+        for (a, rho), s, y in zip(reversed(alphas), s_list, y_list):
+            beta = rho * float(y @ q)
+            q += (a - beta) * s
+        direction = -q
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = -float(grad @ grad)
+            s_list.clear()
+            y_list.clear()
+        step = 1.0
+        for _ in range(60):
+            new_value, new_grad = fun_grad(x + step * direction)
+            if new_value <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            return x, value, iterations, False
+        s = step * direction
+        y = new_grad - grad
+        if float(s @ y) > 1e-12:
+            s_list.append(s)
+            y_list.append(y)
+            if len(s_list) > memory:
+                s_list.pop(0)
+                y_list.pop(0)
+        x = x + s
+        value, grad = new_value, new_grad
+    return x, value, max_iter, float(np.abs(grad).max()) < tol
+
+
+def counted(fun_grad):
+    """fun_grad plus a list whose one element counts the evaluations."""
+    calls = [0]
+
+    def wrapped(theta):
+        calls[0] += 1
+        return fun_grad(theta)
+
+    return wrapped, calls
+
+
+def stalled_problem():
+    """n < p, C = 100, min-max-like features: the absolute-tolerance solver
+    runs to its iteration cap here with the objective flat for most of it."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, (30, 60))
+    y_pm = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    return lambda t: logreg_objective(t, x, y_pm, 100.0), x.shape[1] + 1
 
 
 def rel_err(a, b):
@@ -99,6 +173,63 @@ class TestSolver:
 
         result = minimize_lbfgs(bowl, np.zeros(3))
         np.testing.assert_allclose(result.theta, target, atol=1e-7)
+        assert result.stop == "gradient" and result.converged
+        # the bound is relative to ||g0||_inf = 3
+        assert result.grad_inf <= 1e-9 * 3.0
+        assert result.grad_inf == float(np.abs(result.theta - target).max())
+
+
+class TestStoppingRule:
+    def test_stalled_problem_stops_flat_near_the_oracle(self):
+        fun, size = stalled_problem()
+        oracle_fun, oracle_calls = counted(fun)
+        theta_ref, _, oracle_iters, oracle_converged = absolute_tol_lbfgs(
+            oracle_fun, np.zeros(size))
+        assert oracle_iters == MAX_ITER and not oracle_converged
+
+        new_fun, new_calls = counted(fun)
+        result = minimize_lbfgs(new_fun, np.zeros(size))
+        assert result.converged
+        assert result.stop in ("gradient", "flat")
+        assert result.iterations < MAX_ITER // 4
+        w_ref = theta_ref[:-1]
+        bound = 1e-6 * max(1.0, float(np.linalg.norm(w_ref)))
+        assert np.linalg.norm(result.theta[:-1] - w_ref) <= bound
+        assert abs(result.theta[-1] - theta_ref[-1]) <= bound
+        assert new_calls[0] < 0.05 * oracle_calls[0]
+
+    def test_iteration_cap_is_unconverged(self):
+        fun, size = stalled_problem()
+        result = minimize_lbfgs(fun, np.zeros(size), max_iter=3)
+        assert result.iterations == 3
+        assert result.stop == "max_iter" and not result.converged
+        assert result.grad_inf == float(np.abs(fun(result.theta)[1]).max())
+
+    def test_failed_line_search_is_unconverged(self):
+        # f = sum(t) with the gradient's sign flipped: no step along -g descends
+        result = minimize_lbfgs(lambda t: (float(t.sum()), -np.ones_like(t)),
+                                np.zeros(2))
+        assert result.stop == "line_search" and not result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.theta, np.zeros(2))
+
+    @pytest.mark.parametrize("seed,n,d,c", [(20, 30, 60, 100.0),
+                                            (21, 80, 10, 1.0),
+                                            (22, 40, 40, 10.0),
+                                            (23, 50, 5, 0.05)])
+    def test_objective_agrees_with_scipy_lbfgsb(self, seed, n, d, c):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (n, d))
+        y_pm = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        fun = lambda t: logreg_objective(t, x, y_pm, c)
+        ours = minimize_lbfgs(fun, np.zeros(d + 1))
+        theirs = optimize.minimize(fun, np.zeros(d + 1), jac=True,
+                                   method="L-BFGS-B",
+                                   options={"maxiter": 20000, "ftol": 1e-15,
+                                            "gtol": 1e-12, "maxcor": 10})
+        assert ours.converged
+        assert abs(ours.value - theirs.fun) <= 1e-10 * max(1.0, abs(theirs.fun))
 
 
 class TestTrainLogreg:
@@ -144,6 +275,17 @@ class TestTrainLogreg:
     def test_non_positive_c_rejected(self):
         with pytest.raises(ValueError, match="C"):
             train_logreg(np.zeros((2, 1)), [1, 2], c=0.0)
+
+    def test_model_records_the_solve(self):
+        rng = np.random.default_rng(12)
+        x, y = random_problem(rng, n=30, d=5)
+        model = train_logreg(x, y, c=1.0)
+        y_pm = np.where(y == 2, 1.0, -1.0)
+        result = minimize_lbfgs(lambda t: logreg_objective(t, x, y_pm, 1.0),
+                                np.zeros(6))
+        assert model.converged is True
+        assert model.iterations == result.iterations > 0
+        assert model.grad_inf == result.grad_inf
 
 
 class TestPredict:
@@ -226,6 +368,36 @@ class TestCvTuneC:
         assert accs.count(max(accs)) > 1
         assert report.best_c == 0.5
 
+    def test_fold_scores_match_per_row_predict(self):
+        rng = np.random.default_rng(13)
+        x, y = random_problem(rng, n=53, d=6)
+        grid, folds, seed = [0.05, 1.0, 20.0], 5, 4
+        report = cv_tune_c(x, y, folds=folds, grid=grid, seed=seed)
+
+        order = list(range(53))
+        random.Random(seed).shuffle(order)
+        bounds = [round(i * 53 / folds) for i in range(folds + 1)]
+        for c, row in zip(grid, report.grid):
+            manual = []
+            for i in range(folds):
+                held = order[bounds[i]:bounds[i + 1]]
+                train_idx = [j for j in order if j not in held]
+                model = train_logreg(x[train_idx], y[train_idx], c)
+                correct = sum(predict(model, x[j])[0] == y[j] for j in held)
+                manual.append(correct / len(held))
+            assert row[2] == tuple(manual)
+
+    def test_report_records_each_fold_solve(self):
+        rng = np.random.default_rng(14)
+        x, y = random_problem(rng, n=30, d=4)
+        report = cv_tune_c(x, y, folds=3, grid=[0.1, 10.0], seed=2)
+        assert len(report.solves) == 2
+        for per_fold in report.solves:
+            assert len(per_fold) == 3
+            for iterations, converged in per_fold:
+                assert 0 < iterations < MAX_ITER
+                assert converged is True
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             cv_tune_c(np.zeros((4, 1)), [1, 2, 1, 2], folds=2, grid=[], seed=0)
@@ -254,10 +426,48 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.intercept == model.intercept
         np.testing.assert_array_equal(loaded.scaler.mins, model.scaler.mins)
+        assert loaded.iterations == model.iterations
+        assert loaded.converged is model.converged is True
+        assert loaded.grad_inf == model.grad_inf
         rng = np.random.default_rng(10)
         for _ in range(20):
             v = FeatureVector(names=model.names, values=rng.standard_normal(3))
             assert predict(loaded, v) == predict(model, v)
+
+    def test_file_names_version_and_diagnostics(self, tmp_path):
+        model = self.fitted_model()
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "clozebase linear model v2"
+        assert f"iterations\t{model.iterations}" in lines
+        assert "converged\ttrue" in lines
+
+    def test_hand_written_v1_file_loads(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v1\n"
+                        "config\tsims-only\n"
+                        "c\t0.5\n"
+                        "intercept\t-0.25\n"
+                        "f0\t1.5\t0.0\t2.0\n"
+                        "f1\t-2.0\t-1.0\t1.0\n")
+        model = load_model(path)
+        assert model.config is FeatureConfig.SIMS_ONLY
+        assert model.c == 0.5 and model.intercept == -0.25
+        assert model.names == ("f0", "f1")
+        np.testing.assert_array_equal(model.weights, [1.5, -2.0])
+        np.testing.assert_array_equal(model.scaler.mins, [0.0, -1.0])
+        np.testing.assert_array_equal(model.scaler.maxs, [2.0, 1.0])
+        assert model.iterations is None
+        assert model.converged is None
+        assert model.grad_inf is None
+
+    def test_bad_diagnostic_names_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tsims-only\n"
+                        "c\t0.5\nintercept\t0.0\nconverged\tyes\n")
+        with pytest.raises(ParseError, match="line 5"):
+            load_model(path)
 
     def test_save_requires_config_and_scaler(self, tmp_path):
         rng = np.random.default_rng(11)
