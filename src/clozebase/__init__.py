@@ -24,14 +24,15 @@ from .features import (FeatureConfig, FeatureVector, Scaler, aligned_sim,
 from .harness import (AblationReport, EvalResult, accuracy, evaluate_linear,
                       fit_linear, load_ablation_report, majority_baseline,
                       run_ablation, run_neural_comparison,
-                      save_ablation_report, train_linear_cell)
+                      save_ablation_report, train_linear_cell,
+                      train_lstm_cell)
 from .linear import (CvReport, LinearModel, cv_tune_c, load_model, predict,
                      save_model, train_logreg)
 from .neural import (AttentionParams, ClassifierHead, EmbeddedInstance,
                      LstmParams, ModelParams, TrainConfig, Variant, attend,
                      backward, backward_batch, embed_instance, encode,
-                     evaluate_model, forward, forward_batch, grid_search,
-                     init_params, load_checkpoint, lstm_step, predict_neural,
+                     evaluate_model, forward, forward_batch, init_params,
+                     load_checkpoint, lstm_step, predict_neural,
                      save_checkpoint, train_model)
 
 __version__ = "0.1.0"
@@ -53,13 +54,13 @@ __all__ = [
     "AblationReport", "EvalResult", "accuracy", "evaluate_linear",
     "fit_linear", "load_ablation_report", "majority_baseline", "run_ablation",
     "run_neural_comparison", "save_ablation_report", "train_linear_cell",
+    "train_lstm_cell",
     "CvReport", "LinearModel", "cv_tune_c", "load_model", "predict",
     "save_model", "train_logreg",
     "AttentionParams", "ClassifierHead", "EmbeddedInstance", "LstmParams",
     "ModelParams", "TrainConfig", "Variant", "attend", "backward",
     "backward_batch", "embed_instance", "encode", "evaluate_model", "forward",
-    "forward_batch", "grid_search",
-    "init_params", "load_checkpoint", "lstm_step", "predict_neural",
-    "save_checkpoint", "train_model",
+    "forward_batch", "init_params", "load_checkpoint", "lstm_step",
+    "predict_neural", "save_checkpoint", "train_model",
     "__version__",
 ]

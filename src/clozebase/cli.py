@@ -20,10 +20,11 @@ from .embeddings import EmbeddingFormat, load_embeddings
 from .features import (FeatureConfig, config_from_names, extract,
                        load_features, save_features)
 from .harness import (evaluate_linear, fit_linear, linear_predictor,
-                      neural_predictor, run_ablation, save_ablation_report)
+                      neural_predictor, run_ablation, save_ablation_report,
+                      train_lstm_cell)
 from .linear import DEFAULT_C_GRID, load_model, save_model
 from .neural import (TrainConfig, Variant, embed_instance, evaluate_model,
-                     load_checkpoint, save_checkpoint, train_model)
+                     load_checkpoint, save_checkpoint)
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
 _CONFIGS = {c.value: c for c in FeatureConfig}
@@ -200,27 +201,19 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_lstm(args: argparse.Namespace) -> None:
+    config = TrainConfig(hidden_size=args.hidden, batch_size=args.batch,
+                         epochs=args.epochs, learning_rate=args.lr,
+                         seed=args.seed, variant=_VARIANTS[args.variant],
+                         restarts=args.restarts)
     instances = parse_cloze_csv(args.dev)
     if any(inst.gold is None for inst in instances):
         raise ValueError("training requires labeled instances")
     split = split_dev(instances, ratio=args.split_ratio, seed=args.seed)
-    train_set = augment_swap(split.dev_train)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    emb_train = [embed_instance(inst, table) for inst in train_set]
-    emb_dev = [embed_instance(inst, table) for inst in split.dev_dev]
-    best = None
-    for restart in range(args.restarts):
-        config = TrainConfig(hidden_size=args.hidden, batch_size=args.batch,
-                             epochs=args.epochs, learning_rate=args.lr,
-                             seed=args.seed * args.restarts + restart,
-                             variant=_VARIANTS[args.variant],
-                             restarts=args.restarts)
-        result = train_model(emb_train, emb_dev, config)
+    best, runs = train_lstm_cell(split.dev_train, split.dev_dev, table, config)
+    for restart, result in enumerate(runs):
         print(f"restart {restart}: best epoch {result.best_epoch}, "
               f"validation accuracy {result.best_dev_accuracy:.4f}")
-        if best is None or result.best_dev_accuracy > best.best_dev_accuracy:
-            best = result
-    assert best is not None
     print(f"best validation accuracy {best.best_dev_accuracy:.4f} "
           f"(epoch {best.best_epoch})")
     if args.model_out:

@@ -259,6 +259,8 @@ def load_features(path: str | Path) -> tuple[list[FeatureVector], list[int]]:
         lines = handle.read().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty feature file")
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no feature rows after the header")
     names = tuple(lines[0].split(","))
     vectors: list[FeatureVector] = []
     labels: list[int] = []

@@ -3,12 +3,14 @@
 `run_ablation` fills an (embedding table x feature config) accuracy grid:
 swap-augment the training set, extract features, tune C by cross-validation,
 retrain on everything, score the test set. `run_neural_comparison` does the
-analogous sweep over LSTM variants with a train/validation/test split.
+analogous sweep over LSTM training configs with a train/validation/test
+split, each config trained by `train_lstm_cell` (swap-augment, embed, keep
+the best of `config.restarts` runs).
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,9 +25,8 @@ from .features import (FeatureConfig, FeatureVector, apply_scaler, extract,
                        fit_scaler)
 from .linear import (DEFAULT_C_GRID, CvReport, LinearModel, cv_tune_c,
                      predict, train_logreg)
-from .neural import (EmbeddedInstance, ModelParams, TrainConfig, Variant,
-                     embed_instance, evaluate_model, predict_neural,
-                     train_model)
+from .neural import (ModelParams, TrainConfig, TrainResult, embed_instance,
+                     evaluate_model, predict_neural, train_model)
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,13 @@ def train_linear_cell(train: Sequence[ClozeInstance], table: EmbeddingTable,
 def evaluate_linear(model: LinearModel, test: Sequence[ClozeInstance],
                     table: EmbeddingTable,
                     annotator: Annotator | None) -> EvalResult:
+    predictor = linear_predictor(model, table, annotator)
     predictions = []
     gold = []
     for inst in test:
         if inst.gold is None:
             raise ValueError(f"instance {inst.id} is unlabeled")
-        assert model.config is not None
-        vector = extract(inst, table, annotator, model.config)
-        predictions.append(predict(model, vector)[0])
+        predictions.append(predictor(inst))
         gold.append(inst.gold)
     return accuracy(predictions, gold)
 
@@ -160,9 +160,28 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
     return AblationReport(configs=tuple(configs), rows=rows)
 
 
+def train_lstm_cell(train: Sequence[ClozeInstance],
+                    valid: Sequence[ClozeInstance], table: EmbeddingTable,
+                    config: TrainConfig
+                    ) -> tuple[TrainResult, tuple[TrainResult, ...]]:
+    """Swap-augment, embed, then `config.restarts` runs of `train_model`.
+
+    Run r uses seed `config.seed * config.restarts + r`. Returns the run
+    with the highest validation accuracy (ties go to the earlier restart)
+    and every run in restart order.
+    """
+    emb_train = [embed_instance(i, table) for i in augment_swap(train)]
+    emb_valid = [embed_instance(i, table) for i in valid]
+    runs = tuple(
+        train_model(emb_train, emb_valid,
+                    replace(config, seed=config.seed * config.restarts + r))
+        for r in range(config.restarts))
+    return max(runs, key=lambda run: run.best_dev_accuracy), runs
+
+
 @dataclass(frozen=True)
 class NeuralComparisonRow:
-    variant: Variant
+    config: TrainConfig
     best_epoch: int
     dev_accuracy: float
     test_accuracy: float
@@ -171,26 +190,19 @@ class NeuralComparisonRow:
 def run_neural_comparison(dev_train: Sequence[ClozeInstance],
                           dev_dev: Sequence[ClozeInstance],
                           test: Sequence[ClozeInstance],
-                          variants: Sequence[Variant],
-                          table: EmbeddingTable,
-                          hidden_size: int = 384, batch_size: int = 500,
-                          epochs: int = 10, learning_rate: float = 0.001,
-                          seed: int = 0) -> tuple[NeuralComparisonRow, ...]:
-    """Train each variant, select the best epoch on dev_dev, score on test."""
-    emb_train = [embed_instance(i, table) for i in dev_train]
-    emb_dev = [embed_instance(i, table) for i in dev_dev]
+                          configs: Sequence[TrainConfig],
+                          table: EmbeddingTable
+                          ) -> tuple[NeuralComparisonRow, ...]:
+    """Train each config with `train_lstm_cell`, score its best run on test."""
     emb_test = [embed_instance(i, table) for i in test]
     rows = []
-    for variant in variants:
-        config = TrainConfig(hidden_size=hidden_size, batch_size=batch_size,
-                             epochs=epochs, learning_rate=learning_rate,
-                             seed=seed, variant=variant)
-        result = train_model(emb_train, emb_dev, config)
+    for config in configs:
+        best, _ = train_lstm_cell(dev_train, dev_dev, table, config)
         rows.append(NeuralComparisonRow(
-            variant=variant,
-            best_epoch=result.best_epoch,
-            dev_accuracy=result.best_dev_accuracy,
-            test_accuracy=evaluate_model(emb_test, result.params),
+            config=config,
+            best_epoch=best.best_epoch,
+            dev_accuracy=best.best_dev_accuracy,
+            test_accuracy=evaluate_model(emb_test, best.params),
         ))
     return tuple(rows)
 
@@ -199,10 +211,11 @@ def save_neural_report(path: str | Path,
                        rows: Sequence[NeuralComparisonRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["variant", "best_epoch", "dev_accuracy",
-                         "test_accuracy"])
+        writer.writerow(["variant", "hidden", "batch", "best_epoch",
+                         "dev_accuracy", "test_accuracy"])
         for row in rows:
-            writer.writerow([row.variant.value, row.best_epoch,
+            writer.writerow([row.config.variant.value, row.config.hidden_size,
+                             row.config.batch_size, row.best_epoch,
                              repr(row.dev_accuracy), repr(row.test_accuracy)])
 
 

@@ -97,8 +97,9 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     """Limited-memory BFGS with Armijo backtracking (halving) line search.
 
     Converged means the relative gradient test or the flat-objective test
-    held (module docstring); a line search that finds no decrease, or
-    `max_iter` steps, end the solve unconverged.
+    held (module docstring); a line search that finds no decrease or whose
+    accepted point rounds to x, or `max_iter` steps, end the solve
+    unconverged.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     value, grad = fun_grad(x)
@@ -147,6 +148,8 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                 break
             step *= 0.5
         else:
+            return result(iterations, "line_search")
+        if np.array_equal(candidate, x):    # the step rounded away: no move
             return result(iterations, "line_search")
         s = step * direction
         y = new_grad - grad

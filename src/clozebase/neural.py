@@ -27,7 +27,6 @@ with bias correction and is bitwise reproducible under a fixed seed.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import random
@@ -588,10 +587,6 @@ def adam_update(params: ModelParams, state: AdamState,
         arr -= m_hat
 
 
-HIDDEN_GRID = (128, 256, 384, 512)
-BATCH_GRID = (50, 100, 200, 300, 400, 500)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     hidden_size: int
@@ -600,7 +595,7 @@ class TrainConfig:
     learning_rate: float
     seed: int
     variant: Variant
-    restarts: int = 1
+    restarts: int = 1       # runs per `harness.train_lstm_cell`
 
     def __post_init__(self) -> None:
         for name in ("hidden_size", "batch_size", "epochs",
@@ -696,84 +691,6 @@ def train_model(train: Sequence[EmbeddedInstance],
                        best_dev_accuracy=best_acc,
                        epoch_dev_accuracies=tuple(accuracies),
                        epoch_train_losses=tuple(losses))
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    hidden_size: int
-    batch_size: int
-    restart: int
-    best_epoch: int
-    dev_accuracy: float
-
-
-@dataclass
-class GridCell:
-    hidden_size: int
-    batch_size: int
-    runs: tuple[RunRecord, ...]
-
-    @property
-    def best(self) -> RunRecord:
-        return max(self.runs, key=lambda r: (r.dev_accuracy, -r.restart))
-
-
-@dataclass
-class GridSearchResult:
-    cells: tuple[GridCell, ...]
-    best_params: ModelParams
-    best_run: RunRecord
-
-
-def grid_search(train: Sequence[EmbeddedInstance],
-                dev: Sequence[EmbeddedInstance],
-                variant: Variant,
-                hidden_grid: Sequence[int] = HIDDEN_GRID,
-                batch_grid: Sequence[int] = BATCH_GRID,
-                epochs: int = 10,
-                learning_rate: float = 0.001,
-                restarts: int = 5,
-                base_seed: int = 0) -> GridSearchResult:
-    """Train `restarts` models per (hidden, batch) cell; keep the global best."""
-    if not hidden_grid or not batch_grid:
-        raise ValueError("grid axes must be nonempty")
-    cells: list[GridCell] = []
-    best_params: ModelParams | None = None
-    best_run: RunRecord | None = None
-    for hi, hidden in enumerate(hidden_grid):
-        for bi, batch in enumerate(batch_grid):
-            runs: list[RunRecord] = []
-            for r in range(restarts):
-                seed = ((base_seed * len(hidden_grid) + hi)
-                        * len(batch_grid) + bi) * restarts + r
-                config = TrainConfig(hidden_size=hidden, batch_size=batch,
-                                     epochs=epochs, learning_rate=learning_rate,
-                                     seed=seed, variant=variant,
-                                     restarts=restarts)
-                result = train_model(train, dev, config)
-                record = RunRecord(hidden_size=hidden, batch_size=batch,
-                                   restart=r, best_epoch=result.best_epoch,
-                                   dev_accuracy=result.best_dev_accuracy)
-                runs.append(record)
-                if best_run is None or record.dev_accuracy > best_run.dev_accuracy:
-                    best_run = record
-                    best_params = result.params
-            cells.append(GridCell(hidden_size=hidden, batch_size=batch,
-                                  runs=tuple(runs)))
-    assert best_params is not None and best_run is not None
-    return GridSearchResult(cells=tuple(cells), best_params=best_params,
-                            best_run=best_run)
-
-
-def save_grid_report(path: str | Path, result: GridSearchResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["hidden", "batch", "restart", "best_epoch",
-                         "dev_accuracy"])
-        for cell in result.cells:
-            for run in cell.runs:
-                writer.writerow([run.hidden_size, run.batch_size, run.restart,
-                                 run.best_epoch, repr(run.dev_accuracy)])
 
 
 CHECKPOINT_VERSION = 2

@@ -5,9 +5,11 @@ import pytest
 
 from clozebase.cli import main
 from clozebase.corpus import (ClozeInstance, RocStory, parse_cloze_csv,
-                              write_cloze_csv, write_roc_csv)
+                              split_dev, write_cloze_csv, write_roc_csv)
+from clozebase.embeddings import EmbeddingFormat, load_embeddings
+from clozebase.harness import train_lstm_cell
 from clozebase.linear import load_model
-from clozebase.neural import load_checkpoint
+from clozebase.neural import TrainConfig, Variant, load_checkpoint, tensors
 
 from conftest import EMBED_DIM, VOCAB, make_instances, make_stories
 
@@ -149,6 +151,15 @@ class TestLinearPipeline:
         assert code == 1
         assert "error: empty C grid" in capsys.readouterr().err
 
+    def test_header_only_feature_file_rejected(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("plain_sim_e1,plain_sim_e2\n", encoding="utf-8")
+        code = main(["train-linear", "--features", str(features),
+                     "--model-out", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert (f"error: {features}: no feature rows after the header"
+                in capsys.readouterr().err)
+
 
 class TestLstmPipeline:
     def test_train_eval_and_filter(self, data_path, glove_path, tmp_path,
@@ -178,6 +189,40 @@ class TestLstmPipeline:
         assert "kept" in capsys.readouterr().out
         survivors = parse_cloze_csv(kept)
         assert len(survivors) <= 20
+
+    def test_checkpoint_is_the_best_run_of_the_driver(self, data_path,
+                                                      glove_path, tmp_path,
+                                                      capsys):
+        checkpoint = str(tmp_path / "lstm.npz")
+        assert main(["train-lstm", "--dev", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--variant", "raw", "--hidden", "4", "--batch", "8",
+                     "--epochs", "2", "--restarts", "2", "--seed", "1",
+                     "--model-out", checkpoint]) == 0
+        out = capsys.readouterr().out
+        split = split_dev(parse_cloze_csv(data_path), ratio=0.9, seed=1)
+        table = load_embeddings(glove_path, EmbeddingFormat.GLOVE_TEXT)
+        config = TrainConfig(hidden_size=4, batch_size=8, epochs=2,
+                             learning_rate=0.001, seed=1,
+                             variant=Variant.RAW, restarts=2)
+        best, runs = train_lstm_cell(split.dev_train, split.dev_dev, table,
+                                     config)
+        for restart, run in enumerate(runs):
+            assert (f"restart {restart}: best epoch {run.best_epoch}, "
+                    f"validation accuracy {run.best_dev_accuracy:.4f}") in out
+        saved = tensors(load_checkpoint(checkpoint))
+        for name, arr in tensors(best.params).items():
+            np.testing.assert_array_equal(saved[name], arr, err_msg=name)
+
+    def test_nonpositive_restarts_rejected(self, data_path, glove_path,
+                                           capsys):
+        for restarts in ("0", "-1"):
+            code = main(["train-lstm", "--dev", data_path,
+                         "--embeddings", glove_path, "--format", "glove-txt",
+                         "--restarts", restarts])
+            assert code == 1
+            assert ("error: restarts must be positive"
+                    in capsys.readouterr().err)
 
     def test_eval_with_table_of_another_width(self, data_path, glove_path,
                                               tmp_path, capsys):

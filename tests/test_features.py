@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -319,4 +321,11 @@ class TestPersistence:
         path = tmp_path / "features.csv"
         path.write_text("")
         with pytest.raises(ParseError, match="empty"):
+            load_features(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{path}: no feature rows")):
             load_features(path)

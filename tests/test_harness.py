@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
                                load_ablation_report, majority_baseline,
                                neural_predictor, run_ablation,
                                run_neural_comparison, save_ablation_report,
-                               save_neural_report, train_linear_cell)
-from clozebase.neural import Variant, init_params
+                               save_neural_report, train_linear_cell,
+                               train_lstm_cell)
+from clozebase.neural import (TrainConfig, Variant, embed_instance,
+                              evaluate_model, init_params, tensors,
+                              train_model)
 
 from conftest import make_instances
 
@@ -199,16 +204,62 @@ class TestRunAblation:
                 == report.rows["b"][FeatureConfig.ENDINGS_ONLY])
 
 
+def lstm_config(**overrides) -> TrainConfig:
+    fields = dict(hidden_size=4, batch_size=4, epochs=2, learning_rate=0.01,
+                  seed=0, variant=Variant.RAW)
+    fields.update(overrides)
+    return TrainConfig(**fields)
+
+
+def assert_same_run(got, expected):
+    assert got.best_epoch == expected.best_epoch
+    assert got.best_dev_accuracy == expected.best_dev_accuracy
+    assert got.epoch_dev_accuracies == expected.epoch_dev_accuracies
+    assert got.epoch_train_losses == expected.epoch_train_losses
+    want = tensors(expected.params)
+    for name, arr in tensors(got.params).items():
+        np.testing.assert_array_equal(arr, want[name], err_msg=name)
+
+
+class TestTrainLstmCell:
+    def test_run_r_is_train_model_at_the_restart_seed(self, table):
+        train = make_instances(6, seed=54)
+        valid = make_instances(4, seed=55)
+        best, runs = train_lstm_cell(train, valid, table,
+                                     lstm_config(seed=2, restarts=3))
+        assert len(runs) == 3
+        emb_train = [embed_instance(i, table) for i in augment_swap(train)]
+        emb_valid = [embed_instance(i, table) for i in valid]
+        for r, run in enumerate(runs):
+            expected = train_model(emb_train, emb_valid,
+                                   lstm_config(seed=2 * 3 + r, restarts=3))
+            assert_same_run(run, expected)
+        top = max(run.best_dev_accuracy for run in runs)
+        assert best is next(run for run in runs if run.best_dev_accuracy == top)
+
+    def test_tie_goes_to_the_earlier_restart(self, table):
+        # one instance under both gold labels: every epoch of every run gets
+        # exactly one of the two right, so all restarts tie at 1/2
+        inst = make_instances(1, seed=56)[0]
+        valid = [inst, replace(inst, gold=3 - inst.gold)]
+        best, runs = train_lstm_cell(make_instances(6, seed=57), valid, table,
+                                     lstm_config(restarts=3))
+        assert [run.best_dev_accuracy for run in runs] == [0.5] * 3
+        assert best is runs[0]
+        assert not np.array_equal(runs[0].params.lstm.w_x,
+                                  runs[1].params.lstm.w_x)
+
+
 class TestNeuralComparison:
     def test_rows_and_report(self, table, tmp_path):
         dev_train = make_instances(8, seed=60)
         dev_dev = make_instances(4, seed=61)
         test = make_instances(4, seed=62)
+        configs = [lstm_config(), lstm_config(variant=Variant.ATTENTION,
+                                              hidden_size=6)]
         rows = run_neural_comparison(dev_train, dev_dev, test,
-                                     [Variant.RAW, Variant.ATTENTION], table,
-                                     hidden_size=4, batch_size=4, epochs=2,
-                                     learning_rate=0.01, seed=0)
-        assert [r.variant for r in rows] == [Variant.RAW, Variant.ATTENTION]
+                                     configs=configs, table=table)
+        assert [r.config for r in rows] == configs
         for row in rows:
             assert 1 <= row.best_epoch <= 2
             assert 0.0 <= row.dev_accuracy <= 1.0
@@ -216,25 +267,39 @@ class TestNeuralComparison:
         path = tmp_path / "neural.csv"
         save_neural_report(path, rows)
         lines = path.read_text().splitlines()
-        assert lines[0] == "variant,best_epoch,dev_accuracy,test_accuracy"
+        assert lines[0] == ("variant,hidden,batch,best_epoch,dev_accuracy,"
+                            "test_accuracy")
         assert len(lines) == 3
-        assert lines[1].startswith("raw,")
+        assert lines[1].startswith("raw,4,4,")
+        assert lines[2].startswith("att,6,4,")
         # cells parse back as floats
         for line in lines[1:]:
             fields = line.split(",")
-            float(fields[2]), float(fields[3])
+            float(fields[4]), float(fields[5])
 
     def test_deterministic(self, table):
         dev_train = make_instances(6, seed=63)
         dev_dev = make_instances(3, seed=64)
         test = make_instances(3, seed=65)
-        kwargs = dict(hidden_size=4, batch_size=3, epochs=2,
-                      learning_rate=0.01, seed=1)
-        a = run_neural_comparison(dev_train, dev_dev, test, [Variant.RAW],
-                                  table, **kwargs)
-        b = run_neural_comparison(dev_train, dev_dev, test, [Variant.RAW],
-                                  table, **kwargs)
+        configs = [lstm_config(batch_size=3, seed=1)]
+        a = run_neural_comparison(dev_train, dev_dev, test, configs=configs,
+                                  table=table)
+        b = run_neural_comparison(dev_train, dev_dev, test, configs=configs,
+                                  table=table)
         assert a == b
+
+    def test_row_is_the_best_run_of_the_driver(self, table):
+        dev_train = make_instances(6, seed=66)
+        dev_dev = make_instances(3, seed=67)
+        test = make_instances(4, seed=68)
+        config = lstm_config(batch_size=3, seed=1, restarts=2)
+        (row,) = run_neural_comparison(dev_train, dev_dev, test,
+                                       configs=[config], table=table)
+        best, _ = train_lstm_cell(dev_train, dev_dev, table, config)
+        assert row.best_epoch == best.best_epoch
+        assert row.dev_accuracy == best.best_dev_accuracy
+        emb_test = [embed_instance(i, table) for i in test]
+        assert row.test_accuracy == evaluate_model(emb_test, best.params)
 
 
 class TestPredictors:
@@ -255,6 +320,8 @@ class TestPredictors:
                                scaler=model.scaler)
         with pytest.raises(ValueError, match="configuration"):
             linear_predictor(stripped, table)
+        with pytest.raises(ValueError, match="configuration"):
+            evaluate_linear(stripped, train, table, heuristic_tag)
 
     def test_neural_predictor_labels(self, table):
         params = init_params(0, table.dim, 6, Variant.RAW)

@@ -213,6 +213,15 @@ class TestStoppingRule:
         assert result.iterations == 1
         np.testing.assert_array_equal(result.theta, np.zeros(2))
 
+    def test_step_that_rounds_to_x_is_a_failed_line_search(self):
+        # f = 1/2 |t|^2 with the gradient's sign flipped: halving accepts a
+        # step so short that x + step * d == x, which must not count as flat
+        result = minimize_lbfgs(lambda t: (0.5 * float(t @ t), -t.copy()),
+                                np.ones(2))
+        assert result.stop == "line_search" and not result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.theta, np.ones(2))
+
     @pytest.mark.parametrize("seed,n,d,c", [(20, 30, 60, 100.0),
                                             (21, 80, 10, 1.0),
                                             (22, 40, 40, 10.0),

@@ -14,9 +14,9 @@ from clozebase.neural import (ADAM_EPS, GATES, AttentionParams,
                               attend, backward, backward_batch, clone_params,
                               cross_entropy, embed_instance, embed_tokens,
                               encode, evaluate_model, forward, forward_batch,
-                              grid_search, init_params, load_checkpoint,
-                              lstm_step, predict_neural, save_checkpoint,
-                              save_grid_report, tensors, train_model)
+                              init_params, load_checkpoint, lstm_step,
+                              predict_neural, save_checkpoint, tensors,
+                              train_model)
 
 
 def sigmoid(z):
@@ -701,34 +701,6 @@ class TestTraining:
         with np.errstate(invalid="ignore"), pytest.raises(
                 ValueError, match=r"epoch 1, batch \d: .*not finite \(loss \d"):
             train_model(train[:2] + [saturated] * 2, train, config)
-
-
-class TestGridSearch:
-    def test_single_cell_single_restart(self):
-        data = make_synthetic(10, 6, seed=400)
-        result = grid_search(data, data, Variant.RAW, hidden_grid=[8],
-                             batch_grid=[5], epochs=2, restarts=1)
-        assert len(result.cells) == 1
-        assert len(result.cells[0].runs) == 1
-        assert result.best_run.hidden_size == 8
-        assert result.best_run.batch_size == 5
-
-    def test_cell_count_is_grid_product(self):
-        data = make_synthetic(8, 6, seed=500)
-        result = grid_search(data, data, Variant.RAW, hidden_grid=[4, 8],
-                             batch_grid=[2, 4, 8], epochs=1, restarts=2)
-        assert len(result.cells) == 6
-        assert all(len(cell.runs) == 2 for cell in result.cells)
-
-    def test_report_csv_shape(self, tmp_path):
-        data = make_synthetic(8, 6, seed=600)
-        result = grid_search(data, data, Variant.RAW, hidden_grid=[4],
-                             batch_grid=[4, 8], epochs=1, restarts=2)
-        path = tmp_path / "grid.csv"
-        save_grid_report(path, result)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "hidden,batch,restart,best_epoch,dev_accuracy"
-        assert len(lines) == 1 + 4      # 2 cells x 2 restarts
 
 
 class TestEmbedInstance:

@@ -20,13 +20,13 @@ import os
 import pytest
 
 from clozebase.annotate import heuristic_tag
-from clozebase.corpus import augment_swap, parse_cloze_csv, split_dev
+from clozebase.corpus import parse_cloze_csv, split_dev
 from clozebase.embeddings import EmbeddingFormat, load_embeddings
 from clozebase.features import FeatureConfig
 from clozebase.harness import (evaluate_linear, majority_baseline,
-                               train_linear_cell)
+                               train_linear_cell, train_lstm_cell)
 from clozebase.neural import (TrainConfig, Variant, embed_instance,
-                              evaluate_model, train_model)
+                              evaluate_model)
 
 DEV_CSV = os.environ.get("CLOZEBASE_DEV_CSV")
 TEST_CSV = os.environ.get("CLOZEBASE_TEST_CSV")
@@ -99,22 +99,14 @@ class TestLstm:
     @pytest.fixture(scope="class")
     def results(self, dev, test_set, w2v_table):
         split = split_dev(dev, ratio=0.9, seed=0)
-        emb_train = [embed_instance(i, w2v_table)
-                     for i in augment_swap(split.dev_train)]
-        emb_dev = [embed_instance(i, w2v_table) for i in split.dev_dev]
         emb_test = [embed_instance(i, w2v_table) for i in test_set]
         out = {}
         for variant in (Variant.RAW, Variant.ATTENTION):
-            best = None
-            for restart in range(5):
-                config = TrainConfig(hidden_size=384, batch_size=500,
-                                     epochs=10, learning_rate=0.001,
-                                     seed=restart, variant=variant,
-                                     restarts=5)
-                result = train_model(emb_train, emb_dev, config)
-                if best is None or (result.best_dev_accuracy
-                                    > best.best_dev_accuracy):
-                    best = result
+            config = TrainConfig(hidden_size=384, batch_size=500, epochs=10,
+                                 learning_rate=0.001, seed=0, variant=variant,
+                                 restarts=5)
+            best, _ = train_lstm_cell(split.dev_train, split.dev_dev,
+                                      w2v_table, config)
             out[variant] = (best.best_dev_accuracy,
                             evaluate_model(emb_test, best.params))
         return out
