@@ -7,9 +7,10 @@ All vectors are widened to float64 on load; downstream feature code assumes
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -154,16 +155,24 @@ def centroid(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
     Tokens without a vector are skipped; the zero vector is returned when
     nothing resolves, so all-OOV fragments still yield a usable value.
     """
-    total = np.zeros(table.dim, dtype=np.float64)
-    count = 0
-    for token in tokens:
-        vec = lookup(table, token)
-        if vec is not None:
-            total += vec
-            count += 1
-    if count == 0:
+    vectors = [vec for vec in (lookup(table, t) for t in tokens) if vec is not None]
+    return mean_vector(vectors, table.dim)
+
+
+def mean_vector(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Mean of the vectors, added in order; the zero vector when there are none."""
+    total = np.zeros(dim, dtype=np.float64)
+    for vec in vectors:
+        total += vec
+    if not vectors:
         return total
-    return total / count
+    return total / len(vectors)
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm as `np.linalg.norm` computes it: sqrt(v·v)."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -172,8 +181,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    return cosine_normed(a, vector_norm(a), b, vector_norm(b))
+
+
+def cosine_normed(a: np.ndarray, norm_a: float, b: np.ndarray,
+                  norm_b: float) -> float:
+    """`cosine` of two float64 vectors whose norms are already known.
+
+    `a.dot(b)` is `np.dot(a, b)` without the function dispatch: the same
+    product, to the bit.
+    """
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    return float(a.dot(b) / (norm_a * norm_b))

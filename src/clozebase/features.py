@@ -16,15 +16,17 @@ feature into [0, 1] with train-set min/max.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import EmbeddingTable, centroid, cosine, lookup
+from .embeddings import (EmbeddingTable, cosine_normed, lookup, mean_vector,
+                         vector_norm)
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -68,8 +70,12 @@ def flags_for(config: FeatureConfig) -> FeatureFlags:
     return _FLAG_TABLE[config]
 
 
+@functools.cache
 def feature_names(config: FeatureConfig, dim: int) -> tuple[str, ...]:
-    """The fixed, layout-stable name sequence for a config and embedding width."""
+    """The fixed, layout-stable name sequence for a config and embedding width.
+
+    Built once per (config, dim): every vector of a layout shares one tuple.
+    """
     flags = flags_for(config)
     names: list[str] = []
     if flags.repr_story:
@@ -105,18 +111,99 @@ class FeatureVector:
                 f"{len(self.names)} names but {self.values.shape[0]} values")
 
 
-def _in_vocab(tokens: Sequence[str], table: EmbeddingTable) -> list[np.ndarray]:
-    vectors = []
-    for token in tokens:
+_Word = tuple[np.ndarray, float]    # a vector and its norm
+
+
+class _Text(NamedTuple):
+    """A token sequence looked up once.
+
+    `words` are the in-vocabulary vectors with their norms, in token order;
+    `unique` holds each distinct vector once and `slots[i]` is the index in
+    `unique` of `words[i]`, so a per-word score is computed once per
+    distinct vector. `center` is the centroid with its norm.
+    """
+    words: list[_Word]
+    unique: list[_Word]
+    slots: list[int]
+    center: _Word
+
+
+def _resolver(table: EmbeddingTable) -> Callable[[str], _Word | None]:
+    """`lookup` plus the vector's norm, memoized per token string."""
+    memo: dict[str, _Word | None] = {}
+
+    def resolve(token: str) -> _Word | None:
+        if token in memo:
+            return memo[token]
         vec = lookup(table, token)
-        if vec is not None:
-            vectors.append(vec)
-    return vectors
+        if vec is not None:     # widened as `cosine` widens; a no-op on float64
+            vec = np.asarray(vec, dtype=np.float64)
+        word = memo[token] = None if vec is None else (vec, vector_norm(vec))
+        return word
+    return resolve
+
+
+def _center(vectors: Sequence[np.ndarray], dim: int) -> _Word:
+    vec = mean_vector(vectors, dim)
+    return vec, vector_norm(vec)
+
+
+def _text(tokens: Sequence[str], resolve: Callable[[str], _Word | None],
+          dim: int) -> _Text:
+    words = [word for word in map(resolve, tokens) if word is not None]
+    unique = list({id(word[0]): word for word in words}.values())
+    slot_of = {id(word[0]): slot for slot, word in enumerate(unique)}
+    slots = [slot_of[id(word[0])] for word in words]
+    return _Text(words, unique, slots, _center([word[0] for word in words], dim))
+
+
+def _plain_sim(story: _Text, ending: _Text) -> float:
+    return cosine_normed(*story.center, *ending.center)
+
+
+def _max_sims(story: _Text, ending: _Text,
+              topns: Sequence[int]) -> list[float]:
+    if not story.words:
+        return [0.0] * len(topns)
+    per_vector = [cosine_normed(vec, norm, *ending.center)
+                  for vec, norm in story.unique]
+    scores = [per_vector[slot] for slot in story.slots]
+    scores.sort(reverse=True)
+    return [float(sum(top) / len(top)) for top in (scores[:n] for n in topns)]
+
+
+def _aligned_sim(story: _Text, ending: _Text) -> float:
+    if not story.words or not ending.words:
+        return 0.0
+    per_vector = [max([cosine_normed(vec, norm, other, other_norm)
+                       for other, other_norm in ending.words])
+                  for vec, norm in story.unique]
+    best = [per_vector[slot] for slot in story.slots]
+    return float(sum(best) / len(best))
+
+
+def _class_centers(annotated: Sequence[AnnotatedToken],
+                   resolve: Callable[[str], _Word | None], dim: int) -> list[_Word]:
+    """The centroid of each class in POS_CLASSES, with its norm."""
+    members: dict[CoarseClass, list[np.ndarray]] = {cls: [] for cls in POS_CLASSES}
+    for tok in annotated:
+        vectors = members.get(coarse_class(tok.pos))
+        word = None if vectors is None else resolve(tok.surface)
+        if word is not None:
+            vectors.append(word[0])
+    return [_center(members[cls], dim) for cls in POS_CLASSES]
+
+
+def _pos_sims(story_centers: Sequence[_Word],
+              ending_centers: Sequence[_Word]) -> list[float]:
+    return [cosine_normed(*cs, *ce) for cs in story_centers for ce in ending_centers]
 
 
 def sim_story_ending(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                      table: EmbeddingTable) -> float:
-    return cosine(centroid(table, story_tokens), centroid(table, ending_tokens))
+    resolve = _resolver(table)
+    return _plain_sim(_text(story_tokens, resolve, table.dim),
+                      _text(ending_tokens, resolve, table.dim))
 
 
 def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
@@ -124,81 +211,72 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     """Mean of the n best per-story-word cosines with the ending centroid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ending_centroid = centroid(table, ending_tokens)
-    scores = [cosine(vec, ending_centroid) for vec in _in_vocab(story_tokens, table)]
-    if not scores:
-        return 0.0
-    scores.sort(reverse=True)
-    top = scores[:min(n, len(scores))]
-    return float(sum(top) / len(top))
+    resolve = _resolver(table)
+    return _max_sims(_text(story_tokens, resolve, table.dim),
+                     _text(ending_tokens, resolve, table.dim), (n,))[0]
 
 
 def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
-    story_vecs = _in_vocab(story_tokens, table)
-    ending_vecs = _in_vocab(ending_tokens, table)
-    if not story_vecs or not ending_vecs:
-        return 0.0
-    best = [max(cosine(sv, ev) for ev in ending_vecs) for sv in story_vecs]
-    return float(sum(best) / len(best))
-
-
-def _class_centroid(annotated: Sequence[AnnotatedToken], cls: CoarseClass,
-                    table: EmbeddingTable) -> np.ndarray:
-    members = [tok.surface for tok in annotated if coarse_class(tok.pos) is cls]
-    return centroid(table, members)
+    resolve = _resolver(table)
+    return _aligned_sim(_text(story_tokens, resolve, table.dim),
+                        _text(ending_tokens, resolve, table.dim))
 
 
 def pos_sims(story_annotated: Sequence[AnnotatedToken],
              ending_annotated: Sequence[AnnotatedToken],
              table: EmbeddingTable) -> list[float]:
     """Cosine for each ordered (story class, ending class) pair; 25 values."""
-    story_centroids = {cls: _class_centroid(story_annotated, cls, table)
-                       for cls in POS_CLASSES}
-    ending_centroids = {cls: _class_centroid(ending_annotated, cls, table)
-                        for cls in POS_CLASSES}
-    return [cosine(story_centroids[cs], ending_centroids[ce])
-            for cs in POS_CLASSES for ce in POS_CLASSES]
+    resolve = _resolver(table)
+    return _pos_sims(_class_centers(story_annotated, resolve, table.dim),
+                     _class_centers(ending_annotated, resolve, table.dim))
 
 
 def extract(instance: ClozeInstance, table: EmbeddingTable,
             annotator: Annotator | None, config: FeatureConfig) -> FeatureVector:
-    """Compute the gated feature blocks for one instance, in layout order."""
+    """Compute the gated feature blocks for one instance, in layout order.
+
+    Each token is looked up once, and the story side (its vectors, norms,
+    centroid and class centroids) is built once for both endings; every
+    value equals the block functions' to the bit.
+    """
     flags = flags_for(config)
     if flags.pos_sim and annotator is None:
         raise ValueError(f"config {config.value} needs part-of-speech "
                          "annotations but no annotator was given")
 
+    dim = table.dim
+    resolve = _resolver(table)
     story_sentences = [tokenize(s) for s in instance.context]
-    story_tokens = [tok for sent in story_sentences for tok in sent]
-    ending_tokens = {1: tokenize(instance.ending1), 2: tokenize(instance.ending2)}
+    story = _text([tok for sent in story_sentences for tok in sent], resolve, dim)
+    ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
+    endings = [_text(tokens, resolve, dim) for tokens in ending_tokens]
 
+    blocks: list[np.ndarray | list[float]] = []
+    if flags.repr_story:
+        blocks.append(story.center[0])
+    if flags.repr_endings:
+        blocks.extend(ending.center[0] for ending in endings)
     if flags.pos_sim:
         assert annotator is not None
-        story_annotated = [tok for sent in story_sentences for tok in annotator(sent)]
-        ending_annotated = {k: annotator(ending_tokens[k]) for k in (1, 2)}
-
-    values: list[float] = []
-    if flags.repr_story:
-        values.extend(centroid(table, story_tokens))
-    if flags.repr_endings:
-        for k in (1, 2):
-            values.extend(centroid(table, ending_tokens[k]))
-    for k in (1, 2):
+        story_classes = _class_centers(
+            [tok for sent in story_sentences for tok in annotator(sent)],
+            resolve, dim)
+    for tokens, ending in zip(ending_tokens, endings):
+        sims: list[float] = []
         if flags.plain_sim:
-            values.append(sim_story_ending(story_tokens, ending_tokens[k], table))
+            sims.append(_plain_sim(story, ending))
         if flags.max_sim:
-            values.extend(max_sim_topn(story_tokens, ending_tokens[k], table, n)
-                          for n in MAX_SIM_TOPNS)
+            sims.extend(_max_sims(story, ending, MAX_SIM_TOPNS))
         if flags.aligned_sim:
-            values.append(aligned_sim(story_tokens, ending_tokens[k], table))
+            sims.append(_aligned_sim(story, ending))
         if flags.pos_sim:
-            values.extend(pos_sims(story_annotated, ending_annotated[k], table))
-    return FeatureVector(
-        names=feature_names(config, table.dim),
-        values=np.asarray(values, dtype=np.float64),
-    )
+            sims.extend(_pos_sims(story_classes, _class_centers(
+                annotator(tokens), resolve, dim)))
+        blocks.append(sims)
+    return FeatureVector(names=feature_names(config, dim),
+                         values=np.concatenate(blocks))
 
 
 @dataclass(frozen=True)
@@ -276,6 +354,10 @@ def load_features(path: str | Path) -> tuple[list[FeatureVector], list[int]]:
             values = np.asarray([float(x) for x in fields[:-1]], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParseError(f"{path}: line {lineno}: non-finite value in "
+                             f"column {names[bad[0]]}")
         vectors.append(FeatureVector(names=names, values=values))
         labels.append(int(fields[-1]))
     return vectors, labels

@@ -160,6 +160,16 @@ class TestLinearPipeline:
         assert (f"error: {features}: no feature rows after the header"
                 in capsys.readouterr().err)
 
+    def test_non_finite_feature_rejected_with_its_row(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("e1_sim,e2_sim\n0.5,0.25,1\n0.5,inf,2\n",
+                            encoding="utf-8")
+        code = main(["train-linear", "--features", str(features),
+                     "--model-out", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert (f"error: {features}: line 3: non-finite value in column e2_sim"
+                in capsys.readouterr().err)
+
 
 class TestLstmPipeline:
     def test_train_eval_and_filter(self, data_path, glove_path, tmp_path,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
-from clozebase.corpus import swap_endings
+from clozebase.corpus import ClozeInstance, swap_endings
+from clozebase.embeddings import EmbeddingFormat, centroid, make_table
 from clozebase.errors import ParseError
 from clozebase.features import (MAX_SIM_TOPNS, POS_CLASSES, FeatureConfig,
                                 FeatureVector, aligned_sim, apply_scaler,
@@ -14,6 +15,8 @@ from clozebase.features import (MAX_SIM_TOPNS, POS_CLASSES, FeatureConfig,
                                 feature_names, fit_scaler, flags_for,
                                 load_features, max_sim_topn, pos_sims,
                                 save_features, sim_story_ending)
+
+from conftest import VOCAB, make_instances
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: straight-line reimplementation of every feature block,
@@ -103,6 +106,253 @@ def o_extract_all(table, instance):
     return np.asarray(values)
 
 
+# ---------------------------------------------------------------------------
+# Scalar reference: the per-block extraction that `extract` replaced, kept
+# verbatim (one lookup and one `np.linalg.norm` per cosine call, story side
+# rebuilt for each ending). `extract` must equal it to the bit.
+# ---------------------------------------------------------------------------
+
+
+def ref_lookup(table, token):
+    vec = table.entries.get(token)
+    if vec is None:
+        vec = table.entries.get(token.lower())
+    return vec
+
+
+def ref_centroid(table, tokens):
+    total = np.zeros(table.dim, dtype=np.float64)
+    count = 0
+    for token in tokens:
+        vec = ref_lookup(table, token)
+        if vec is not None:
+            total += vec
+            count += 1
+    if count == 0:
+        return total
+    return total / count
+
+
+def ref_cosine(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def ref_in_vocab(tokens, table):
+    vectors = []
+    for token in tokens:
+        vec = ref_lookup(table, token)
+        if vec is not None:
+            vectors.append(vec)
+    return vectors
+
+
+def ref_sim_story_ending(story_tokens, ending_tokens, table):
+    return ref_cosine(ref_centroid(table, story_tokens),
+                      ref_centroid(table, ending_tokens))
+
+
+def ref_max_sim_topn(story_tokens, ending_tokens, table, n):
+    ending_centroid = ref_centroid(table, ending_tokens)
+    scores = [ref_cosine(vec, ending_centroid)
+              for vec in ref_in_vocab(story_tokens, table)]
+    if not scores:
+        return 0.0
+    scores.sort(reverse=True)
+    top = scores[:min(n, len(scores))]
+    return float(sum(top) / len(top))
+
+
+def ref_aligned_sim(story_tokens, ending_tokens, table):
+    story_vecs = ref_in_vocab(story_tokens, table)
+    ending_vecs = ref_in_vocab(ending_tokens, table)
+    if not story_vecs or not ending_vecs:
+        return 0.0
+    best = [max(ref_cosine(sv, ev) for ev in ending_vecs) for sv in story_vecs]
+    return float(sum(best) / len(best))
+
+
+def ref_class_centroid(annotated, cls, table):
+    members = [tok.surface for tok in annotated if coarse_class(tok.pos) is cls]
+    return ref_centroid(table, members)
+
+
+def ref_pos_sims(story_annotated, ending_annotated, table):
+    story_centroids = {cls: ref_class_centroid(story_annotated, cls, table)
+                       for cls in POS_CLASSES}
+    ending_centroids = {cls: ref_class_centroid(ending_annotated, cls, table)
+                        for cls in POS_CLASSES}
+    return [ref_cosine(story_centroids[cs], ending_centroids[ce])
+            for cs in POS_CLASSES for ce in POS_CLASSES]
+
+
+def ref_extract(instance, table, annotator, config):
+    flags = flags_for(config)
+    story_sentences = [tokenize(s) for s in instance.context]
+    story_tokens = [tok for sent in story_sentences for tok in sent]
+    ending_tokens = {1: tokenize(instance.ending1), 2: tokenize(instance.ending2)}
+    if flags.pos_sim:
+        story_annotated = [tok for sent in story_sentences
+                           for tok in annotator(sent)]
+        ending_annotated = {k: annotator(ending_tokens[k]) for k in (1, 2)}
+    values = []
+    if flags.repr_story:
+        values.extend(ref_centroid(table, story_tokens))
+    if flags.repr_endings:
+        for k in (1, 2):
+            values.extend(ref_centroid(table, ending_tokens[k]))
+    for k in (1, 2):
+        if flags.plain_sim:
+            values.append(ref_sim_story_ending(story_tokens, ending_tokens[k],
+                                               table))
+        if flags.max_sim:
+            values.extend(ref_max_sim_topn(story_tokens, ending_tokens[k],
+                                           table, n) for n in MAX_SIM_TOPNS)
+        if flags.aligned_sim:
+            values.append(ref_aligned_sim(story_tokens, ending_tokens[k], table))
+        if flags.pos_sim:
+            values.extend(ref_pos_sims(story_annotated, ending_annotated[k],
+                                       table))
+    return np.asarray(values, dtype=np.float64)
+
+
+def wide_table():
+    """300-d float32 vectors widened to float64, as word2vec files load.
+
+    "Dog" and "dog" are distinct entries, so an exact match must win over
+    the lowercase fallback; "nothing" is the zero vector.
+    """
+    rng = np.random.default_rng(2017)
+    words = VOCAB + ("Dog",)
+    entries = {w: rng.standard_normal(300).astype(np.float32).astype(np.float64)
+               for w in words}
+    entries["nothing"] = np.zeros(300)
+    return make_table(entries, 300, EmbeddingFormat.WORD2VEC_BINARY)
+
+
+def edge_instances():
+    plain = ("she walked to the park.", "the dog played.",
+             "he liked the game.", "they smiled.")
+    return [
+        # OOV tokens mixed into every sentence
+        ClozeInstance("oov", ("zzqx0 she walked zzqx1.", "the zzqx2 dog.",
+                              "he zzqx3 played.", "zzqx4 smiled."),
+                      "she zzqx5 smiled.", "zzqx6 ran quickly.", 1),
+        # lowercase fallback ("The", "She", "Beach") next to an exact "Dog"
+        ClozeInstance("case", ("The Dog walked to the Beach.",
+                               "She liked the dog.", "He PLAYED.",
+                               "They Smiled Loudly."),
+                      "She smiled at the Dog.", "The Cat ran.", 2),
+        # repeated story words and a repeated ending word
+        ClozeInstance("repeat", ("the dog the dog the dog.", "the dog ran.",
+                                 "dog dog dog.", "the the the."),
+                      "the dog the dog.", "the cat.", 1),
+        ClozeInstance("empty-ending", plain, "", "she smiled.", 2),
+        ClozeInstance("both-empty", plain, "", "", 1),
+        ClozeInstance("all-oov-story", ("zzqx0 zzqx1.", "zzqx2.", "zzqx3 zzqx4.",
+                                        "qqq."),
+                      "she smiled.", "the dog played.", 1),
+        # the zero vector alone, and among other words
+        ClozeInstance("zero", ("nothing walked.", "the nothing.",
+                               "nothing nothing.", "she smiled."),
+                      "nothing.", "nothing at the beach.", 2),
+    ]
+
+
+def block_values(instance, table):
+    """`extract`'s `all` layout from the public block functions, called one
+    by one as a caller timing each block would call them."""
+    story_sents = [tokenize(text) for text in instance.context]
+    ends = {1: tokenize(instance.ending1), 2: tokenize(instance.ending2)}
+    story = [t for s in story_sents for t in s]
+    tagged_story = []
+    for sent in story_sents:
+        tagged_story += heuristic_tag(sent)
+    tagged_ends = {k: heuristic_tag(ends[k]) for k in (1, 2)}
+    values = list(centroid(table, story))
+    for k in (1, 2):
+        values.extend(centroid(table, ends[k]))
+    for k in (1, 2):
+        values.append(sim_story_ending(story, ends[k], table))
+        values.extend(max_sim_topn(story, ends[k], table, n)
+                      for n in MAX_SIM_TOPNS)
+        values.append(aligned_sim(story, ends[k], table))
+        values.extend(pos_sims(tagged_story, tagged_ends[k], table))
+    return np.asarray(values)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return wide_table()
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return make_instances(25, seed=31) + edge_instances()
+
+
+class TestBitExactness:
+    @pytest.mark.parametrize("config", list(FeatureConfig))
+    def test_extract_equals_scalar_reference(self, table, instances50, config):
+        for instance in instances50 + edge_instances():
+            got = extract(instance, table, heuristic_tag, config).values
+            want = ref_extract(instance, table, heuristic_tag, config)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), instance.id
+
+    @pytest.mark.parametrize("config", list(FeatureConfig))
+    def test_extract_equals_scalar_reference_at_300d(self, wide, cases, config):
+        for instance in cases:
+            got = extract(instance, wide, heuristic_tag, config).values
+            want = ref_extract(instance, wide, heuristic_tag, config)
+            assert got.tobytes() == want.tobytes(), instance.id
+
+    def test_blocks_equal_scalar_reference(self, wide, cases):
+        for instance in cases:
+            story = [t for s in instance.context for t in tokenize(s)]
+            s_anno = heuristic_tag(story)
+            for text in (instance.ending1, instance.ending2):
+                ending = tokenize(text)
+                assert (sim_story_ending(story, ending, wide)
+                        == ref_sim_story_ending(story, ending, wide))
+                for n in range(1, 7):
+                    got = max_sim_topn(story, ending, wide, n)
+                    want = ref_max_sim_topn(story, ending, wide, n)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                got = aligned_sim(story, ending, wide)
+                want = ref_aligned_sim(story, ending, wide)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                e_anno = heuristic_tag(ending)
+                assert (np.asarray(pos_sims(s_anno, e_anno, wide)).tobytes()
+                        == np.asarray(ref_pos_sims(s_anno, e_anno, wide)).tobytes())
+
+    def test_edge_cases_reach_their_branches(self, wide):
+        by_id = {inst.id: inst for inst in edge_instances()}
+        empty = extract(by_id["empty-ending"], wide, heuristic_tag,
+                        FeatureConfig.SIMS_ONLY)
+        named = dict(zip(empty.names, empty.values))
+        assert named["e1_sim"] == named["e1_alignedsim"] == 0.0
+        assert named["e1_maxsim_top1"] == 0.0
+        story_oov = extract(by_id["all-oov-story"], wide, heuristic_tag,
+                            FeatureConfig.ALL)
+        assert not story_oov.values[:300].any()
+        zero = extract(by_id["zero"], wide, heuristic_tag,
+                       FeatureConfig.SIMS_ONLY)
+        named = dict(zip(zero.names, zero.values))
+        assert named["e1_sim"] == 0.0     # the ending's centroid is zero
+        assert named["e2_sim"] != 0.0
+
+    def test_blocks_concatenate_to_extract(self, wide, cases):
+        for instance in cases:
+            whole = extract(instance, wide, heuristic_tag, FeatureConfig.ALL)
+            assert block_values(instance, wide).tobytes() == whole.values.tobytes()
+
+
 class TestOracleEquivalence:
     def test_all_config_matches_oracle_on_50_instances(self, table, instances50):
         for instance in instances50:
@@ -186,6 +436,12 @@ class TestLayout:
     def test_lengths_per_config(self, config, dim, expected):
         assert feature_length(config, dim) == expected
         assert len(feature_names(config, dim)) == expected
+
+    def test_names_are_one_tuple_per_layout(self):
+        for config in FeatureConfig:
+            assert feature_names(config, 300) is feature_names(config, 300)
+        assert (feature_names(FeatureConfig.ALL, 16)
+                is not feature_names(FeatureConfig.ALL, 17))
 
     def test_names_are_unique_and_stable(self):
         for config in FeatureConfig:
@@ -315,6 +571,14 @@ class TestPersistence:
         path = tmp_path / "features.csv"
         path.write_text("a,b\n0.5,1\n")   # 2 columns where 3 expected
         with pytest.raises(ParseError, match="line 2"):
+            load_features(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_row_and_column(self, tmp_path, field):
+        path = tmp_path / "features.csv"
+        path.write_text(f"a,b\n0.5,0.25,1\n0.5,{field},2\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 3: non-finite value in column b")):
             load_features(path)
 
     def test_empty_file_rejected(self, tmp_path):
