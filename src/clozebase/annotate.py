@@ -324,8 +324,3 @@ class SidecarAnnotations:
             sentence = " ".join(tokens)
             raise ValueError(f"no sidecar annotation covers sentence: {sentence!r}")
         return list(block)
-
-
-def annotate_text(text: str, annotator: Annotator) -> list[AnnotatedToken]:
-    """Tokenize a sentence and run the annotator over it."""
-    return annotator(tokenize(text))

@@ -12,23 +12,24 @@ import sys
 from typing import Sequence
 
 from .annotate import Annotator, SidecarAnnotations, heuristic_tag
-from .corpus import (augment_swap, parse_cloze_csv, parse_roc_csv, split_dev,
-                     write_cloze_csv)
+from .corpus import (augment_swap, gold_labels, parse_cloze_csv,
+                     parse_roc_csv, split_dev, write_cloze_csv)
 from .datagen import (build_ending_index, consensus_filter, gen_random,
                       gen_random_coherent, gen_shared_args)
 from .embeddings import EmbeddingFormat, load_embeddings
-from .features import (FeatureConfig, config_from_names, extract,
+from .errors import ParseError
+from .features import (FeatureConfig, config_for_layout, extract,
                        load_features, save_features)
-from .harness import (evaluate_linear, fit_linear, linear_predictor,
-                      neural_predictor, run_ablation, save_ablation_report,
-                      train_lstm_cell)
-from .linear import DEFAULT_C_GRID, load_model, save_model
-from .neural import (TrainConfig, Variant, embed_instance, evaluate_model,
-                     load_checkpoint, save_checkpoint)
+from .harness import (accuracy, fit_linear, load_predictor, run_ablation,
+                      save_ablation_report, train_lstm_cell)
+from .linear import DEFAULT_C_GRID, save_model
+from .neural import TrainConfig, Variant, save_checkpoint
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
 _CONFIGS = {c.value: c for c in FeatureConfig}
 _VARIANTS = {v.value: v for v in Variant}
+_ANNOTATIONS = dict(default="heuristic",
+                    help="'heuristic' or a sidecar annotation file")
 
 
 def _annotator_arg(value: str) -> Annotator:
@@ -53,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=int, default=500,
                    help="candidate pool for the coherent strategy (default 500)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--annotations", default="heuristic",
-                   help="'heuristic' or a sidecar annotation file")
+    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("extract", help="compute feature vectors for instances")
@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--format", required=True, choices=sorted(_FORMATS))
     p.add_argument("--config", default="all", choices=sorted(_CONFIGS))
-    p.add_argument("--annotations", default="heuristic",
-                   help="'heuristic' or a sidecar annotation file")
+    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--swap-augment", action="store_true",
                    help="add ending-swapped copies before extraction")
     p.add_argument("--out", required=True)
@@ -82,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--format", required=True, choices=sorted(_FORMATS))
-    p.add_argument("--annotations", default="heuristic",
-                   help="'heuristic' or a sidecar annotation file")
+    p.add_argument("--annotations", **_ANNOTATIONS)
 
     p = sub.add_parser("train-lstm", help="train an LSTM ending classifier")
     p.add_argument("--dev", required=True, help="labeled instance CSV")
@@ -108,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="e.g. word2vec=vecs.bin:w2v-bin glove=glove.txt:glove-txt")
     p.add_argument("--configs", nargs="+", choices=sorted(_CONFIGS),
                    default=sorted(_CONFIGS))
-    p.add_argument("--annotations", default="heuristic",
-                   help="'heuristic' or a sidecar annotation file")
+    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--cv-folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -119,22 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, nargs="+")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--format", required=True, choices=sorted(_FORMATS))
-    p.add_argument("--annotations", default="heuristic",
-                   help="'heuristic' or a sidecar annotation file")
+    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--out", required=True)
     return parser
-
-
-def _load_any_model(path: str):
-    """A linear model file is text with a magic first line; else a checkpoint."""
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(4)
-    except OSError as exc:
-        raise ValueError(f"cannot read model {path}: {exc}") from None
-    if head.startswith(b"PK"):          # zip container -> LSTM checkpoint
-        return load_checkpoint(path)
-    return load_model(path)
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
@@ -155,27 +139,28 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 
 def _cmd_extract(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
-    if any(inst.gold is None for inst in instances):
-        raise ValueError("extraction requires labeled instances")
+    gold_labels(instances)
     if args.swap_augment:
         instances = augment_swap(instances)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     config = _CONFIGS[args.config]
     annotator = _annotator_arg(args.annotations)
     vectors = [extract(inst, table, annotator, config) for inst in instances]
-    labels = [inst.gold for inst in instances]
-    save_features(args.out, vectors, labels)
+    save_features(args.out, vectors, gold_labels(instances))
     print(f"wrote {len(vectors)} x {len(vectors[0].names)} features to {args.out}")
 
 
 def _cmd_train_linear(args: argparse.Namespace) -> None:
     vectors, labels = load_features(args.features)
-    config = config_from_names(vectors[0].names)
+    layout = config_for_layout(vectors[0].names)
+    if layout is None:
+        raise ParseError(f"{args.features}: feature names are not the layout "
+                         "of any configuration")
     grid = [float(c) for c in args.c_grid.split(",") if c]
     if not grid:
         raise ValueError("empty C grid")
-    model, report = fit_linear(vectors, labels, config, folds=args.cv_folds,
-                               c_grid=grid, seed=args.seed)
+    model, report = fit_linear(vectors, labels, layout[0],
+                               folds=args.cv_folds, c_grid=grid, seed=args.seed)
     for c, mean, _ in report.grid:
         print(f"C={c:g}: mean fold accuracy {mean:.4f}")
     print(f"final solve at C={model.c:g}: {model.iterations} iterations, "
@@ -186,18 +171,12 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
-    if any(inst.gold is None for inst in instances):
-        raise ValueError("evaluation requires labeled instances")
+    gold = gold_labels(instances)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    model = _load_any_model(args.model)
-    if hasattr(model, "weights"):
-        annotator = _annotator_arg(args.annotations)
-        result = evaluate_linear(model, instances, table, annotator)
-        acc, n = result.accuracy, result.n
-    else:
-        embedded = [embed_instance(inst, table) for inst in instances]
-        acc, n = evaluate_model(embedded, model), len(instances)
-    print(f"accuracy {acc:.4f} on {n} instances")
+    predict = load_predictor(args.model, table,
+                             _annotator_arg(args.annotations))
+    result = accuracy(predict(instances), gold)
+    print(f"accuracy {result.accuracy:.4f} on {result.n} instances")
 
 
 def _cmd_train_lstm(args: argparse.Namespace) -> None:
@@ -206,8 +185,7 @@ def _cmd_train_lstm(args: argparse.Namespace) -> None:
                          seed=args.seed, variant=_VARIANTS[args.variant],
                          restarts=args.restarts)
     instances = parse_cloze_csv(args.dev)
-    if any(inst.gold is None for inst in instances):
-        raise ValueError("training requires labeled instances")
+    gold_labels(instances)
     split = split_dev(instances, ratio=args.split_ratio, seed=args.seed)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     best, runs = train_lstm_cell(split.dev_train, split.dev_dev, table, config)
@@ -255,13 +233,7 @@ def _cmd_filter(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     annotator = _annotator_arg(args.annotations)
-    predictors = []
-    for path in args.models:
-        model = _load_any_model(path)
-        if hasattr(model, "weights"):
-            predictors.append(linear_predictor(model, table, annotator))
-        else:
-            predictors.append(neural_predictor(model, table))
+    predictors = [load_predictor(p, table, annotator) for p in args.models]
     kept = consensus_filter(instances, predictors)
     write_cloze_csv(args.out, kept)
     print(f"kept {len(kept)} of {len(instances)} instances -> {args.out}")

@@ -171,6 +171,14 @@ def split_dev(instances: Sequence[ClozeInstance], ratio: float, seed: int) -> De
     return DevSplit(dev_train=tuple(order[:cut]), dev_dev=tuple(order[cut:]), seed=seed)
 
 
+def gold_labels(instances: Sequence) -> list[int]:
+    """The gold label of each instance (anything with `id` and `gold`)."""
+    for inst in instances:
+        if inst.gold is None:
+            raise ValueError(f"instance {inst.id} is unlabeled")
+    return [inst.gold for inst in instances]
+
+
 def swap_endings(instance: ClozeInstance) -> ClozeInstance:
     """Exchange the two endings and invert the label; id gains a -swap suffix."""
     if instance.gold is None:

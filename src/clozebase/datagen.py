@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .annotate import Annotator, CoarseClass, coarse_class, tokenize
-from .corpus import ENDING1, ENDING2, ClozeInstance, RocStory
+from .corpus import ENDING1, ENDING2, ClozeInstance, RocStory, gold_labels
 
-Predictor = Callable[[ClozeInstance], int]
+Predictor = Callable[[Sequence[ClozeInstance]], list[int]]
 
 _ARGUMENT_CLASSES = (CoarseClass.NOUN, CoarseClass.PRONOUN)
 
@@ -162,13 +162,13 @@ def gen_random_coherent(stories: Sequence[RocStory], index: EndingIndex,
 
 def consensus_filter(instances: Sequence[ClozeInstance],
                      predictors: Sequence[Predictor]) -> list[ClozeInstance]:
-    """Keep only instances all predictors label correctly."""
+    """Keep only instances all predictors label correctly; each predictor
+    sees only the instances every earlier one got right."""
     if not predictors:
         raise ValueError("need at least one predictor")
-    kept = []
-    for instance in instances:
-        if instance.gold is None:
-            raise ValueError(f"instance {instance.id} is unlabeled")
-        if all(predict(instance) == instance.gold for predict in predictors):
-            kept.append(instance)
+    gold_labels(instances)
+    kept = list(instances)
+    for predict in predictors:
+        kept = [inst for inst, label in zip(kept, predict(kept), strict=True)
+                if label == inst.gold]
     return kept

@@ -10,8 +10,10 @@ Feature blocks, all derived from a word-embedding table:
   cosine with any ending word
 * 25 part-of-speech pair similarities over {noun, verb, adj, adv, pronoun}^2
 
-A named config gates blocks on and off for ablations. Scaling maps every
-feature into [0, 1] with train-set min/max.
+The `all` config keeps every block; each named config for the ablations is
+a mask over that layout, the set of blocks it keeps, so its names and values
+are a subsequence of `all`'s. Scaling maps every feature into [0, 1] with
+train-set min/max.
 """
 from __future__ import annotations
 
@@ -44,60 +46,62 @@ class FeatureConfig(enum.Enum):
     SIMS_ONLY = "sims-only"
 
 
-@dataclass(frozen=True)
-class FeatureFlags:
-    repr_story: bool
-    repr_endings: bool
-    plain_sim: bool
-    max_sim: bool
-    aligned_sim: bool
-    pos_sim: bool
+class Block(enum.Enum):
+    """A block of the `all` layout; a config is the set of blocks it keeps."""
+    STORY_CENTROID = "story-centroid"
+    ENDING_CENTROIDS = "ending-centroids"
+    PLAIN_SIM = "plain-sim"
+    MAX_SIM = "max-sim"
+    ALIGNED_SIM = "aligned-sim"
+    POS_SIM = "pos-sim"
 
 
-_FLAG_TABLE: dict[FeatureConfig, FeatureFlags] = {
-    FeatureConfig.ALL: FeatureFlags(True, True, True, True, True, True),
-    FeatureConfig.ALL_WO_POS_SIM: FeatureFlags(True, True, True, True, True, False),
-    # "without maximized similarity" drops the aligned variant too.
-    FeatureConfig.ALL_WO_MAX_SIM: FeatureFlags(True, True, True, False, False, True),
-    FeatureConfig.ALL_WO_SIM: FeatureFlags(True, True, False, True, True, True),
-    FeatureConfig.REPR_PLUS_SIM: FeatureFlags(True, True, True, False, False, False),
-    FeatureConfig.ENDINGS_ONLY: FeatureFlags(False, True, False, False, False, False),
-    FeatureConfig.SIMS_ONLY: FeatureFlags(False, False, True, True, True, True),
+_CENTROIDS = frozenset({Block.STORY_CENTROID, Block.ENDING_CENTROIDS})
+_SIM_SUFFIXES = {
+    Block.PLAIN_SIM: ("sim",),
+    Block.MAX_SIM: tuple(f"maxsim_top{n}" for n in MAX_SIM_TOPNS),
+    Block.ALIGNED_SIM: ("alignedsim",),
+    Block.POS_SIM: tuple(f"possim_{cs.value}_{ce.value}"
+                         for cs in POS_CLASSES for ce in POS_CLASSES),
 }
+# The `all` layout as (block, text) slots; text 0 is the story, k ending k.
+_LAYOUT = ((Block.STORY_CENTROID, 0), (Block.ENDING_CENTROIDS, 1),
+           (Block.ENDING_CENTROIDS, 2),
+           *((block, k) for k in (1, 2) for block in _SIM_SUFFIXES))
 
-
-def flags_for(config: FeatureConfig) -> FeatureFlags:
-    return _FLAG_TABLE[config]
+_ALL = frozenset(Block)
+CONFIG_BLOCKS: dict[FeatureConfig, frozenset[Block]] = {
+    FeatureConfig.ALL: _ALL,
+    FeatureConfig.ALL_WO_POS_SIM: _ALL - {Block.POS_SIM},
+    # "without maximized similarity" drops the aligned variant too.
+    FeatureConfig.ALL_WO_MAX_SIM: _ALL - {Block.MAX_SIM, Block.ALIGNED_SIM},
+    FeatureConfig.ALL_WO_SIM: _ALL - {Block.PLAIN_SIM},
+    FeatureConfig.REPR_PLUS_SIM: _CENTROIDS | {Block.PLAIN_SIM},
+    FeatureConfig.ENDINGS_ONLY: frozenset({Block.ENDING_CENTROIDS}),
+    FeatureConfig.SIMS_ONLY: _ALL - _CENTROIDS,
+}
 
 
 @functools.cache
 def feature_names(config: FeatureConfig, dim: int) -> tuple[str, ...]:
-    """The fixed, layout-stable name sequence for a config and embedding width.
-
-    Built once per (config, dim): every vector of a layout shares one tuple.
-    """
-    flags = flags_for(config)
-    names: list[str] = []
-    if flags.repr_story:
-        names.extend(f"story_centroid_{i}" for i in range(dim))
-    if flags.repr_endings:
-        for k in (1, 2):
-            names.extend(f"e{k}_centroid_{i}" for i in range(dim))
-    for k in (1, 2):
-        if flags.plain_sim:
-            names.append(f"e{k}_sim")
-        if flags.max_sim:
-            names.extend(f"e{k}_maxsim_top{n}" for n in MAX_SIM_TOPNS)
-        if flags.aligned_sim:
-            names.append(f"e{k}_alignedsim")
-        if flags.pos_sim:
-            names.extend(f"e{k}_possim_{cs.value}_{ce.value}"
-                         for cs in POS_CLASSES for ce in POS_CLASSES)
-    return tuple(names)
+    """The `all` layout's names at width `dim` that the config keeps; one
+    tuple per (config, dim), shared by every vector of the layout."""
+    centroid = [f"centroid_{i}" for i in range(dim)]
+    return tuple(f"{('story', 'e1', 'e2')[k]}_{suffix}"
+                 for block, k in _LAYOUT if block in CONFIG_BLOCKS[config]
+                 for suffix in _SIM_SUFFIXES.get(block, centroid))
 
 
-def feature_length(config: FeatureConfig, dim: int) -> int:
-    return len(feature_names(config, dim))
+def config_for_layout(names: Sequence[str]) -> tuple[FeatureConfig, int] | None:
+    """The config and width whose layout is exactly `names`, else None; a
+    layout without centroids is every width's and gets width 0."""
+    names = tuple(names)
+    dim = sum(name.startswith("e1_centroid_") for name in names)
+    for config in FeatureConfig:
+        if ((dim > 0) == bool(CONFIG_BLOCKS[config] & _CENTROIDS)
+                and names == feature_names(config, dim)):
+            return config, dim
+    return None
 
 
 @dataclass(frozen=True)
@@ -233,50 +237,59 @@ def pos_sims(story_annotated: Sequence[AnnotatedToken],
                      _class_centers(ending_annotated, resolve, table.dim))
 
 
-def extract(instance: ClozeInstance, table: EmbeddingTable,
-            annotator: Annotator | None, config: FeatureConfig) -> FeatureVector:
-    """Compute the gated feature blocks for one instance, in layout order.
-
-    Each token is looked up once, and the story side (its vectors, norms,
-    centroid and class centroids) is built once for both endings; every
-    value equals the block functions' to the bit.
-    """
-    flags = flags_for(config)
-    if flags.pos_sim and annotator is None:
-        raise ValueError(f"config {config.value} needs part-of-speech "
-                         "annotations but no annotator was given")
-
+def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
+                    annotator: Annotator | None,
+                    blocks: frozenset[Block]) -> np.ndarray:
+    """The values of `blocks` in `all`'s order, each token looked up once and
+    the story side built once for both endings; bit-equal to the block
+    functions'."""
+    if Block.POS_SIM in blocks and annotator is None:
+        raise ValueError("part-of-speech similarities need annotations, but "
+                         "no annotator was given")
     dim = table.dim
     resolve = _resolver(table)
     story_sentences = [tokenize(s) for s in instance.context]
-    story = _text([tok for sent in story_sentences for tok in sent], resolve, dim)
     ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
-    endings = [_text(tokens, resolve, dim) for tokens in ending_tokens]
-
-    blocks: list[np.ndarray | list[float]] = []
-    if flags.repr_story:
-        blocks.append(story.center[0])
-    if flags.repr_endings:
-        blocks.extend(ending.center[0] for ending in endings)
-    if flags.pos_sim:
-        assert annotator is not None
-        story_classes = _class_centers(
+    texts = [_text(tokens, resolve, dim) for tokens in
+             ([tok for sent in story_sentences for tok in sent], *ending_tokens)]
+    if Block.POS_SIM in blocks:
+        classes = [_class_centers(annotated, resolve, dim) for annotated in (
             [tok for sent in story_sentences for tok in annotator(sent)],
-            resolve, dim)
-    for tokens, ending in zip(ending_tokens, endings):
-        sims: list[float] = []
-        if flags.plain_sim:
-            sims.append(_plain_sim(story, ending))
-        if flags.max_sim:
-            sims.extend(_max_sims(story, ending, MAX_SIM_TOPNS))
-        if flags.aligned_sim:
-            sims.append(_aligned_sim(story, ending))
-        if flags.pos_sim:
-            sims.extend(_pos_sims(story_classes, _class_centers(
-                annotator(tokens), resolve, dim)))
-        blocks.append(sims)
-    return FeatureVector(names=feature_names(config, dim),
-                         values=np.concatenate(blocks))
+            *map(annotator, ending_tokens))]
+    values: dict[Block, Callable[[int], np.ndarray | list[float]]] = {
+        Block.STORY_CENTROID: lambda k: texts[k].center[0],
+        Block.ENDING_CENTROIDS: lambda k: texts[k].center[0],
+        Block.PLAIN_SIM: lambda k: [_plain_sim(texts[0], texts[k])],
+        Block.MAX_SIM: lambda k: _max_sims(texts[0], texts[k], MAX_SIM_TOPNS),
+        Block.ALIGNED_SIM: lambda k: [_aligned_sim(texts[0], texts[k])],
+        Block.POS_SIM: lambda k: _pos_sims(classes[0], classes[k]),
+    }
+    return np.concatenate([values[block](k) for block, k in _LAYOUT
+                           if block in blocks])
+
+
+def extract(instance: ClozeInstance, table: EmbeddingTable,
+            annotator: Annotator | None, config: FeatureConfig) -> FeatureVector:
+    """Compute the blocks the config keeps for one instance, in layout order."""
+    return FeatureVector(feature_names(config, table.dim), _extract_blocks(
+        instance, table, annotator, CONFIG_BLOCKS[config]))
+
+
+def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
+                   annotator: Annotator | None, configs: Sequence[FeatureConfig]
+                   ) -> tuple[np.ndarray, dict[FeatureConfig, np.ndarray]]:
+    """Extract every block some config keeps, one row per instance, and
+    give each config's columns: `matrix[:, columns[config]]` is what
+    `extract` gives for that config, to the bit."""
+    blocks = frozenset().union(*(CONFIG_BLOCKS[c] for c in configs))
+    kept = set().union(*(feature_names(c, table.dim) for c in configs))
+    names = [n for n in feature_names(FeatureConfig.ALL, table.dim) if n in kept]
+    columns = {c: np.flatnonzero(np.isin(names, feature_names(c, table.dim)))
+               for c in configs}
+    matrix = np.empty((len(instances), len(names)))
+    for row, instance in zip(matrix, instances):
+        row[:] = _extract_blocks(instance, table, annotator, blocks)
+    return matrix, columns
 
 
 @dataclass(frozen=True)
@@ -361,21 +374,3 @@ def load_features(path: str | Path) -> tuple[list[FeatureVector], list[int]]:
         vectors.append(FeatureVector(names=names, values=values))
         labels.append(int(fields[-1]))
     return vectors, labels
-
-
-def config_from_names(names: Sequence[str]) -> FeatureConfig:
-    """Recover the extraction config from a persisted header layout."""
-    dims = [int(n.rsplit("_", 1)[1]) for n in names if n.startswith("story_centroid_")]
-    dims += [int(n.rsplit("_", 1)[1]) for n in names if n.startswith("e1_centroid_")]
-    dim = max(dims) + 1 if dims else 0
-    for config in FeatureConfig:
-        if dim and tuple(names) == feature_names(config, dim):
-            return config
-    # Centroid-free layouts are dimension-independent.
-    for config in FeatureConfig:
-        flags = flags_for(config)
-        if flags.repr_story or flags.repr_endings:
-            continue
-        if tuple(names) == feature_names(config, 1):
-            return config
-    raise ValueError("feature names do not match any known configuration")

@@ -5,7 +5,8 @@ swap-augment the training set, extract features, tune C by cross-validation,
 retrain on everything, score the test set. `run_neural_comparison` does the
 analogous sweep over LSTM training configs with a train/validation/test
 split, each config trained by `train_lstm_cell` (swap-augment, embed, keep
-the best of `config.restarts` runs).
+the best of `config.restarts` runs). A predictor labels a sequence of
+instances; `load_predictor` makes one from a saved model of either kind.
 """
 from __future__ import annotations
 
@@ -17,16 +18,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .annotate import Annotator
-from .corpus import ClozeInstance, augment_swap
+from .corpus import ClozeInstance, augment_swap, gold_labels
 from .datagen import Predictor
 from .embeddings import EmbeddingTable
 from .errors import ParseError
-from .features import (FeatureConfig, FeatureVector, apply_scaler, extract,
-                       fit_scaler)
-from .linear import (DEFAULT_C_GRID, CvReport, LinearModel, cv_tune_c,
-                     predict, train_logreg)
+from .features import (FeatureConfig, FeatureVector, apply_scaler,
+                       config_for_layout, extract, extract_matrix,
+                       feature_names, fit_scaler)
+from .linear import (DEFAULT_C_GRID, MODEL_HEADERS, CvReport, LinearModel,
+                     cv_tune_c, load_model, predict, train_logreg)
 from .neural import (ModelParams, TrainConfig, TrainResult, embed_instance,
-                     evaluate_model, predict_neural, train_model)
+                     load_checkpoint, predict_labels, train_model)
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,6 @@ def majority_baseline(train_gold: Sequence[int], test_gold: Sequence[int]) -> Ev
     ones = sum(1 for g in train_gold if g == 1)
     majority = 1 if ones >= len(train_gold) - ones else 2
     return accuracy([majority] * len(test_gold), test_gold)
-
-
-ALL_CONFIGS = tuple(FeatureConfig)
 
 
 @dataclass(frozen=True)
@@ -122,41 +121,41 @@ def train_linear_cell(train: Sequence[ClozeInstance], table: EmbeddingTable,
     """Swap-augment, extract, then `fit_linear`."""
     instances = augment_swap(train) if augment else list(train)
     vectors = [extract(inst, table, annotator, config) for inst in instances]
-    labels = [inst.gold for inst in instances]
-    if any(label is None for label in labels):
-        raise ValueError("training instances must be labeled")
-    return fit_linear(vectors, labels, config, folds=folds, c_grid=c_grid,
-                      seed=seed)[0]
+    return fit_linear(vectors, gold_labels(instances), config, folds=folds,
+                      c_grid=c_grid, seed=seed)[0]
 
 
 def evaluate_linear(model: LinearModel, test: Sequence[ClozeInstance],
                     table: EmbeddingTable,
                     annotator: Annotator | None) -> EvalResult:
-    predictor = linear_predictor(model, table, annotator)
-    predictions = []
-    gold = []
-    for inst in test:
-        if inst.gold is None:
-            raise ValueError(f"instance {inst.id} is unlabeled")
-        predictions.append(predictor(inst))
-        gold.append(inst.gold)
-    return accuracy(predictions, gold)
+    return accuracy(linear_predictor(model, table, annotator)(test),
+                    gold_labels(test))
 
 
 def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
                  tables: Mapping[str, EmbeddingTable],
-                 configs: Sequence[FeatureConfig] = ALL_CONFIGS,
+                 configs: Sequence[FeatureConfig] = tuple(FeatureConfig),
                  annotator: Annotator | None = None, folds: int = 5,
                  c_grid: Sequence[float] = DEFAULT_C_GRID,
                  seed: int = 0) -> AblationReport:
+    """Each cell equals `train_linear_cell` + `evaluate_linear` to the bit,
+    but every instance is extracted once per table, for all configs."""
+    train = augment_swap(dev)
+    labels, gold = gold_labels(train), gold_labels(test)
     rows: dict[str, dict[FeatureConfig, float]] = {}
     for name, table in tables.items():
-        row: dict[FeatureConfig, float] = {}
+        x_train, columns = extract_matrix(train, table, annotator, configs)
+        x_test = extract_matrix(test, table, annotator, configs)[0]
+        rows[name] = {}
         for config in configs:
-            model = train_linear_cell(dev, table, config, annotator,
-                                      folds=folds, c_grid=c_grid, seed=seed)
-            row[config] = evaluate_linear(model, test, table, annotator).accuracy
-        rows[name] = row
+            names = feature_names(config, table.dim)
+            vectors = [FeatureVector(names, values)
+                       for values in x_train[:, columns[config]]]
+            model = fit_linear(vectors, labels, config, folds=folds,
+                               c_grid=c_grid, seed=seed)[0]
+            predictions = [predict(model, FeatureVector(names, values))[0]
+                           for values in x_test[:, columns[config]]]
+            rows[name][config] = accuracy(predictions, gold).accuracy
     return AblationReport(configs=tuple(configs), rows=rows)
 
 
@@ -194,7 +193,7 @@ def run_neural_comparison(dev_train: Sequence[ClozeInstance],
                           table: EmbeddingTable
                           ) -> tuple[NeuralComparisonRow, ...]:
     """Train each config with `train_lstm_cell`, score its best run on test."""
-    emb_test = [embed_instance(i, table) for i in test]
+    gold = gold_labels(test)
     rows = []
     for config in configs:
         best, _ = train_lstm_cell(dev_train, dev_dev, table, config)
@@ -202,7 +201,8 @@ def run_neural_comparison(dev_train: Sequence[ClozeInstance],
             config=config,
             best_epoch=best.best_epoch,
             dev_accuracy=best.best_dev_accuracy,
-            test_accuracy=evaluate_model(emb_test, best.params),
+            test_accuracy=accuracy(neural_predictor(best.params, table)(test),
+                                   gold).accuracy,
         ))
     return tuple(rows)
 
@@ -221,19 +221,36 @@ def save_neural_report(path: str | Path,
 
 def linear_predictor(model: LinearModel, table: EmbeddingTable,
                      annotator: Annotator | None = None) -> Predictor:
-    """Wrap a linear model as an instance -> label callable (for filtering)."""
+    """Label instances one `extract` + `predict` at a time."""
     if model.config is None:
         raise ValueError("model carries no feature configuration")
+    layout = config_for_layout(model.names)
+    if layout and layout[1] not in (0, table.dim):
+        raise ValueError(f"linear model (config {model.config.value}) expects "
+                         f"{layout[1]}-d embeddings; the table is {table.dim}-d")
 
-    def predictor(instance: ClozeInstance) -> int:
-        vector = extract(instance, table, annotator, model.config)
-        return predict(model, vector)[0]
-
-    return predictor
+    return lambda instances: [
+        predict(model, extract(inst, table, annotator, model.config))[0]
+        for inst in instances]
 
 
 def neural_predictor(params: ModelParams, table: EmbeddingTable) -> Predictor:
-    def predictor(instance: ClozeInstance) -> int:
-        return predict_neural(embed_instance(instance, table), params)[0]
+    """Label instances in chunks, embedding one chunk at a time."""
+    return lambda instances: predict_labels(
+        (embed_instance(inst, table) for inst in instances), params)
 
-    return predictor
+
+def load_predictor(path: str | Path, table: EmbeddingTable,
+                   annotator: Annotator | None = None) -> Predictor:
+    """A linear model file (told by its header line) or an LSTM checkpoint."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            header = handle.readline(64).rstrip("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot read model {path}: {exc}") from None
+    if header in MODEL_HEADERS:
+        return linear_predictor(load_model(path), table, annotator)
+    try:
+        return neural_predictor(load_checkpoint(path), table)
+    except ParseError as exc:
+        raise ParseError(f"{exc}; nor is it a linear model file") from None

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .features import FeatureConfig, FeatureVector, Scaler, apply_scaler
+from .features import (FeatureConfig, FeatureVector, Scaler, apply_scaler,
+                       config_for_layout)
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
 GRAD_TOL = 1e-9
@@ -271,7 +272,7 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
 
 
 _MODEL_MAGIC = "clozebase linear model v2"
-_MODEL_MAGIC_V1 = "clozebase linear model v1"
+MODEL_HEADERS = (_MODEL_MAGIC, "clozebase linear model v1")
 
 
 def _parse_bool(text: str) -> bool:
@@ -306,7 +307,7 @@ def load_model(path: str | Path) -> LinearModel:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    if not lines or lines[0] not in (_MODEL_MAGIC, _MODEL_MAGIC_V1):
+    if not lines or lines[0] not in MODEL_HEADERS:
         raise ParseError(f"{path}: not a linear model file "
                          f"(missing {_MODEL_MAGIC!r} header)")
     keys = ("config", "c", "intercept")
@@ -341,6 +342,10 @@ def load_model(path: str | Path) -> LinearModel:
     except ValueError:
         raise ParseError(f"{path}: unknown config {meta['config']!r}") from None
     names = tuple(r[0] for r in rows)
+    layout = config_for_layout(names)
+    if layout is None or layout[0] is not config:
+        raise ParseError(f"{path}: weight names are not the layout of "
+                         f"config {config.value}")
     return LinearModel(
         weights=np.asarray([r[1] for r in rows], dtype=np.float64),
         intercept=float(meta["intercept"]),

@@ -28,16 +28,18 @@ with bias correction and is bitwise reproducible under a fixed seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import random
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .annotate import tokenize
-from .corpus import ClozeInstance
+from .corpus import ClozeInstance, gold_labels
 from .embeddings import EmbeddingTable, lookup
 from .errors import ParseError
 from .linear import sigmoid
@@ -618,26 +620,21 @@ def predict_neural(inst: EmbeddedInstance, params: ModelParams) -> tuple[int, np
     return int(np.argmax(probs)) + 1, probs
 
 
-def _golds(instances: Sequence[EmbeddedInstance]) -> list[int]:
-    golds = []
-    for inst in instances:
-        if inst.gold is None:
-            raise ValueError(f"instance {inst.id} is unlabeled")
-        golds.append(inst.gold)
-    return golds
+def predict_labels(instances: Iterable[EmbeddedInstance],
+                   params: ModelParams) -> list[int]:
+    """Labels in chunks of EVAL_BATCH_SIZE, reading one chunk at a time."""
+    stream = iter(instances)
+    chunks = iter(lambda: list(itertools.islice(stream, EVAL_BATCH_SIZE)), [])
+    return [int(k) + 1 for chunk in chunks
+            for k in np.argmax(forward_batch(chunk, params)[0], axis=1)]
 
 
 def evaluate_model(instances: Sequence[EmbeddedInstance],
                    params: ModelParams) -> float:
     if not instances:
         raise ValueError("nothing to evaluate")
-    golds = _golds(instances)
-    correct = 0
-    for start in range(0, len(instances), EVAL_BATCH_SIZE):
-        probs = forward_batch(instances[start:start + EVAL_BATCH_SIZE], params)[0]
-        labels = np.argmax(probs, axis=1) + 1
-        correct += int(np.sum(labels == golds[start:start + EVAL_BATCH_SIZE]))
-    return correct / len(instances)
+    pairs = zip(predict_labels(instances, params), gold_labels(instances))
+    return sum(p == g for p, g in pairs) / len(instances)
 
 
 def train_model(train: Sequence[EmbeddedInstance],
@@ -650,7 +647,7 @@ def train_model(train: Sequence[EmbeddedInstance],
     """
     if not train or not dev:
         raise ValueError("train and dev sets must be nonempty")
-    golds = _golds(train)
+    golds = gold_labels(train)
     d = train[0].story.shape[1]
     params = init_params(config.seed, d, config.hidden_size, config.variant)
     state = adam_init(params)
@@ -715,17 +712,27 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint; version 1 gate tensors are stacked in gate order."""
     path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ParseError(f"{path}: not an LSTM checkpoint (no .npz archive)")
+    with archive as data:
         if "__meta__" not in data:
-            raise ParseError(f"{path}: not a model checkpoint (no metadata)")
+            raise ParseError(f"{path}: not an LSTM checkpoint (no metadata)")
         meta = json.loads(str(data["__meta__"]))
         version = meta.get("version")
         if version not in (1, CHECKPOINT_VERSION):
             raise ParseError(f"{path}: unsupported checkpoint version "
                              f"{version!r}")
-        variant = Variant(meta["variant"])
-        d, h = int(meta["input_size"]), int(meta["hidden_size"])
-        params = init_params(0, d, h, variant)
+        try:
+            params = init_params(0, int(meta["input_size"]),
+                                 int(meta["hidden_size"]),
+                                 Variant(meta["variant"]))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{path}: bad checkpoint metadata "
+                             f"({type(exc).__name__}: {exc})") from None
         for name, arr in tensors(params).items():
             parts = [name]
             if version == 1 and name in _V1_GATE_TENSORS:

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from clozebase.annotate import (AnnotatedToken, CoarseClass,
-                                SidecarAnnotations, annotate_text,
-                                coarse_class, heuristic_tag, tokenize)
+                                SidecarAnnotations, coarse_class,
+                                heuristic_tag, tokenize)
 from clozebase.errors import ParseError
 
 
@@ -159,4 +159,4 @@ class TestSidecar:
         path = tmp_path / "anno.tsv"
         self.write_sample(path)
         sidecar = SidecarAnnotations.load(path)
-        assert annotate_text("She runs", sidecar)[1].lemma == "run"
+        assert sidecar(tokenize("She runs"))[1].lemma == "run"

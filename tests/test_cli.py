@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from clozebase.cli import main
 from clozebase.corpus import (ClozeInstance, RocStory, parse_cloze_csv,
                               split_dev, write_cloze_csv, write_roc_csv)
 from clozebase.embeddings import EmbeddingFormat, load_embeddings
+from clozebase.features import FeatureConfig, feature_names
 from clozebase.harness import train_lstm_cell
 from clozebase.linear import load_model
 from clozebase.neural import TrainConfig, Variant, load_checkpoint, tensors
@@ -160,6 +163,21 @@ class TestLinearPipeline:
         assert (f"error: {features}: no feature rows after the header"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("header", [
+        ",".join(["story_centroid_a"] + [f"f{i}" for i in range(3)]),
+        "e1_sim,e2_sim",
+        ",".join(feature_names(FeatureConfig.ALL, 2)[1:]),
+    ])
+    def test_feature_header_that_is_no_layout(self, tmp_path, capsys, header):
+        features = tmp_path / "features.csv"
+        row = ",".join("0.5" for _ in header.split(","))
+        features.write_text(f"{header}\n{row},1\n{row},2\n", encoding="utf-8")
+        code = main(["train-linear", "--features", str(features),
+                     "--model-out", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert (f"error: {features}: feature names are not the layout of any "
+                "configuration" in capsys.readouterr().err)
+
     def test_non_finite_feature_rejected_with_its_row(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         features.write_text("e1_sim,e2_sim\n0.5,0.25,1\n0.5,inf,2\n",
@@ -251,6 +269,25 @@ class TestLstmPipeline:
         err = capsys.readouterr().err
         assert "instance inst-000" in err
         assert f"input width 3 does not match the model's input_size {EMBED_DIM}" in err
+
+        features = str(tmp_path / "features.csv")
+        linear = str(tmp_path / "model.txt")
+        assert main(["extract", "--data", data_path, "--embeddings", glove_path,
+                     "--format", "glove-txt", "--config", "repr-plus-sim",
+                     "--out", features]) == 0
+        assert main(["train-linear", "--features", features, "--cv-folds", "2",
+                     "--c-grid", "1.0", "--model-out", linear]) == 0
+        for command in (["eval", "--model", linear, "--data", data_path],
+                        ["filter", "--models", linear, "--data", data_path,
+                         "--out", str(tmp_path / "kept.csv")]):
+            capsys.readouterr()
+            code = main(command + ["--embeddings", str(narrow),
+                                   "--format", "glove-txt"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: linear model (config repr-plus-sim) "
+                           f"expects {EMBED_DIM}-d embeddings; the table is "
+                           "3-d\n")
 
     def test_empty_ending_row_with_both_model_kinds(self, data_path,
                                                     glove_path, tmp_path,
@@ -344,6 +381,65 @@ class TestFilterConsensus:
               "--out", single])
         assert [i.id for i in survivors] == \
             [i.id for i in parse_cloze_csv(single)]
+
+    @staticmethod
+    def eval_error(model, data_path, glove_path, capsys):
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model), "--data", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.fixture()
+    def checkpoint(self, data_path, glove_path, tmp_path):
+        path = tmp_path / "lstm.npz"
+        assert main(["train-lstm", "--dev", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--hidden", "3", "--batch", "8", "--epochs", "1",
+                     "--restarts", "1", "--model-out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def rewrite_meta(path, **changes):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta.update(changes)
+        meta = {k: v for k, v in meta.items() if v is not None}
+        arrays["__meta__"] = np.asarray(json.dumps(meta))
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+
+    def test_truncated_checkpoint(self, checkpoint, data_path, glove_path,
+                                  capsys):
+        content = checkpoint.read_bytes()
+        checkpoint.write_bytes(content[:len(content) // 2])
+        err = self.eval_error(checkpoint, data_path, glove_path, capsys)
+        assert err.startswith(f"error: {checkpoint}: not an LSTM checkpoint")
+        assert "nor is it a linear model file" in err
+
+    def test_text_file_as_model(self, data_path, glove_path, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("some notes\nabout a model\n")
+        err = self.eval_error(path, data_path, glove_path, capsys)
+        assert err.startswith(f"error: {path}: not an LSTM checkpoint")
+        assert "nor is it a linear model file" in err
+
+    def test_checkpoint_without_variant(self, checkpoint, data_path,
+                                        glove_path, capsys):
+        self.rewrite_meta(checkpoint, variant=None)
+        err = self.eval_error(checkpoint, data_path, glove_path, capsys)
+        assert err.startswith(f"error: {checkpoint}: bad checkpoint metadata "
+                              "(KeyError: 'variant')")
+
+    def test_checkpoint_with_unknown_variant(self, checkpoint, data_path,
+                                             glove_path, capsys):
+        self.rewrite_meta(checkpoint, variant="zzz")
+        err = self.eval_error(checkpoint, data_path, glove_path, capsys)
+        assert err.startswith(f"error: {checkpoint}: bad checkpoint metadata "
+                              "(ValueError: 'zzz' is not a valid Variant)")
 
     def test_unreadable_model_errors(self, data_path, glove_path, tmp_path,
                                      capsys):

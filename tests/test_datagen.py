@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
@@ -198,15 +200,26 @@ class TestGenRandomCoherent:
         assert a == b
 
 
+def labeling(label_of):
+    """A predictor that labels each instance with `label_of(instance)`."""
+    return lambda instances: [label_of(inst) for inst in instances]
+
+
+def oracle_filter(instances, predictors):
+    """Every predictor asked about every instance, one at a time."""
+    return [inst for inst in instances
+            if all(predict([inst])[0] == inst.gold for predict in predictors)]
+
+
 class TestConsensusFilter:
     def test_perfect_predictor_keeps_all(self, stories50):
         instances = gen_random(stories50, k=2, seed=1)
-        kept = consensus_filter(instances, [lambda i: i.gold])
+        kept = consensus_filter(instances, [labeling(lambda i: i.gold)])
         assert kept == instances
 
     def test_always_wrong_keeps_none(self, stories50):
         instances = gen_random(stories50, k=2, seed=1)
-        kept = consensus_filter(instances, [lambda i: 3 - i.gold])
+        kept = consensus_filter(instances, [labeling(lambda i: 3 - i.gold)])
         assert kept == []
 
     def test_known_agreement_pattern(self, stories50):
@@ -215,7 +228,8 @@ class TestConsensusFilter:
         also_right_on = {instances[0].id, instances[3].id, instances[4].id}
 
         def stub(right_ids):
-            return lambda inst: inst.gold if inst.id in right_ids else 3 - inst.gold
+            return labeling(lambda inst: inst.gold if inst.id in right_ids
+                            else 3 - inst.gold)
 
         kept = consensus_filter(instances, [stub(right_on), stub(also_right_on)])
         assert [inst.id for inst in kept] == [instances[0].id, instances[4].id]
@@ -224,9 +238,41 @@ class TestConsensusFilter:
         from conftest import make_instances
         unlabeled = make_instances(2, seed=30, labeled=False)
         with pytest.raises(ValueError, match="unlabeled"):
-            consensus_filter(unlabeled, [lambda i: 1])
+            consensus_filter(unlabeled, [labeling(lambda i: 1)])
 
     def test_no_predictors_rejected(self, stories50):
         instances = gen_random(stories50, k=1, seed=0)
         with pytest.raises(ValueError, match="predictor"):
             consensus_filter(instances, [])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_per_instance_oracle(self, stories50, seed):
+        instances = gen_random(stories50, k=2, seed=seed)
+        rng = random.Random(seed)
+        answers = [{inst.id: rng.choice((1, 2)) for inst in instances}
+                   for _ in range(rng.randint(1, 4))]
+        predictors = [labeling(lambda inst, a=a: a[inst.id]) for a in answers]
+        assert (consensus_filter(instances, predictors)
+                == oracle_filter(instances, predictors))
+
+    def test_each_predictor_sees_only_the_survivors(self, stories50):
+        instances = gen_random(stories50, k=2, seed=3)
+        seen = []
+
+        def recording(label_of):
+            def predict(batch):
+                seen.append([inst.id for inst in batch])
+                return [label_of(inst) for inst in batch]
+            return predict
+
+        first = recording(lambda i: i.gold if i.id.endswith(("0", "2", "4"))
+                          else 3 - i.gold)
+        kept = consensus_filter(instances, [first, recording(lambda i: i.gold)])
+        assert seen[0] == [inst.id for inst in instances]
+        assert seen[1] == [inst.id for inst in kept]
+        assert 0 < len(kept) < len(instances)
+
+    def test_predictor_must_label_every_instance(self, stories50):
+        instances = gen_random(stories50, k=1, seed=0)
+        with pytest.raises(ValueError):
+            consensus_filter(instances, [lambda batch: [1]])

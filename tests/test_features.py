@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokeniz
 from clozebase.corpus import ClozeInstance, swap_endings
 from clozebase.embeddings import EmbeddingFormat, centroid, make_table
 from clozebase.errors import ParseError
-from clozebase.features import (MAX_SIM_TOPNS, POS_CLASSES, FeatureConfig,
-                                FeatureVector, aligned_sim, apply_scaler,
-                                config_from_names, extract, feature_length,
-                                feature_names, fit_scaler, flags_for,
-                                load_features, max_sim_topn, pos_sims,
-                                save_features, sim_story_ending)
+from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
+                                Block, FeatureConfig, FeatureVector,
+                                aligned_sim, apply_scaler, config_for_layout,
+                                extract, extract_matrix, feature_names,
+                                fit_scaler, load_features, max_sim_topn,
+                                pos_sims, save_features, sim_story_ending)
 
 from conftest import VOCAB, make_instances
 
@@ -191,8 +192,23 @@ def ref_pos_sims(story_annotated, ending_annotated, table):
             for cs in POS_CLASSES for ce in POS_CLASSES]
 
 
+# The per-config block switches the layouts were first written with:
+# (story centroid, ending centroids, plain, max, aligned, POS similarity).
+RefFlags = namedtuple("RefFlags", "repr_story repr_endings plain_sim max_sim "
+                                  "aligned_sim pos_sim")
+REF_FLAGS = {
+    FeatureConfig.ALL: RefFlags(True, True, True, True, True, True),
+    FeatureConfig.ALL_WO_POS_SIM: RefFlags(True, True, True, True, True, False),
+    FeatureConfig.ALL_WO_MAX_SIM: RefFlags(True, True, True, False, False, True),
+    FeatureConfig.ALL_WO_SIM: RefFlags(True, True, False, True, True, True),
+    FeatureConfig.REPR_PLUS_SIM: RefFlags(True, True, True, False, False, False),
+    FeatureConfig.ENDINGS_ONLY: RefFlags(False, True, False, False, False, False),
+    FeatureConfig.SIMS_ONLY: RefFlags(False, False, True, True, True, True),
+}
+
+
 def ref_extract(instance, table, annotator, config):
-    flags = flags_for(config)
+    flags = REF_FLAGS[config]
     story_sentences = [tokenize(s) for s in instance.context]
     story_tokens = [tok for sent in story_sentences for tok in sent]
     ending_tokens = {1: tokenize(instance.ending1), 2: tokenize(instance.ending2)}
@@ -417,12 +433,44 @@ class TestBlockBehavior:
         assert all(v == 0.0 for v in values[verb_row])
 
 
+def ref_names(config, dim):
+    """The layout as the per-config switches first spelled it out."""
+    flags = REF_FLAGS[config]
+    names = []
+    if flags.repr_story:
+        names.extend(f"story_centroid_{i}" for i in range(dim))
+    if flags.repr_endings:
+        for k in (1, 2):
+            names.extend(f"e{k}_centroid_{i}" for i in range(dim))
+    for k in (1, 2):
+        if flags.plain_sim:
+            names.append(f"e{k}_sim")
+        if flags.max_sim:
+            names.extend(f"e{k}_maxsim_top{n}" for n in MAX_SIM_TOPNS)
+        if flags.aligned_sim:
+            names.append(f"e{k}_alignedsim")
+        if flags.pos_sim:
+            names.extend(f"e{k}_possim_{cs.value}_{ce.value}"
+                         for cs in POS_CLASSES for ce in POS_CLASSES)
+    return tuple(names)
+
+
+WIDTHS = (1, 2, 3, 16, 300)
+
+
+def mask_positions(config, dim):
+    """Where each of the config's names sits in the `all` layout."""
+    position = {name: i for i, name
+                in enumerate(feature_names(FeatureConfig.ALL, dim))}
+    return [position[name] for name in feature_names(config, dim)]
+
+
 class TestLayout:
     def test_all_dim300_is_962(self):
-        assert feature_length(FeatureConfig.ALL, 300) == 962
+        assert len(feature_names(FeatureConfig.ALL, 300)) == 962
 
     def test_endings_only_is_2dim(self):
-        assert feature_length(FeatureConfig.ENDINGS_ONLY, 300) == 600
+        assert len(feature_names(FeatureConfig.ENDINGS_ONLY, 300)) == 600
 
     @pytest.mark.parametrize("config,dim,expected", [
         (FeatureConfig.ALL, 16, 3 * 16 + 2 * 31),
@@ -434,8 +482,12 @@ class TestLayout:
         (FeatureConfig.SIMS_ONLY, 16, 2 * 31),
     ])
     def test_lengths_per_config(self, config, dim, expected):
-        assert feature_length(config, dim) == expected
         assert len(feature_names(config, dim)) == expected
+
+    @pytest.mark.parametrize("dim", WIDTHS)
+    def test_names_equal_the_per_config_layouts(self, dim):
+        for config in FeatureConfig:
+            assert feature_names(config, dim) == ref_names(config, dim)
 
     def test_names_are_one_tuple_per_layout(self):
         for config in FeatureConfig:
@@ -449,12 +501,20 @@ class TestLayout:
             assert len(set(names)) == len(names)
             assert names == feature_names(config, 16)
 
-    def test_flag_table_shape(self):
-        assert flags_for(FeatureConfig.ALL_WO_MAX_SIM).max_sim is False
-        assert flags_for(FeatureConfig.ALL_WO_MAX_SIM).aligned_sim is False
-        assert flags_for(FeatureConfig.ALL_WO_SIM).plain_sim is False
-        assert flags_for(FeatureConfig.ALL_WO_SIM).max_sim is True
-        assert flags_for(FeatureConfig.SIMS_ONLY).repr_story is False
+    def test_config_masks(self):
+        def kept(config, pattern):
+            return [n for n in feature_names(config, 16) if re.search(pattern, n)]
+
+        assert CONFIG_BLOCKS[FeatureConfig.ALL] == frozenset(Block)
+        wo_max = FeatureConfig.ALL_WO_MAX_SIM
+        assert kept(wo_max, "maxsim|alignedsim") == []
+        assert kept(wo_max, "possim") == kept(FeatureConfig.ALL, "possim")
+        assert kept(FeatureConfig.ALL_WO_SIM, r"_sim$") == []
+        assert len(kept(FeatureConfig.ALL_WO_SIM, "maxsim")) == 8
+        assert kept(FeatureConfig.SIMS_ONLY, "centroid") == []
+        assert kept(FeatureConfig.ENDINGS_ONLY, "story|sim") == []
+        for config in FeatureConfig:     # an ordered subsequence of `all`
+            assert mask_positions(config, 16) == sorted(mask_positions(config, 16))
 
     def test_extract_layout_matches_names(self, table, instances50):
         for config in FeatureConfig:
@@ -464,11 +524,66 @@ class TestLayout:
 
     def test_config_recoverable_from_names(self):
         for config in FeatureConfig:
-            assert config_from_names(feature_names(config, 16)) is config
+            width = 0 if config is FeatureConfig.SIMS_ONLY else 16
+            assert config_for_layout(feature_names(config, 16)) == (config, width)
+
+    def test_layouts_are_distinct_and_round_trip(self):
+        layouts = {feature_names(config, dim): (config, dim)
+                   for config in FeatureConfig for dim in WIDTHS}
+        # sims-only is the one layout that reads the same at every width
+        assert len(layouts) == len(FeatureConfig) * len(WIDTHS) - (len(WIDTHS) - 1)
+        for names, (config, dim) in layouts.items():
+            width = 0 if config is FeatureConfig.SIMS_ONLY else dim
+            assert config_for_layout(names) == (config, width)
+            assert config_for_layout(list(names)) == (config, width)
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError, match="configuration"):
-            config_from_names(("mystery_feature",))
+        all16 = feature_names(FeatureConfig.ALL, 16)
+        for names in [("mystery_feature",), (), all16[:-1], all16[1:],
+                      all16[::-1],
+                      tuple(n.replace("story", "tale")
+                            for n in feature_names(FeatureConfig.ALL, 3)),
+                      ("story_centroid_a",) + feature_names(FeatureConfig.ALL, 1)[1:],
+                      feature_names(FeatureConfig.SIMS_ONLY, 1) + ("e1_sim",)]:
+            assert config_for_layout(names) is None, names
+
+
+class TestMasks:
+    @pytest.mark.parametrize("config", list(FeatureConfig))
+    def test_extract_is_all_at_the_mask(self, table, wide, instances50, cases,
+                                        config):
+        for tbl, insts in ((table, instances50), (wide, cases)):
+            keep = mask_positions(config, tbl.dim)
+            for inst in insts:
+                whole = extract(inst, tbl, heuristic_tag, FeatureConfig.ALL)
+                part = extract(inst, tbl, heuristic_tag, config)
+                assert part.values.tobytes() == whole.values[keep].tobytes()
+
+    @pytest.mark.parametrize("configs", [
+        tuple(FeatureConfig),
+        (FeatureConfig.ENDINGS_ONLY, FeatureConfig.SIMS_ONLY),
+        (FeatureConfig.REPR_PLUS_SIM,),
+    ])
+    def test_matrix_columns_are_extract(self, wide, cases, configs):
+        matrix, columns = extract_matrix(cases, wide, heuristic_tag, configs)
+        assert matrix.shape[0] == len(cases)
+        assert set(columns) == set(configs)
+        for config in configs:
+            for row, inst in zip(matrix[:, columns[config]], cases):
+                want = extract(inst, wide, heuristic_tag, config).values
+                assert row.tobytes() == want.tobytes()
+
+    def test_matrix_of_no_instances(self, table):
+        matrix, columns = extract_matrix([], table, heuristic_tag,
+                                         [FeatureConfig.ENDINGS_ONLY])
+        assert matrix.shape == (0, 2 * table.dim)
+        assert columns[FeatureConfig.ENDINGS_ONLY].tolist() == list(range(32))
+
+    def test_matrix_needs_annotator_for_any_pos_config(self, table,
+                                                       instances50):
+        with pytest.raises(ValueError, match="annotations"):
+            extract_matrix(instances50, table, None,
+                           [FeatureConfig.ENDINGS_ONLY, FeatureConfig.ALL_WO_SIM])
 
 
 class TestSwapEquivariance:
@@ -497,8 +612,8 @@ class TestExtractValidation:
 
     def test_no_pos_config_runs_without_annotator(self, table, instances50):
         vector = extract(instances50[0], table, None, FeatureConfig.REPR_PLUS_SIM)
-        assert vector.values.shape[0] == feature_length(
-            FeatureConfig.REPR_PLUS_SIM, table.dim)
+        assert vector.values.shape[0] == len(feature_names(
+            FeatureConfig.REPR_PLUS_SIM, table.dim))
 
     def test_vector_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="names"):

@@ -1,26 +1,32 @@
 from __future__ import annotations
 
+import collections
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import clozebase.features as features_module
+import clozebase.harness as harness_module
 from clozebase.annotate import heuristic_tag
 from clozebase.errors import ParseError
 from clozebase.corpus import augment_swap
 from clozebase.features import FeatureConfig, extract
 from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
                                evaluate_linear, fit_linear, linear_predictor,
-                               load_ablation_report, majority_baseline,
-                               neural_predictor, run_ablation,
+                               load_ablation_report, load_predictor,
+                               majority_baseline, neural_predictor,
+                               run_ablation,
                                run_neural_comparison, save_ablation_report,
                                save_neural_report, train_linear_cell,
                                train_lstm_cell)
-from clozebase.neural import (TrainConfig, Variant, embed_instance,
-                              evaluate_model, init_params, tensors,
-                              train_model)
+from clozebase.linear import predict, save_model
+from clozebase.neural import (GATES, TrainConfig, Variant, embed_instance,
+                              evaluate_model, init_params, predict_neural,
+                              save_checkpoint, tensors, train_model)
 
-from conftest import make_instances
+from conftest import build_table, make_instances
 
 
 class TestAccuracy:
@@ -131,7 +137,7 @@ class TestLinearCell:
         model = train_linear_cell(train, table, FeatureConfig.ENDINGS_ONLY,
                                   heuristic_tag, folds=2)
         test = make_instances(8, seed=43)
-        labels = {linear_predictor(model, table, heuristic_tag)(i) for i in test}
+        labels = set(linear_predictor(model, table, heuristic_tag)(test))
         assert labels <= {1, 2}
 
     def test_unlabeled_training_rejected(self, table):
@@ -302,14 +308,38 @@ class TestNeuralComparison:
         assert row.test_accuracy == evaluate_model(emb_test, best.params)
 
 
+def write_v1_checkpoint(path, params):
+    """A version 1 archive: each gate's LSTM tensors stored apart."""
+    h = params.lstm.hidden_size
+    arrays = {name: arr for name, arr in tensors(params).items()
+              if not name.startswith("lstm.")}
+    for k, gate in enumerate(GATES):
+        rows = slice(k * h, (k + 1) * h)
+        arrays[f"lstm.w_x{gate}"] = params.lstm.w_x[rows]
+        arrays[f"lstm.w_h{gate}"] = params.lstm.w_h[rows]
+        arrays[f"lstm.b_{gate}"] = params.lstm.b[rows]
+    meta = {"version": 1, "variant": params.variant.value,
+            "input_size": params.lstm.input_size, "hidden_size": h}
+    with open(path, "wb") as handle:
+        np.savez(handle, __meta__=np.asarray(json.dumps(meta)), **arrays)
+
+
+def one_at_a_time(model, instances, table):
+    return [predict(model, extract(i, table, heuristic_tag, model.config))[0]
+            for i in instances]
+
+
 class TestPredictors:
     def test_linear_predictor_labels(self, table):
         train = make_instances(12, seed=70)
         model = train_linear_cell(train, table, FeatureConfig.SIMS_ONLY,
                                   heuristic_tag, folds=2)
         predictor = linear_predictor(model, table, heuristic_tag)
-        for inst in make_instances(5, seed=71, labeled=False):
-            assert predictor(inst) in (1, 2)
+        test = make_instances(5, seed=71, labeled=False)
+        labels = predictor(test)
+        assert labels == one_at_a_time(model, test, table)
+        assert set(labels) <= {1, 2}
+        assert predictor([]) == []
 
     def test_linear_predictor_requires_config(self, table):
         train = make_instances(12, seed=72)
@@ -323,8 +353,140 @@ class TestPredictors:
         with pytest.raises(ValueError, match="configuration"):
             evaluate_linear(stripped, train, table, heuristic_tag)
 
+    def test_linear_predictor_checks_the_table_width(self, table):
+        model = train_linear_cell(make_instances(12, seed=74), table,
+                                  FeatureConfig.ENDINGS_ONLY, heuristic_tag,
+                                  folds=2)
+        narrow = build_table(dim=3)
+        with pytest.raises(ValueError, match=r"config endings-only\) expects "
+                           r"16-d embeddings; the table is 3-d"):
+            linear_predictor(model, narrow)
+
+    def test_centroid_free_model_fits_any_width(self, table):
+        model = train_linear_cell(make_instances(12, seed=75), table,
+                                  FeatureConfig.SIMS_ONLY, heuristic_tag,
+                                  folds=2)
+        narrow = build_table(dim=3)
+        labels = linear_predictor(model, narrow, heuristic_tag)(
+            make_instances(4, seed=76))
+        assert set(labels) <= {1, 2}
+
     def test_neural_predictor_labels(self, table):
         params = init_params(0, table.dim, 6, Variant.RAW)
         predictor = neural_predictor(params, table)
-        for inst in make_instances(5, seed=73, labeled=False):
-            assert predictor(inst) in (1, 2)
+        labels = predictor(make_instances(5, seed=73, labeled=False))
+        assert len(labels) == 5 and set(labels) <= {1, 2}
+        assert predictor([]) == []
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_neural_predictor_is_predict_neural_per_instance(self, table,
+                                                             variant):
+        # 40 instances: two full chunks of EVAL_BATCH_SIZE and a ragged one
+        test = make_instances(40, seed=77)
+        params = init_params(3, table.dim, 5, variant)
+        want = [predict_neural(embed_instance(i, table), params)[0]
+                for i in test]
+        assert neural_predictor(params, table)(test) == want
+        assert len(set(want)) == 2
+
+
+class TestLoadPredictor:
+    @pytest.fixture(scope="class")
+    def linear(self, table):
+        return train_linear_cell(make_instances(12, seed=80), table,
+                                 FeatureConfig.ALL_WO_POS_SIM, heuristic_tag,
+                                 folds=2)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_linear_model_files(self, table, linear, tmp_path, version):
+        path = tmp_path / "model.txt"
+        save_model(path, linear)
+        if version == 1:    # v1: no diagnostics, older header
+            lines = [line for line in path.read_text().splitlines()
+                     if line.split("\t")[0] not in
+                     ("iterations", "converged", "grad_inf")]
+            lines[0] = "clozebase linear model v1"
+            path.write_text("\r\n".join(lines) + "\r\n")
+        test = make_instances(9, seed=81)
+        got = load_predictor(path, table, heuristic_tag)(test)
+        assert got == one_at_a_time(linear, test, table)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_checkpoints(self, table, tmp_path, version, variant):
+        params = init_params(4, table.dim, 5, variant)
+        path = tmp_path / "lstm.npz"
+        if version == 1:
+            write_v1_checkpoint(path, params)
+        else:
+            save_checkpoint(path, params)
+        test = make_instances(20, seed=82)
+        assert (load_predictor(path, table)(test)
+                == neural_predictor(params, table)(test))
+
+    def test_unreadable_file(self, table, tmp_path):
+        with pytest.raises(ValueError, match="cannot read model"):
+            load_predictor(tmp_path / "missing", table)
+
+    @pytest.mark.parametrize("content", [b"", b"clozebase linear model v3\n",
+                                         b"PK\x03\x04 not really a zip"])
+    def test_unrecognised_file_names_both_kinds(self, table, tmp_path,
+                                                content):
+        path = tmp_path / "mystery"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="LSTM checkpoint.*linear model"):
+            load_predictor(path, table)
+
+
+class TestAblationOracle:
+    """`run_ablation` against the per-config loop it replaced."""
+
+    @staticmethod
+    def per_config_loop(dev, test, tables, configs, annotator, folds, c_grid,
+                        seed):
+        rows = {}
+        for name, table in tables.items():
+            row = {}
+            for config in configs:
+                model = train_linear_cell(dev, table, config, annotator,
+                                          folds=folds, c_grid=c_grid, seed=seed)
+                row[config] = evaluate_linear(model, test, table,
+                                              annotator).accuracy
+            rows[name] = row
+        return AblationReport(configs=tuple(configs), rows=rows)
+
+    def test_report_equals_the_per_config_loop(self, table, monkeypatch):
+        dev = make_instances(16, seed=90)
+        test = [replace(i, id=f"test-{i.id}")
+                for i in make_instances(12, seed=91)]
+        tables = {"toy": table, "toy-300": build_table(dim=300, seed=2017)}
+        args = dict(configs=tuple(FeatureConfig), annotator=heuristic_tag,
+                    folds=3, c_grid=(0.1, 1.0, 10.0), seed=4)
+        want = self.per_config_loop(dev, test, tables, **args)
+
+        calls = collections.Counter()
+        real = features_module._extract_blocks
+
+        def counting(instance, tbl, annotator, blocks):
+            calls[instance.id, tbl.dim] += 1
+            return real(instance, tbl, annotator, blocks)
+
+        monkeypatch.setattr(features_module, "_extract_blocks", counting)
+        got = run_ablation(dev, test, tables, **args)
+        assert got == want
+        extracted = {inst.id for inst in augment_swap(dev) + test}
+        assert set(calls) == {(i, t.dim) for i in extracted
+                              for t in tables.values()}
+        assert set(calls.values()) == {1}
+
+    def test_pos_config_without_annotator_fails_before_training(
+            self, table, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(harness_module, "fit_linear", no_fit)
+        with pytest.raises(ValueError, match="part-of-speech .* annotations"):
+            run_ablation(make_instances(8, seed=92), make_instances(4, seed=93),
+                         {"toy": table},
+                         configs=(FeatureConfig.ENDINGS_ONLY,
+                                  FeatureConfig.SIMS_ONLY), folds=2)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
-                                fit_scaler)
+                                feature_names, fit_scaler)
 from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, cv_tune_c,
                               load_model, logreg_objective, minimize_lbfgs,
                               predict, save_model, train_logreg)
@@ -418,12 +419,12 @@ class TestCvTuneC:
 class TestModelPersistence:
     def fitted_model(self):
         rng = np.random.default_rng(9)
-        x, y = random_problem(rng, n=16, d=3)
-        names = ("f0", "f1", "f2")
+        x, y = random_problem(rng, n=16, d=2)
+        names = feature_names(FeatureConfig.ENDINGS_ONLY, 1)
         scaler = fit_scaler([FeatureVector(names=names, values=row)
                              for row in x])
         return train_logreg(x, y, c=0.5, names=names,
-                            config=FeatureConfig.SIMS_ONLY, scaler=scaler)
+                            config=FeatureConfig.ENDINGS_ONLY, scaler=scaler)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = self.fitted_model()
@@ -440,7 +441,7 @@ class TestModelPersistence:
         assert loaded.grad_inf == model.grad_inf
         rng = np.random.default_rng(10)
         for _ in range(20):
-            v = FeatureVector(names=model.names, values=rng.standard_normal(3))
+            v = FeatureVector(names=model.names, values=rng.standard_normal(2))
             assert predict(loaded, v) == predict(model, v)
 
     def test_file_names_version_and_diagnostics(self, tmp_path):
@@ -455,21 +456,35 @@ class TestModelPersistence:
     def test_hand_written_v1_file_loads(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("clozebase linear model v1\n"
-                        "config\tsims-only\n"
+                        "config\tendings-only\n"
                         "c\t0.5\n"
                         "intercept\t-0.25\n"
-                        "f0\t1.5\t0.0\t2.0\n"
-                        "f1\t-2.0\t-1.0\t1.0\n")
+                        "e1_centroid_0\t1.5\t0.0\t2.0\n"
+                        "e2_centroid_0\t-2.0\t-1.0\t1.0\n")
         model = load_model(path)
-        assert model.config is FeatureConfig.SIMS_ONLY
+        assert model.config is FeatureConfig.ENDINGS_ONLY
         assert model.c == 0.5 and model.intercept == -0.25
-        assert model.names == ("f0", "f1")
+        assert model.names == ("e1_centroid_0", "e2_centroid_0")
         np.testing.assert_array_equal(model.weights, [1.5, -2.0])
         np.testing.assert_array_equal(model.scaler.mins, [0.0, -1.0])
         np.testing.assert_array_equal(model.scaler.maxs, [2.0, 1.0])
         assert model.iterations is None
         assert model.converged is None
         assert model.grad_inf is None
+
+    @pytest.mark.parametrize("rows", [
+        ["f0", "f1"],
+        ["e2_centroid_0", "e1_centroid_0"],
+        feature_names(FeatureConfig.SIMS_ONLY, 1),
+    ])
+    def test_weight_names_must_be_the_config_layout(self, tmp_path, rows):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        "c\t0.5\nintercept\t0.0\n"
+                        + "".join(f"{name}\t1.0\t0.0\t1.0\n" for name in rows))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: weight "
+                           "names are not the layout of config endings-only"):
+            load_model(path)
 
     def test_bad_diagnostic_names_line(self, tmp_path):
         path = tmp_path / "model.txt"
