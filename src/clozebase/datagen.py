@@ -14,8 +14,10 @@ correctly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .annotate import Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ENDING1, ENDING2, ClozeInstance, RocStory, gold_labels
@@ -34,11 +36,20 @@ class EndingEntry:
 
 @dataclass(frozen=True)
 class EndingIndex:
-    """Per-story ending lemma sets plus an inverted lemma -> entries map."""
+    """Per-story ending lemma sets plus an inverted lemma -> entries map.
+
+    `postings` holds the same inverted map as arrays of positions in
+    `entries`, `position` maps each story id to its entry's position, and
+    `id_rank` gives each entry's rank in descending story-id order, so that
+    `_top_candidates` ranks with numpy alone.
+    """
 
     entries: tuple[EndingEntry, ...]
     by_lemma: Mapping[str, tuple[EndingEntry, ...]]
     context_lemmas: Mapping[str, frozenset[str]]
+    position: Mapping[str, int]
+    postings: Mapping[str, np.ndarray] = field(compare=False, repr=False)
+    id_rank: np.ndarray = field(compare=False, repr=False)
 
 
 def _argument_lemmas(text: str, annotator: Annotator) -> frozenset[str]:
@@ -49,11 +60,21 @@ def _argument_lemmas(text: str, annotator: Annotator) -> frozenset[str]:
     return frozenset(lemmas)
 
 
+def _positions(stories: Sequence[RocStory]) -> dict[str, int]:
+    """Each story id's position; a repeated id is an error."""
+    position: dict[str, int] = {}
+    for i, story in enumerate(stories):
+        if position.setdefault(story.id, i) != i:
+            raise ValueError(f"duplicate story id {story.id!r}")
+    return position
+
+
 def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> EndingIndex:
+    position = _positions(stories)
     entries = []
-    by_lemma: dict[str, list[EndingEntry]] = {}
+    by_lemma: dict[str, list[int]] = {}
     context_lemmas: dict[str, frozenset[str]] = {}
-    for story in stories:
+    for i, story in enumerate(stories):
         entry = EndingEntry(
             story_id=story.id,
             ending=story.ending,
@@ -61,15 +82,21 @@ def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> End
         )
         entries.append(entry)
         for lemma in entry.lemmas:
-            by_lemma.setdefault(lemma, []).append(entry)
+            by_lemma.setdefault(lemma, []).append(i)
         ctx = set()
         for sentence in story.context:
             ctx |= _argument_lemmas(sentence, annotator)
         context_lemmas[story.id] = frozenset(ctx)
+    id_rank = np.empty(len(entries), dtype=np.int64)
+    id_rank[sorted(range(len(entries)), key=lambda i: entries[i].story_id)] = (
+        np.arange(len(entries) - 1, -1, -1))
     return EndingIndex(
         entries=tuple(entries),
-        by_lemma={k: tuple(v) for k, v in by_lemma.items()},
+        by_lemma={k: tuple(entries[i] for i in v) for k, v in by_lemma.items()},
         context_lemmas=context_lemmas,
+        position=position,
+        postings={k: np.array(v, dtype=np.int64) for k, v in by_lemma.items()},
+        id_rank=id_rank,
     )
 
 
@@ -96,32 +123,42 @@ def gen_random(stories: Sequence[RocStory], k: int, seed: int) -> list[ClozeInst
         raise ValueError(f"k must be >= 1, got {k}")
     if len(stories) < 2:
         raise ValueError("need at least 2 stories to sample wrong endings")
+    _positions(stories)
+    # Sampling from range(n - 1) picks what sampling the list of the other
+    # n - 1 endings would: random.sample and choice see only the length.
+    others = range(len(stories) - 1)
     instances = []
-    for story in stories:
+    for p, story in enumerate(stories):
         rng = random.Random(f"random:{seed}:{story.id}")
-        others = [s.ending for s in stories if s.id != story.id]
         if k <= len(others):
             chosen = rng.sample(others, k)
         else:
             chosen = list(others)
-            while len(chosen) < k:
-                chosen.append(rng.choice(others))
-        for j, wrong in enumerate(chosen, start=1):
+            chosen += [rng.choice(others) for _ in range(k - len(others))]
+        for j, i in enumerate(chosen, start=1):
+            wrong = stories[i + (i >= p)].ending   # skip the story's own slot
             instances.append(_place_endings(story, wrong, j, "random", rng))
     return instances
 
 
-def _ranked_candidates(story: RocStory, index: EndingIndex) -> list[EndingEntry]:
-    """All other stories' endings, best lemma overlap first, ties by story id."""
-    ctx = index.context_lemmas[story.id]
-    scores: dict[str, int] = {}
-    for lemma in ctx:
-        for entry in index.by_lemma.get(lemma, ()):
-            if entry.story_id != story.id:
-                scores[entry.story_id] = scores.get(entry.story_id, 0) + 1
-    ranked = [e for e in index.entries if e.story_id != story.id]
-    ranked.sort(key=lambda e: (-scores.get(e.story_id, 0), e.story_id))
-    return ranked
+def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
+    """Positions of the first `limit` other endings in (-overlap, story id)
+    order, where overlap counts the lemmas shared with the story's context.
+
+    Scores come from one bincount over the context's postings; the key
+    score * n + id_rank is unique per entry, so the `limit` largest keys,
+    sorted descending, are exactly that order, without sorting all N - 1.
+    """
+    n = len(index.entries)
+    hits = [index.postings[lemma] for lemma in index.context_lemmas[story_id]
+            if lemma in index.postings]
+    score = (np.bincount(np.concatenate(hits), minlength=n) if hits
+             else np.zeros(n, dtype=np.int64))
+    key = score * n + index.id_rank
+    key[index.position[story_id]] = -1
+    limit = min(limit, n - 1)
+    top = np.argpartition(key, n - limit)[n - limit:]
+    return top[np.argsort(-key[top])].tolist()
 
 
 def gen_shared_args(stories: Sequence[RocStory], index: EndingIndex, k: int) -> list[ClozeInstance]:
@@ -133,10 +170,9 @@ def gen_shared_args(stories: Sequence[RocStory], index: EndingIndex, k: int) -> 
     instances = []
     for story in stories:
         rng = random.Random(f"shared:{story.id}")
-        ranked = _ranked_candidates(story, index)
         # When k exceeds the corpus, every available ending is used once.
-        chosen = [e.ending for e in ranked[:k]]
-        for j, wrong in enumerate(chosen, start=1):
+        for j, i in enumerate(_top_candidates(story.id, index, k), start=1):
+            wrong = index.entries[i].ending
             instances.append(_place_endings(story, wrong, j, "shared", rng))
     return instances
 
@@ -153,9 +189,9 @@ def gen_random_coherent(stories: Sequence[RocStory], index: EndingIndex,
     instances = []
     for story in stories:
         rng = random.Random(f"coherent:{seed}:{story.id}")
-        ranked = _ranked_candidates(story, index)[:pool]
-        chosen = [e.ending for e in rng.sample(ranked, min(k, len(ranked)))]
-        for j, wrong in enumerate(chosen, start=1):
+        top = _top_candidates(story.id, index, pool)
+        for j, i in enumerate(rng.sample(top, min(k, len(top))), start=1):
+            wrong = index.entries[i].ending
             instances.append(_place_endings(story, wrong, j, "coherent", rng))
     return instances
 

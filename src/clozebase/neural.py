@@ -721,7 +721,14 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     with archive as data:
         if "__meta__" not in data:
             raise ParseError(f"{path}: not an LSTM checkpoint (no metadata)")
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: bad checkpoint metadata "
+                             f"(not JSON: {exc})") from None
+        if not isinstance(meta, dict):
+            raise ParseError(f"{path}: bad checkpoint metadata "
+                             f"(not a JSON object)")
         version = meta.get("version")
         if version not in (1, CHECKPOINT_VERSION):
             raise ParseError(f"{path}: unsupported checkpoint version "

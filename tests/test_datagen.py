@@ -6,9 +6,9 @@ import pytest
 
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
 from clozebase.corpus import RocStory
-from clozebase.datagen import (build_ending_index, consensus_filter,
-                               gen_random, gen_random_coherent,
-                               gen_shared_args)
+from clozebase.datagen import (_place_endings, build_ending_index,
+                               consensus_filter, gen_random,
+                               gen_random_coherent, gen_shared_args)
 
 from conftest import make_stories
 
@@ -60,6 +60,15 @@ class TestEndingIndex:
         ]
         index = build_ending_index(stories, heuristic_tag)
         assert {e.story_id for e in index.by_lemma["dog"]} == {"a", "b"}
+
+    def test_duplicate_id_rejected(self):
+        stories = make_stories(3)
+        stories.append(RocStory(id="story-001", title="",
+                                sentences=("s", "s", "s", "s", "A cat sat.")))
+        with pytest.raises(ValueError, match="story-001"):
+            build_ending_index(stories, heuristic_tag)
+        with pytest.raises(ValueError, match="story-001"):
+            gen_random(stories, k=1, seed=0)
 
     def test_lemmas_match_oracle(self, stories50, index):
         by_id = {e.story_id: e for e in index.entries}
@@ -198,6 +207,165 @@ class TestGenRandomCoherent:
         a = gen_random_coherent(stories50, index, pool=20, k=5, seed=8)
         b = gen_random_coherent(stories50, index, pool=20, k=5, seed=8)
         assert a == b
+
+
+# The generators as they were when each ranking sorted all N - 1 endings and
+# gen_random listed them, kept verbatim as oracles for the numpy ranking and
+# the index-only sampling.
+
+def oracle_gen_random(stories, k, seed):
+    """k instances per story with wrong endings sampled uniformly from other stories."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(stories) < 2:
+        raise ValueError("need at least 2 stories to sample wrong endings")
+    instances = []
+    for story in stories:
+        rng = random.Random(f"random:{seed}:{story.id}")
+        others = [s.ending for s in stories if s.id != story.id]
+        if k <= len(others):
+            chosen = rng.sample(others, k)
+        else:
+            chosen = list(others)
+            while len(chosen) < k:
+                chosen.append(rng.choice(others))
+        for j, wrong in enumerate(chosen, start=1):
+            instances.append(_place_endings(story, wrong, j, "random", rng))
+    return instances
+
+
+def oracle_ranked_candidates(story, index):
+    """All other stories' endings, best lemma overlap first, ties by story id."""
+    ctx = index.context_lemmas[story.id]
+    scores: dict[str, int] = {}
+    for lemma in ctx:
+        for entry in index.by_lemma.get(lemma, ()):
+            if entry.story_id != story.id:
+                scores[entry.story_id] = scores.get(entry.story_id, 0) + 1
+    ranked = [e for e in index.entries if e.story_id != story.id]
+    ranked.sort(key=lambda e: (-scores.get(e.story_id, 0), e.story_id))
+    return ranked
+
+
+def oracle_gen_shared_args(stories, index, k):
+    """k instances per story using the top-overlap endings (deterministic choice)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(stories) < 2:
+        raise ValueError("need at least 2 stories to pick wrong endings")
+    instances = []
+    for story in stories:
+        rng = random.Random(f"shared:{story.id}")
+        ranked = oracle_ranked_candidates(story, index)
+        # When k exceeds the corpus, every available ending is used once.
+        chosen = [e.ending for e in ranked[:k]]
+        for j, wrong in enumerate(chosen, start=1):
+            instances.append(_place_endings(story, wrong, j, "shared", rng))
+    return instances
+
+
+def oracle_gen_random_coherent(stories, index, pool, k, seed):
+    """k instances per story sampled from each story's `pool` best-overlap endings."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if pool < k:
+        raise ValueError(f"pool ({pool}) must be at least k ({k})")
+    if len(stories) < 2:
+        raise ValueError("need at least 2 stories to pick wrong endings")
+    instances = []
+    for story in stories:
+        rng = random.Random(f"coherent:{seed}:{story.id}")
+        ranked = oracle_ranked_candidates(story, index)[:pool]
+        chosen = [e.ending for e in rng.sample(ranked, min(k, len(ranked)))]
+        for j, wrong in enumerate(chosen, start=1):
+            instances.append(_place_endings(story, wrong, j, "coherent", rng))
+    return instances
+
+
+ARGUMENT_WORDS = ("she", "he", "they", "dog", "cat", "beach")
+FILLER_WORDS = ("walked", "smiled", "quickly", "slowly", "the", "and")
+
+
+def tied_corpus(n, seed):
+    """n stories over six argument lemmas, so overlaps tie often.
+
+    Ids are drawn out of order and compare as strings ("t10" < "t7"), so
+    the id tie-break differs from list order; about one context in four
+    holds no argument lemma, and endings repeat across stories.
+    """
+    rng = random.Random(f"tied:{seed}")
+
+    def sentence(bare):
+        words = rng.choices(FILLER_WORDS, k=rng.randint(1, 3))
+        if not bare:
+            words += rng.sample(ARGUMENT_WORDS, rng.randint(1, 2))
+        rng.shuffle(words)
+        return " ".join(words) + "."
+
+    stories = []
+    for number in rng.sample(range(10 * n), n):
+        bare = rng.random() < 0.25
+        context = tuple(sentence(bare) for _ in range(4))
+        stories.append(RocStory(id=f"t{number}", title="",
+                                sentences=context + (sentence(False),)))
+    return stories
+
+
+CORPORA = [(2, 0), (2, 1), (3, 2), (7, 3), (25, 4), (60, 5)]
+
+
+class TestAgainstTheSortingGenerators:
+    def test_corpora_have_ties_and_bare_contexts(self):
+        stories = tied_corpus(60, 5)
+        index = build_ending_index(stories, heuristic_tag)
+        assert sum(not index.context_lemmas[s.id] for s in stories) >= 5
+        scores = [-score for score, _, _ in oracle_ranking(stories[0], stories)]
+        assert max(scores) > 0
+        assert len(set(scores)) < len(scores) // 5
+
+    @pytest.mark.parametrize("n, seed", CORPORA)
+    def test_shared_args(self, n, seed):
+        stories = tied_corpus(n, seed)
+        index = build_ending_index(stories, heuristic_tag)
+        for k in sorted({1, 3, n - 1, n, n + 4}):
+            assert (gen_shared_args(stories, index, k)
+                    == oracle_gen_shared_args(stories, index, k))
+
+    @pytest.mark.parametrize("n, seed", CORPORA)
+    def test_random_coherent(self, n, seed):
+        stories = tied_corpus(n, seed)
+        index = build_ending_index(stories, heuristic_tag)
+        for pool, k in ((1, 1), (3, 2), (n - 1, 1), (n, 2), (n + 5, n + 5),
+                        (2 * n, 3)):
+            assert (gen_random_coherent(stories, index, pool, k, seed)
+                    == oracle_gen_random_coherent(stories, index, pool, k, seed))
+
+    @pytest.mark.parametrize("n, seed", CORPORA)
+    def test_random(self, n, seed):
+        stories = tied_corpus(n, seed)
+        for k in sorted({1, 3, n - 1, n, 2 * n + 3}):
+            assert gen_random(stories, k, seed) == oracle_gen_random(stories, k, seed)
+
+    def test_story_fixture(self, stories50, index):
+        assert (gen_shared_args(stories50, index, 10)
+                == oracle_gen_shared_args(stories50, index, 10))
+        assert (gen_random_coherent(stories50, index, 20, 10, 3)
+                == oracle_gen_random_coherent(stories50, index, 20, 10, 3))
+        assert gen_random(stories50, 10, 3) == oracle_gen_random(stories50, 10, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampling_a_range_picks_what_sampling_a_list_does(seed):
+    """gen_random and gen_random_coherent sample positions: random.sample
+    and random.choice depend only on the population's length."""
+    for n, k in ((1, 1), (5, 2), (10, 10), (50, 40), (1499, 10), (1499, 500)):
+        population = [f"ending {i}" for i in range(n)]
+        by_index = random.Random(f"sample:{seed}")
+        by_value = random.Random(f"sample:{seed}")
+        assert ([population[i] for i in by_index.sample(range(n), k)]
+                == by_value.sample(population, k))
+        assert ([population[by_index.choice(range(n))] for _ in range(7)]
+                == [by_value.choice(population) for _ in range(7)])
 
 
 def labeling(label_of):

@@ -808,6 +808,19 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="lstm.w_hg"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("meta, reason", [
+        ('{"version": 2,', "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+    ])
+    def test_malformed_metadata_names_the_path(self, tmp_path, meta, reason):
+        path = tmp_path / "meta.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, __meta__=np.asarray(meta))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: bad checkpoint metadata "
+                                          f"({reason}")
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
