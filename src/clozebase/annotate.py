@@ -10,6 +10,7 @@ downstream, not linguistic correctness.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,9 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk[0] not in PUNCTUATION and chunk[-1] not in PUNCTUATION:
+            tokens.append(chunk)
+            continue
         trailing: list[str] = []
         while chunk and chunk[0] in PUNCTUATION:
             tokens.append(chunk[0])
@@ -67,6 +71,7 @@ _COARSE_PREFIXES = (
 )
 
 
+@functools.lru_cache(maxsize=256)
 def coarse_class(pos: str) -> CoarseClass:
     """Collapse a Treebank tag to a coarse class by prefix; total and deterministic."""
     for prefix, cls in _COARSE_PREFIXES:
@@ -75,7 +80,7 @@ def coarse_class(pos: str) -> CoarseClass:
     return CoarseClass.OTHER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedToken:
     surface: str
     pos: str
@@ -233,41 +238,66 @@ def _strip_ed(word: str) -> str:
     return stem
 
 
+def _tag_word(surface: str) -> tuple[AnnotatedToken, AnnotatedToken]:
+    """The word's token after a tag outside `_VBZ_AFTER`, then after one in it;
+    only the -s rule tells the two apart (NNS, then VBZ)."""
+    lower = surface.lower()
+    if lower == surface:
+        lower = surface     # one string, not two, for the memo to hold
+    if lower in _LEXICON:
+        tag, lemma = _LEXICON[lower]
+    elif len(surface) == 1 and surface in _PUNCT_TAGS:
+        tag, lemma = _PUNCT_TAGS[surface], surface
+    elif _NUMBER_RE.fullmatch(surface):
+        tag, lemma = "CD", surface
+    elif surface[:1].isupper():
+        tag, lemma = "NNP", surface
+    elif lower.endswith("ly") and len(lower) > 3:
+        tag, lemma = "RB", lower
+    elif lower.endswith("ing") and len(lower) >= 5:
+        tag, lemma = "VBG", _strip_ing(lower)
+    elif lower.endswith("ed") and len(lower) >= 4:
+        tag, lemma = "VBD", _strip_ed(lower)
+    elif lower.endswith(("ful", "ous", "ive", "less", "able", "ible")):
+        tag, lemma = "JJ", lower
+    elif (lower.endswith("s") and len(lower) >= 3
+          and not lower.endswith(("ss", "us", "is"))):
+        lemma = _strip_plural(lower)
+        return (AnnotatedToken(surface, "NNS", lemma),
+                AnnotatedToken(surface, "VBZ", lemma))
+    else:
+        tag, lemma = "NN", lower
+    token = AnnotatedToken(surface, tag, lemma)
+    return token, token
+
+
+# `_tag_word`'s answer per surface. A word's tokens depend on nothing else,
+# and AnnotatedToken is frozen, so every sentence can share them. Bounded:
+# once full, further words are tagged afresh each time, not kept.
+_TAG_MEMO_SIZE = 1 << 16
+_tag_memo: dict[str, tuple[AnnotatedToken, AnnotatedToken]] = {}
+_VBZ_AFTER = frozenset({"PRP", "NNP", "NN"})
+
+
 def heuristic_tag(tokens: Sequence[str]) -> list[AnnotatedToken]:
     """Tag and lemmatize with the fixed lexicon + suffix rule table.
 
     Rules, in order: lexicon, punctuation, number, capitalized -> NNP,
     -ly -> RB, -ing -> VBG, -ed -> VBD, adjective suffixes -> JJ, and -s ->
-    VBZ after a pronoun/noun else NNS. Everything else is NN.
+    VBZ when the previous tag is PRP, NNP or NN, else NNS (so "his dogs"
+    and "cats runs" both give NNS). Everything else is NN.
     """
     annotated: list[AnnotatedToken] = []
-    prev_tag = ""
+    after_noun = False
     for surface in tokens:
-        lower = surface.lower()
-        if lower in _LEXICON:
-            tag, lemma = _LEXICON[lower]
-        elif len(surface) == 1 and surface in _PUNCT_TAGS:
-            tag, lemma = _PUNCT_TAGS[surface], surface
-        elif _NUMBER_RE.fullmatch(surface):
-            tag, lemma = "CD", surface
-        elif surface[:1].isupper():
-            tag, lemma = "NNP", surface
-        elif lower.endswith("ly") and len(lower) > 3:
-            tag, lemma = "RB", lower
-        elif lower.endswith("ing") and len(lower) >= 5:
-            tag, lemma = "VBG", _strip_ing(lower)
-        elif lower.endswith("ed") and len(lower) >= 4:
-            tag, lemma = "VBD", _strip_ed(lower)
-        elif lower.endswith(("ful", "ous", "ive", "less", "able", "ible")):
-            tag, lemma = "JJ", lower
-        elif (lower.endswith("s") and len(lower) >= 3
-              and not lower.endswith(("ss", "us", "is"))):
-            tag = "VBZ" if prev_tag in ("PRP", "NNP", "NN") else "NNS"
-            lemma = _strip_plural(lower)
-        else:
-            tag, lemma = "NN", lower
-        annotated.append(AnnotatedToken(surface=surface, pos=tag, lemma=lemma))
-        prev_tag = tag
+        pair = _tag_memo.get(surface)
+        if pair is None:
+            pair = _tag_word(surface)
+            if len(_tag_memo) < _TAG_MEMO_SIZE:
+                _tag_memo[surface] = pair
+        token = pair[after_noun]
+        annotated.append(token)
+        after_noun = token.pos in _VBZ_AFTER
     return annotated
 
 

@@ -1,11 +1,94 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+from typing import Sequence
+
 import pytest
 
-from clozebase.annotate import (AnnotatedToken, CoarseClass,
-                                SidecarAnnotations, coarse_class,
+from clozebase import annotate
+from clozebase.annotate import (_COARSE_PREFIXES, _LEXICON, _NUMBER_RE,
+                                _PUNCT_TAGS, PUNCTUATION, AnnotatedToken,
+                                CoarseClass, SidecarAnnotations, _strip_ed,
+                                _strip_ing, _strip_plural, coarse_class,
                                 heuristic_tag, tokenize)
 from clozebase.errors import ParseError
+
+
+# The plain tokenizer, coarse-class mapping and per-token tagger: the
+# reference the fast path, the cache and the per-word memo must reproduce.
+def oracle_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        trailing: list[str] = []
+        while chunk and chunk[0] in PUNCTUATION:
+            tokens.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk[-1] in PUNCTUATION:
+            trailing.append(chunk[-1])
+            chunk = chunk[:-1]
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
+def oracle_coarse_class(pos: str) -> CoarseClass:
+    for prefix, cls in _COARSE_PREFIXES:
+        if pos.startswith(prefix):
+            return cls
+    return CoarseClass.OTHER
+
+
+def oracle_heuristic_tag(tokens: Sequence[str]) -> list[AnnotatedToken]:
+    annotated: list[AnnotatedToken] = []
+    prev_tag = ""
+    for surface in tokens:
+        lower = surface.lower()
+        if lower in _LEXICON:
+            tag, lemma = _LEXICON[lower]
+        elif len(surface) == 1 and surface in _PUNCT_TAGS:
+            tag, lemma = _PUNCT_TAGS[surface], surface
+        elif _NUMBER_RE.fullmatch(surface):
+            tag, lemma = "CD", surface
+        elif surface[:1].isupper():
+            tag, lemma = "NNP", surface
+        elif lower.endswith("ly") and len(lower) > 3:
+            tag, lemma = "RB", lower
+        elif lower.endswith("ing") and len(lower) >= 5:
+            tag, lemma = "VBG", _strip_ing(lower)
+        elif lower.endswith("ed") and len(lower) >= 4:
+            tag, lemma = "VBD", _strip_ed(lower)
+        elif lower.endswith(("ful", "ous", "ive", "less", "able", "ible")):
+            tag, lemma = "JJ", lower
+        elif (lower.endswith("s") and len(lower) >= 3
+              and not lower.endswith(("ss", "us", "is"))):
+            tag = "VBZ" if prev_tag in ("PRP", "NNP", "NN") else "NNS"
+            lemma = _strip_plural(lower)
+        else:
+            tag, lemma = "NN", lower
+        annotated.append(AnnotatedToken(surface=surface, pos=tag, lemma=lemma))
+        prev_tag = tag
+    return annotated
+
+
+def triples(annotated):
+    return [(t.surface, t.pos, t.lemma) for t in annotated]
+
+
+def assert_matches_oracle(tokens):
+    assert triples(heuristic_tag(tokens)) == triples(oracle_heuristic_tag(tokens))
+
+
+def synth_sentences(seed: int, count: int) -> list[str]:
+    """Every sentence of a seeded story corpus from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = synth      # its dataclasses look the module up
+    spec.loader.exec_module(synth)
+    return [text for row in synth.roc_rows(seed, count) for text in row[1:]]
 
 
 class TestTokenize:
@@ -112,6 +195,69 @@ class TestHeuristicTag:
         annotated = heuristic_tag(list(VOCAB))
         assert len(annotated) == len(VOCAB)
         assert all(tok.pos and tok.lemma for tok in annotated)
+
+
+class TestMemoizedTagger:
+    """The per-word memo, the coarse-class cache and the tokenize fast path
+    against the oracles above."""
+
+    def test_synth_corpus_matches_oracle(self):
+        for text in synth_sentences(seed=3, count=300):
+            tokens = tokenize(text)
+            assert tokens == oracle_tokenize(text)
+            assert_matches_oracle(tokens)
+            for tok in heuristic_tag(tokens):
+                assert coarse_class(tok.pos) is oracle_coarse_class(tok.pos)
+
+    @pytest.mark.parametrize("before,pos", [
+        ("she", "VBZ"), ("Maria", "VBZ"), ("dog", "VBZ"),    # PRP, NNP, NN
+        ("cats", "NNS"), ("his", "NNS"), ("the", "NNS"),     # NNS, PRP$, DT
+    ])
+    def test_s_word_after_each_tag(self, before, pos):
+        tokens = [before, "runs"]
+        assert_matches_oracle(tokens)
+        assert heuristic_tag(tokens)[1].pos == pos
+
+    def test_same_s_word_in_two_contexts(self):
+        for text in ("the runs and he runs", "he runs and the runs",
+                     "Maria walks the walks walks"):
+            assert_matches_oracle(tokenize(text))
+        assert [t.pos for t in heuristic_tag(tokenize("the runs he runs"))] == [
+            "DT", "NNS", "PRP", "VBZ"]
+
+    @pytest.mark.parametrize("text", [
+        "The end", "I did", "n't", "they don't", "3,000 coins", "-2.5 degrees",
+        'She said "yes" (twice).', "\"(x)\"", "((a))", "Élodie smiles",
+        "x y z", "'", "... ?!", "",
+    ])
+    def test_edge_cases_match_oracle(self, text):
+        tokens = tokenize(text)
+        assert tokens == oracle_tokenize(text)
+        assert_matches_oracle(tokens)
+
+    def test_tagging_twice_gives_equal_tokens(self):
+        tokens = tokenize("The dogs barked; she runs, he sleeps and Élodie waits.")
+        first = heuristic_tag(tokens)
+        assert heuristic_tag(tokens) == first
+        assert triples(first) == triples(oracle_heuristic_tag(tokens))
+
+    def test_more_words_than_the_memo_holds(self, monkeypatch):
+        monkeypatch.setattr(annotate, "_tag_memo", {})
+        suffixes = ("s", "ed", "ing", "ly", "ful", "")
+        words = [f"zq{i}x{suffixes[i % len(suffixes)]}"
+                 for i in range(annotate._TAG_MEMO_SIZE + 600)]
+        tokens = ["he", *words, "she", *reversed(words)]
+        expected = triples(oracle_heuristic_tag(tokens))
+        assert triples(heuristic_tag(tokens)) == expected
+        assert len(annotate._tag_memo) == annotate._TAG_MEMO_SIZE
+        assert triples(heuristic_tag(tokens)) == expected
+
+    def test_coarse_class_of_many_tags(self):
+        tags = [f"{prefix}{i}" for prefix in ("NN", "VB", "JJ", "RB", "PR", "X")
+                for i in range(100)]
+        for _ in range(2):
+            assert [coarse_class(t) for t in tags] == [
+                oracle_coarse_class(t) for t in tags]
 
 
 class TestSidecar:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
+from clozebase.annotate import (CoarseClass, SidecarAnnotations, coarse_class,
+                                heuristic_tag, tokenize)
 from clozebase.corpus import RocStory
 from clozebase.datagen import (_place_endings, build_ending_index,
                                consensus_filter, gen_random,
@@ -76,6 +77,22 @@ class TestEndingIndex:
             assert by_id[story.id].lemmas == oracle_lemmas(story.ending)
             assert index.context_lemmas[story.id] == set().union(
                 *(oracle_lemmas(s) for s in story.context))
+
+    def test_sidecar_annotator_builds_the_same_index(self, stories50, index, tmp_path):
+        # the heuristic's tags written out and read back as a sidecar file:
+        # an annotator with no memo and freshly built tokens
+        blocks = [heuristic_tag(tokenize(sentence))
+                  for story in stories50 for sentence in story.sentences]
+        path = tmp_path / "anno.tsv"
+        SidecarAnnotations(blocks).save(path)
+        sidecar = SidecarAnnotations.load(path)
+        assert sidecar.blocks == blocks
+        from_sidecar = build_ending_index(stories50, sidecar)
+        assert from_sidecar == index
+        assert from_sidecar.postings.keys() == index.postings.keys()
+        for lemma, positions in index.postings.items():
+            assert from_sidecar.postings[lemma].tolist() == positions.tolist()
+        assert from_sidecar.id_rank.tolist() == index.id_rank.tolist()
 
 
 def assert_well_formed(instances, stories, k):
