@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -15,6 +17,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError
+
+
+# Bytes read from a word2vec binary file at a time.
+_CHUNK_BYTES = 1 << 20
 
 
 class EmbeddingFormat(enum.Enum):
@@ -26,7 +32,8 @@ class EmbeddingFormat(enum.Enum):
 class EmbeddingTable:
     """Immutable token -> float64 vector map.
 
-    Safe for concurrent read-only access once constructed.
+    Every vector is read-only; a word2vec table's vectors are the rows of one
+    vocab x dim matrix. Safe for concurrent read-only access once constructed.
     """
 
     dim: int
@@ -49,11 +56,12 @@ def make_table(entries: Mapping[str, Iterable[float]], dim: int,
     """Build a table from in-memory data, validating shape and finiteness."""
     store: dict[str, np.ndarray] = {}
     for token, values in entries.items():
-        vec = np.asarray(values, dtype=np.float64)
+        vec = np.array(values, dtype=np.float64)     # a copy: the flag below is ours
         if vec.shape != (dim,):
             raise ValueError(f"vector for {token!r} has shape {vec.shape}, expected ({dim},)")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"vector for {token!r} contains non-finite values")
+        vec.flags.writeable = False
         store[token] = vec
     return EmbeddingTable(dim=dim, entries=store, source_format=source_format)
 
@@ -71,43 +79,94 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
     # Layout: ASCII header "<vocab> <dim>\n", then per record the token bytes
     # terminated by a single space, dim little-endian float32s, and an
     # optional trailing newline.
-    data = path.read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise ParseError(f"{path}: no header line (file is empty or truncated at byte 0)")
-    header = data[:newline].split()
-    if len(header) != 2:
-        raise ParseError(f"{path}: malformed header {data[:newline]!r}")
-    try:
-        vocab_size, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"{path}: malformed header {data[:newline]!r}") from None
-    if vocab_size < 0 or dim <= 0:
-        raise ParseError(f"{path}: malformed header counts vocab={vocab_size} dim={dim}")
-
-    record_bytes = 4 * dim
-    entries: dict[str, np.ndarray] = {}
-    offset = newline + 1
-    for record in range(vocab_size):
-        space = data.find(b" ", offset)
-        if space < 0:
-            raise ParseError(f"{path}: record {record} truncated at byte {offset}")
+    #
+    # The file is read in _CHUNK_BYTES blocks. `buf` holds the unparsed bytes
+    # from absolute offset `base` on; each pass over it parses the complete
+    # records, then copies their vectors into the preallocated matrix in one
+    # widening assignment. A record cut by the block's end waits for the next.
+    with open(path, "rb") as handle:
+        buf = b""
+        while (newline := buf.find(b"\n")) < 0:
+            chunk = handle.read(_CHUNK_BYTES)
+            if not chunk:
+                raise ParseError(f"{path}: no header line (file is empty or truncated at byte 0)")
+            buf += chunk
+        header = buf[:newline].split()
+        if len(header) != 2:
+            raise ParseError(f"{path}: malformed header {buf[:newline]!r}")
         try:
-            token = data[offset:space].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: record {record} token at byte {offset} is not UTF-8") from None
-        vec_start = space + 1
-        if vec_start + record_bytes > len(data):
-            raise ParseError(f"{path}: record {record} vector truncated at byte {vec_start}")
-        vec32 = np.frombuffer(data, dtype="<f4", count=dim, offset=vec_start)
-        if not np.all(np.isfinite(vec32)):
-            raise ParseError(f"{path}: record {record} ({token!r}) has non-finite components")
-        entries[token] = vec32.astype(np.float64)
-        offset = vec_start + record_bytes
-        if offset < len(data) and data[offset:offset + 1] == b"\n":
-            offset += 1
-    if data[offset:].strip():
-        raise ParseError(f"{path}: unexpected trailing data at byte {offset}")
+            vocab_size, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise ParseError(f"{path}: malformed header {buf[:newline]!r}") from None
+        if vocab_size < 0 or dim <= 0:
+            raise ParseError(f"{path}: malformed header counts vocab={vocab_size} dim={dim}")
+
+        # A record takes at least its space and its vector, so no more rows
+        # than this fit in a regular file: a header that claims more (or a
+        # huge dim) ends in a truncation error, not in a huge allocation. A
+        # pipe's size is unknown, so there the header's count is trusted.
+        record_bytes = 4 * dim
+        rows = vocab_size
+        info = os.fstat(handle.fileno())
+        if stat.S_ISREG(info.st_mode):
+            rows = min(rows, (info.st_size - newline - 1) // (record_bytes + 1))
+        matrix = np.empty((rows, dim), dtype=np.float64)
+        tokens: list[str] = []
+        base, pos = 0, newline + 1
+        eof = False
+        while len(tokens) < vocab_size:
+            first = len(tokens)
+            starts: list[int] = []
+            failure = None
+            while len(tokens) < vocab_size:
+                record = len(tokens)
+                space = buf.find(b" ", pos)
+                if space < 0:
+                    if eof:
+                        failure = f"record {record} truncated at byte {base + pos}"
+                    break
+                try:
+                    token = buf[pos:space].decode("utf-8")
+                except UnicodeDecodeError:
+                    failure = f"record {record} token at byte {base + pos} is not UTF-8"
+                    break
+                vec_start, vec_end = space + 1, space + 1 + record_bytes
+                if vec_end >= len(buf) and not eof:
+                    break       # the byte after the vector decides the newline
+                if vec_end > len(buf):
+                    failure = f"record {record} vector truncated at byte {base + vec_start}"
+                    break
+                tokens.append(token)
+                starts.append(vec_start)
+                pos = vec_end + (buf[vec_end:vec_end + 1] == b"\n")
+            # the rows parsed so far come before the failure in the file
+            if starts:
+                view = memoryview(buf)
+                block = np.frombuffer(b"".join([view[s:s + record_bytes] for s in starts]),
+                                      dtype="<f4").reshape(len(starts), dim)
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    bad = first + int(finite.argmin())
+                    raise ParseError(f"{path}: record {bad} ({tokens[bad]!r}) has non-finite components")
+                matrix[first:len(tokens)] = block
+            if failure is not None:
+                raise ParseError(f"{path}: {failure}")
+            if len(tokens) < vocab_size:
+                chunk = handle.read(_CHUNK_BYTES)
+                eof = not chunk
+                base, buf, pos = base + pos, buf[pos:] + chunk, 0
+
+        rest = buf[pos:]
+        while True:
+            if rest.strip():
+                raise ParseError(f"{path}: unexpected trailing data at byte {base + pos}")
+            rest = handle.read(_CHUNK_BYTES)
+            if not rest:
+                break
+    matrix.flags.writeable = False
+    # row views of the matrix; a repeated token keeps its first position and
+    # its last vector, as repeated dict assignment does
+    entries = dict(zip(tokens, matrix))
     return EmbeddingTable(dim=dim, entries=entries, source_format=EmbeddingFormat.WORD2VEC_BINARY)
 
 
@@ -135,6 +194,7 @@ def _load_glove_text(path: Path) -> EmbeddingTable:
                 raise ParseError(f"{path}: line {lineno} has a malformed number") from None
             if not np.all(np.isfinite(vec)):
                 raise ParseError(f"{path}: line {lineno} has non-finite components")
+            vec.flags.writeable = False
             entries[token] = vec
     if dim is None:
         raise ParseError(f"{path}: empty file")

@@ -654,9 +654,9 @@ def train_model(train: Sequence[EmbeddedInstance],
     shuffler = random.Random(f"train:{config.seed}")
     order = list(range(len(train)))
 
+    # epoch 1's accuracy (>= 0) beats -1.0, so best_params is always set
     best_epoch = 0
     best_acc = -1.0
-    best_params = clone_params(params)
     accuracies: list[float] = []
     losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
@@ -676,6 +676,7 @@ def train_model(train: Sequence[EmbeddedInstance],
                 raise ValueError(f"epoch {epoch}, batch {number}: loss or "
                                  f"gradient is not finite (loss {loss})")
             adam_update(params, state, grads, config.learning_rate)
+            del grads           # likewise: one gradient set alive at a time
             epoch_loss += loss
         losses.append(epoch_loss / len(train))
         acc = evaluate_model(dev, params)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -675,6 +676,36 @@ class TestTraining:
         losses = train_model(marked, marked, config).epoch_train_losses
         assert len(losses) == 30
         assert losses[-1] < 0.5 * losses[0]
+
+    def test_epoch_peak_holds_one_model_copy_and_one_gradient_set(self):
+        # The peak of a one-epoch run over two minibatches may hold the
+        # parameters, Adam's two moment sets and one minibatch step (its
+        # cache, gradients and transients), but no idle parameter copy and
+        # no gradients left over from the previous minibatch.
+        d, h = 8, 64
+        train = make_synthetic(8, d, seed=7)
+        config = TrainConfig(hidden_size=h, batch_size=4, epochs=1,
+                             learning_rate=0.001, seed=0, variant=Variant.COMBINED)
+        params = init_params(0, d, h, Variant.COMBINED)
+        param_bytes = sum(a.nbytes for a in tensors(params).values())
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def one_step():
+            _, cache = forward_batch(train[:4], params)
+            backward_batch(cache, [inst.gold for inst in train[:4]])
+
+        step = traced_peak(one_step)
+        peak = traced_peak(lambda: train_model(train, train[:4], config))
+        assert peak <= 3 * param_bytes + step + param_bytes / 2, (
+            (peak - step) / param_bytes)
 
     def test_non_finite_loss_stops_training(self):
         train = make_synthetic(6, 6, seed=900)
