@@ -11,6 +11,8 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .annotate import Annotator, SidecarAnnotations, heuristic_tag
 from .corpus import (augment_swap, gold_labels, parse_cloze_csv,
                      parse_roc_csv, split_dev, write_cloze_csv)
@@ -159,7 +161,8 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
     grid = [float(c) for c in args.c_grid.split(",") if c]
     if not grid:
         raise ValueError("empty C grid")
-    model, report = fit_linear(vectors, labels, layout[0],
+    x = np.stack([v.values for v in vectors])
+    model, report = fit_linear(x, vectors[0].names, labels, layout[0],
                                folds=args.cv_folds, c_grid=grid, seed=args.seed)
     for c, mean, _ in report.grid:
         print(f"C={c:g}: mean fold accuracy {mean:.4f}")

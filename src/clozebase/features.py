@@ -283,10 +283,11 @@ def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
     `extract` gives for that config, to the bit."""
     blocks = frozenset().union(*(CONFIG_BLOCKS[c] for c in configs))
     kept = set().union(*(feature_names(c, table.dim) for c in configs))
-    names = [n for n in feature_names(FeatureConfig.ALL, table.dim) if n in kept]
-    columns = {c: np.flatnonzero(np.isin(names, feature_names(c, table.dim)))
+    index = {name: column for column, name in enumerate(
+        n for n in feature_names(FeatureConfig.ALL, table.dim) if n in kept)}
+    columns = {c: np.array([index[n] for n in feature_names(c, table.dim)])
                for c in configs}
-    matrix = np.empty((len(instances), len(names)))
+    matrix = np.empty((len(instances), len(index)))
     for row, instance in zip(matrix, instances):
         row[:] = _extract_blocks(instance, table, annotator, blocks)
     return matrix, columns
@@ -313,15 +314,20 @@ def fit_scaler(train: Sequence[FeatureVector]) -> Scaler:
     return Scaler(names=names, mins=matrix.min(axis=0), maxs=matrix.max(axis=0))
 
 
-def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
-    """Min-max scale into [0,1]; constant features map to 0; unseen values clamp."""
-    if vector.names != scaler.names:
-        raise ValueError("feature layout does not match the scaler")
+def min_max_scale(scaler: Scaler, values: np.ndarray) -> np.ndarray:
+    """Scale a row, or each row of a matrix, element-wise into [0,1];
+    constant features map to 0; unseen values clamp."""
     span = scaler.maxs - scaler.mins
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = (vector.values - scaler.mins) / span
-    scaled = np.where(span == 0, 0.0, scaled)
-    return FeatureVector(names=vector.names, values=np.clip(scaled, 0.0, 1.0))
+        scaled = (values - scaler.mins) / span
+    return np.clip(np.where(span == 0, 0.0, scaled), 0.0, 1.0)
+
+
+def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
+    """`min_max_scale` of a vector of the scaler's layout."""
+    if vector.names != scaler.names:
+        raise ValueError("feature layout does not match the scaler")
+    return FeatureVector(vector.names, min_max_scale(scaler, vector.values))
 
 
 def save_features(path: str | Path, vectors: Sequence[FeatureVector],

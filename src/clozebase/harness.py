@@ -22,13 +22,12 @@ from .corpus import ClozeInstance, augment_swap, gold_labels
 from .datagen import Predictor
 from .embeddings import EmbeddingTable
 from .errors import ParseError
-from .features import (FeatureConfig, FeatureVector, apply_scaler,
-                       config_for_layout, extract, extract_matrix,
-                       feature_names, fit_scaler)
+from .features import (FeatureConfig, Scaler, config_for_layout,
+                       extract_matrix, feature_names, min_max_scale)
 from .linear import (DEFAULT_C_GRID, MODEL_HEADERS, CvReport, LinearModel,
-                     cv_tune_c, load_model, predict, train_logreg)
-from .neural import (ModelParams, TrainConfig, TrainResult, embed_instance,
-                     load_checkpoint, predict_labels, train_model)
+                     cv_tune_c, load_model, predict_rows, train_logreg)
+from .neural import (ModelParams, TrainConfig, TrainResult, chunked_labels,
+                     embed_instance, load_checkpoint, predict_labels, train_model)
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,17 @@ def load_ablation_report(path: str | Path) -> AblationReport:
     return AblationReport(configs=configs, rows=rows)
 
 
-def fit_linear(vectors: Sequence[FeatureVector], labels: Sequence[int],
+def fit_linear(x: np.ndarray, names: Sequence[str], labels: Sequence[int],
                config: FeatureConfig, folds: int = 5,
                c_grid: Sequence[float] = DEFAULT_C_GRID,
                seed: int = 0) -> tuple[LinearModel, CvReport]:
-    """Fit the scaler, tune C by cross-validation, retrain on everything."""
-    scaler = fit_scaler(vectors)
-    x = np.stack([apply_scaler(scaler, v).values for v in vectors])
+    """Min-max scale raw `x`, tune C by cross-validation, retrain on all."""
+    if len(x) == 0:
+        raise ValueError("cannot fit a linear model on an empty training set")
+    scaler = Scaler(tuple(names), x.min(axis=0), x.max(axis=0))
+    x = min_max_scale(scaler, x)
     report = cv_tune_c(x, labels, folds=folds, grid=c_grid, seed=seed)
-    model = train_logreg(x, labels, report.best_c, names=vectors[0].names,
+    model = train_logreg(x, labels, report.best_c, names=scaler.names,
                          config=config, scaler=scaler)
     return model, report
 
@@ -117,12 +118,12 @@ def train_linear_cell(train: Sequence[ClozeInstance], table: EmbeddingTable,
                       config: FeatureConfig, annotator: Annotator | None,
                       folds: int = 5,
                       c_grid: Sequence[float] = DEFAULT_C_GRID,
-                      seed: int = 0, augment: bool = True) -> LinearModel:
-    """Swap-augment, extract, then `fit_linear`."""
-    instances = augment_swap(train) if augment else list(train)
-    vectors = [extract(inst, table, annotator, config) for inst in instances]
-    return fit_linear(vectors, gold_labels(instances), config, folds=folds,
-                      c_grid=c_grid, seed=seed)[0]
+                      seed: int = 0) -> LinearModel:
+    """Swap-augment, `extract_matrix`, then `fit_linear`."""
+    instances = augment_swap(train)
+    return fit_linear(extract_matrix(instances, table, annotator, [config])[0],
+                      feature_names(config, table.dim), gold_labels(instances),
+                      config, folds=folds, c_grid=c_grid, seed=seed)[0]
 
 
 def evaluate_linear(model: LinearModel, test: Sequence[ClozeInstance],
@@ -148,14 +149,12 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
         x_test = extract_matrix(test, table, annotator, configs)[0]
         rows[name] = {}
         for config in configs:
-            names = feature_names(config, table.dim)
-            vectors = [FeatureVector(names, values)
-                       for values in x_train[:, columns[config]]]
-            model = fit_linear(vectors, labels, config, folds=folds,
-                               c_grid=c_grid, seed=seed)[0]
-            predictions = [predict(model, FeatureVector(names, values))[0]
-                           for values in x_test[:, columns[config]]]
-            rows[name][config] = accuracy(predictions, gold).accuracy
+            model = fit_linear(x_train[:, columns[config]],
+                               feature_names(config, table.dim), labels,
+                               config, folds=folds, c_grid=c_grid,
+                               seed=seed)[0]
+            predictions = predict_rows(model, x_test[:, columns[config]])
+            rows[name][config] = accuracy(predictions.tolist(), gold).accuracy
     return AblationReport(configs=tuple(configs), rows=rows)
 
 
@@ -221,7 +220,7 @@ def save_neural_report(path: str | Path,
 
 def linear_predictor(model: LinearModel, table: EmbeddingTable,
                      annotator: Annotator | None = None) -> Predictor:
-    """Label instances one `extract` + `predict` at a time."""
+    """Label instances in chunks, one feature matrix per chunk."""
     if model.config is None:
         raise ValueError("model carries no feature configuration")
     layout = config_for_layout(model.names)
@@ -229,9 +228,9 @@ def linear_predictor(model: LinearModel, table: EmbeddingTable,
         raise ValueError(f"linear model (config {model.config.value}) expects "
                          f"{layout[1]}-d embeddings; the table is {table.dim}-d")
 
-    return lambda instances: [
-        predict(model, extract(inst, table, annotator, model.config))[0]
-        for inst in instances]
+    return lambda instances: chunked_labels(instances, lambda chunk: (
+        predict_rows(model, extract_matrix(chunk, table, annotator,
+                                           [model.config])[0])))
 
 
 def neural_predictor(params: ModelParams, table: EmbeddingTable) -> Predictor:

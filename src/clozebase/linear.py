@@ -6,8 +6,8 @@ Objective (label 2 is the positive class, mapped to +1):
 
 The intercept is unregularized. The solver is limited-memory BFGS with an
 Armijo backtracking line search. It stops, converged, when the gradient
-infinity-norm falls to `tol` times its value at the start (or times 1 if that
-was smaller), or when FLAT_ITERS accepted steps in a row each lower the
+infinity-norm falls to GRAD_TOL times its value at the start (or times 1 if
+that was smaller), or when FLAT_ITERS accepted steps in a row each lower the
 objective by no more than FLAT_RTOL relative to its size: the objective
 grows with C * n, so an absolute gradient bound is out of reach at large C.
 C is tuned by seeded k-fold cross-validation.
@@ -23,11 +23,12 @@ import numpy as np
 
 from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, Scaler, apply_scaler,
-                       config_for_layout)
+                       config_for_layout, min_max_scale)
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
 GRAD_TOL = 1e-9
 MAX_ITER = 1000
+LBFGS_MEMORY = 10           # (s, y) pairs the two-loop recursion keeps
 # An accepted step is flat when it lowers f by at most
 # FLAT_RTOL * max(|f_prev|, |f|, 1); FLAT_ITERS flat steps in a row end a solve.
 FLAT_RTOL = 10.0 * float(np.finfo(np.float64).eps)
@@ -93,8 +94,7 @@ class SolveResult:
 
 
 def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                   x0: np.ndarray, tol: float = GRAD_TOL,
-                   max_iter: int = MAX_ITER, memory: int = 10) -> SolveResult:
+                   x0: np.ndarray, max_iter: int = MAX_ITER) -> SolveResult:
     """Limited-memory BFGS with Armijo backtracking (halving) line search.
 
     Converged means the relative gradient test or the flat-objective test
@@ -105,7 +105,7 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x = np.asarray(x0, dtype=np.float64).copy()
     value, grad = fun_grad(x)
     history = [value]
-    grad_bound = tol * max(1.0, float(np.abs(grad).max()))
+    grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
     flat = 0
@@ -157,7 +157,7 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         if float(s @ y) > 1e-12:
             s_list.append(s)
             y_list.append(y)
-            if len(s_list) > memory:
+            if len(s_list) > LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         scale = max(abs(value), abs(new_value), 1.0)
@@ -206,7 +206,8 @@ def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
 
 
 def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, float]:
-    """Label in {1,2} and p = P(label 2). Applies the model's scaler if present."""
+    """Label in {1,2} and p = P(label 2). A FeatureVector must have the
+    model's layout and gets its scaler, if any; an ndarray is used as given."""
     if isinstance(v, FeatureVector):
         if v.names != model.names:
             raise ValueError("feature layout does not match the model")
@@ -222,6 +223,13 @@ def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, flo
     return (2 if p >= 0.5 else 1), p
 
 
+def predict_rows(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """The labels `predict` gives the rows of a raw matrix as FeatureVectors."""
+    if model.scaler is not None:
+        x = min_max_scale(model.scaler, x)
+    return np.where(sigmoid(x @ model.weights + model.intercept) >= 0.5, 2, 1)
+
+
 @dataclass(frozen=True)
 class CvReport:
     grid: tuple[tuple[float, float, tuple[float, ...]], ...]
@@ -233,10 +241,7 @@ class CvReport:
 def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
               grid: Sequence[float], seed: int) -> CvReport:
     """Seeded shuffle, contiguous folds; mean held-out accuracy per C.
-
-    A fold is scored as `predict` scores one row: sigmoid(x @ w + b) >= 0.5
-    picks label 2.
-    """
+    A fold is scored by `predict_rows`; fold models carry no scaler."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if not grid:
@@ -260,8 +265,7 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
             held = set(held_out)
             train_idx = [i for i in order if i not in held]
             model = train_logreg(x[train_idx], y[train_idx], c)
-            p = sigmoid(x[held_out] @ model.weights + model.intercept)
-            labels = np.where(p >= 0.5, 2, 1)
+            labels = predict_rows(model, x[held_out])
             fold_accs.append(int(np.count_nonzero(labels == y[held_out]))
                              / len(held_out))
             fold_solves.append((model.iterations, model.converged))

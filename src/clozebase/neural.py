@@ -27,6 +27,7 @@ with bias correction and is bitwise reproducible under a fixed seed.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import itertools
 import json
@@ -34,7 +35,7 @@ import random
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import ParseError
 from .linear import sigmoid
 
 MAX_SEQUENCE_TOKENS = 128
-# Instances per forward pass when evaluating; bounds the memory of the caches.
+# Instances per evaluation chunk; bounds a forward pass's or feature matrix's memory.
 EVAL_BATCH_SIZE = 16
 
 ADAM_BETA1 = 0.9
@@ -154,15 +155,7 @@ def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    lstm = LstmParams(params.lstm.w_x.copy(), params.lstm.w_h.copy(),
-                      params.lstm.b.copy())
-    attention = None
-    if params.attention is not None:
-        attention = AttentionParams(*(getattr(params.attention, f).copy()
-                                      for f in ("w_y", "w_h", "w", "w_p", "w_x")))
-    head = ClassifierHead(params.head.w_out.copy(), params.head.b_out.copy())
-    return ModelParams(lstm=lstm, attention=attention, head=head,
-                       variant=params.variant)
+    return copy.deepcopy(params)
 
 
 def _split_gates(z: np.ndarray, h: int) -> list[np.ndarray]:
@@ -308,11 +301,10 @@ class EmbeddedInstance:
     gold: int | None
 
 
-def embed_tokens(tokens: Sequence[str], table: EmbeddingTable,
-                 max_tokens: int = MAX_SEQUENCE_TOKENS) -> np.ndarray:
-    """One row per token; an empty sequence reads as one all-OOV token."""
+def embed_tokens(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
+    """A row per token, at most MAX_SEQUENCE_TOKENS; none reads as one OOV row."""
     rows = []
-    for token in tokens[:max_tokens]:
+    for token in tokens[:MAX_SEQUENCE_TOKENS]:
         vec = lookup(table, token)
         rows.append(np.zeros(table.dim) if vec is None else vec)
     if not rows:
@@ -320,14 +312,14 @@ def embed_tokens(tokens: Sequence[str], table: EmbeddingTable,
     return np.stack(rows)
 
 
-def embed_instance(instance: ClozeInstance, table: EmbeddingTable,
-                   max_tokens: int = MAX_SEQUENCE_TOKENS) -> EmbeddedInstance:
+def embed_instance(instance: ClozeInstance,
+                   table: EmbeddingTable) -> EmbeddedInstance:
     story_tokens = [tok for s in instance.context for tok in tokenize(s)]
     return EmbeddedInstance(
         id=instance.id,
-        story=embed_tokens(story_tokens, table, max_tokens),
-        ending1=embed_tokens(tokenize(instance.ending1), table, max_tokens),
-        ending2=embed_tokens(tokenize(instance.ending2), table, max_tokens),
+        story=embed_tokens(story_tokens, table),
+        ending1=embed_tokens(tokenize(instance.ending1), table),
+        ending2=embed_tokens(tokenize(instance.ending2), table),
         gold=instance.gold,
     )
 
@@ -620,13 +612,19 @@ def predict_neural(inst: EmbeddedInstance, params: ModelParams) -> tuple[int, np
     return int(np.argmax(probs)) + 1, probs
 
 
+def chunked_labels(instances: Iterable,
+                   label: Callable[[list], Iterable[int]]) -> list[int]:
+    """`label` over chunks of EVAL_BATCH_SIZE, reading one chunk at a time."""
+    stream = iter(instances)
+    chunks = iter(lambda: list(itertools.islice(stream, EVAL_BATCH_SIZE)), [])
+    return [int(k) for chunk in chunks for k in label(chunk)]
+
+
 def predict_labels(instances: Iterable[EmbeddedInstance],
                    params: ModelParams) -> list[int]:
     """Labels in chunks of EVAL_BATCH_SIZE, reading one chunk at a time."""
-    stream = iter(instances)
-    chunks = iter(lambda: list(itertools.islice(stream, EVAL_BATCH_SIZE)), [])
-    return [int(k) + 1 for chunk in chunks
-            for k in np.argmax(forward_batch(chunk, params)[0], axis=1)]
+    return chunked_labels(instances, lambda chunk: np.argmax(
+        forward_batch(chunk, params)[0], axis=1) + 1)
 
 
 def evaluate_model(instances: Sequence[EmbeddedInstance],

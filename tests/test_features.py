@@ -15,7 +15,8 @@ from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
                                 aligned_sim, apply_scaler, config_for_layout,
                                 extract, extract_matrix, feature_names,
                                 fit_scaler, load_features, max_sim_topn,
-                                pos_sims, save_features, sim_story_ending)
+                                min_max_scale, pos_sims, save_features,
+                                sim_story_ending)
 
 from conftest import VOCAB, make_instances
 
@@ -653,6 +654,15 @@ class TestScaler:
         scaler = fit_scaler([self.vec([1.0, 2.0])])
         with pytest.raises(ValueError, match="layout"):
             apply_scaler(scaler, self.vec([1.0, 2.0], names=("x", "y")))
+
+    def test_matrix_rows_equal_vectors_scaled_one_by_one(self, table,
+                                                          instances50):
+        vectors = [extract(i, table, heuristic_tag, FeatureConfig.ALL)
+                   for i in instances50]
+        scaler = fit_scaler(vectors[:30])
+        matrix = min_max_scale(scaler, np.stack([v.values for v in vectors]))
+        assert matrix.tobytes() == np.stack(
+            [apply_scaler(scaler, v).values for v in vectors]).tobytes()
 
     def test_scaled_features_stay_in_unit_interval(self, table, instances50):
         vectors = [extract(i, table, heuristic_tag, FeatureConfig.ALL)

@@ -12,7 +12,8 @@ import clozebase.harness as harness_module
 from clozebase.annotate import heuristic_tag
 from clozebase.errors import ParseError
 from clozebase.corpus import augment_swap
-from clozebase.features import FeatureConfig, extract
+from clozebase.features import (FeatureConfig, apply_scaler, extract,
+                                feature_names, fit_scaler)
 from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
                                evaluate_linear, fit_linear, linear_predictor,
                                load_ablation_report, load_predictor,
@@ -21,10 +22,12 @@ from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
                                run_neural_comparison, save_ablation_report,
                                save_neural_report, train_linear_cell,
                                train_lstm_cell)
-from clozebase.linear import predict, save_model
-from clozebase.neural import (GATES, TrainConfig, Variant, embed_instance,
-                              evaluate_model, init_params, predict_neural,
-                              save_checkpoint, tensors, train_model)
+from clozebase.linear import (DEFAULT_C_GRID, cv_tune_c, predict, save_model,
+                              train_logreg)
+from clozebase.neural import (EVAL_BATCH_SIZE, GATES, TrainConfig, Variant,
+                              embed_instance, evaluate_model, init_params,
+                              predict_neural, save_checkpoint, tensors,
+                              train_model)
 
 from conftest import build_table, make_instances
 
@@ -130,8 +133,8 @@ class TestLinearCell:
         assert result.n == 10
 
     def test_swap_augmentation_doubles_training(self, table):
-        # with augment=False and a label-1-only training set, the model can
-        # only ever have seen one class; augmentation restores both.
+        # a label-1-only training set holds one class; augmentation
+        # restores both.
         train = [inst for inst in make_instances(30, seed=42) if inst.gold == 1]
         assert len(train) >= 5
         model = train_linear_cell(train, table, FeatureConfig.ENDINGS_ONLY,
@@ -171,7 +174,9 @@ class TestLinearCell:
         instances = augment_swap(train)
         vectors = [extract(i, table, heuristic_tag, FeatureConfig.SIMS_ONLY)
                    for i in instances]
-        model, report = fit_linear(vectors, [i.gold for i in instances],
+        x = np.stack([v.values for v in vectors])
+        model, report = fit_linear(x, vectors[0].names,
+                                   [i.gold for i in instances],
                                    FeatureConfig.SIMS_ONLY, folds=3, seed=2)
         np.testing.assert_array_equal(model.weights, cell.weights)
         assert model.intercept == cell.intercept
@@ -179,6 +184,35 @@ class TestLinearCell:
         assert model.converged is cell.converged is True
         assert all(converged for per_fold in report.solves
                    for _, converged in per_fold)
+
+    @pytest.mark.parametrize("config", [FeatureConfig.ALL,
+                                        FeatureConfig.SIMS_ONLY,
+                                        FeatureConfig.ENDINGS_ONLY])
+    def test_cell_is_the_per_row_pipeline(self, table, config):
+        """The fit before it took a matrix: extract, fit the scaler and
+        scale one vector at a time, then tune C and retrain."""
+        train = make_instances(16, seed=49)
+        cell = train_linear_cell(train, table, config, heuristic_tag,
+                                 folds=3, seed=5)
+        instances = augment_swap(train)
+        labels = [i.gold for i in instances]
+        vectors = [extract(i, table, heuristic_tag, config) for i in instances]
+        scaler = fit_scaler(vectors)
+        x = np.stack([apply_scaler(scaler, v).values for v in vectors])
+        c = cv_tune_c(x, labels, folds=3, grid=DEFAULT_C_GRID, seed=5).best_c
+        want = train_logreg(x, labels, c, names=vectors[0].names,
+                            config=config, scaler=scaler)
+        assert cell.weights.tobytes() == want.weights.tobytes()
+        assert (cell.intercept, cell.c, cell.names) == (want.intercept,
+                                                        want.c, want.names)
+        assert cell.scaler.mins.tobytes() == want.scaler.mins.tobytes()
+        assert cell.scaler.maxs.tobytes() == want.scaler.maxs.tobytes()
+
+    def test_fit_linear_rejects_an_empty_matrix(self):
+        names = feature_names(FeatureConfig.SIMS_ONLY, 0)
+        with pytest.raises(ValueError, match="empty training set"):
+            fit_linear(np.empty((0, len(names))), names, [],
+                       FeatureConfig.SIMS_ONLY)
 
 
 class TestRunAblation:
@@ -340,6 +374,39 @@ class TestPredictors:
         assert labels == one_at_a_time(model, test, table)
         assert set(labels) <= {1, 2}
         assert predictor([]) == []
+
+    @pytest.mark.parametrize("dim", [16, 300])
+    @pytest.mark.parametrize("config", list(FeatureConfig))
+    def test_linear_predictor_is_per_row_predict(self, dim, config):
+        table = build_table(dim=dim, seed=2017)
+        model = train_linear_cell(make_instances(12, seed=78), table, config,
+                                  heuristic_tag, folds=2, c_grid=(0.1, 10.0))
+        unlabeled = make_instances(20, seed=79, labeled=False)
+        test = unlabeled + [
+            replace(unlabeled[0], id="empty-ending", ending2=""),
+            replace(unlabeled[1], id="oov-story",
+                    context=("zzqx1 zzqx2.", "zzqx3.", "zzqx4 zzqx5.", "zzqx6.")),
+            *make_instances(4, seed=80)]
+        labels = linear_predictor(model, table, heuristic_tag)(test)
+        assert labels == one_at_a_time(model, test, table)
+
+    def test_linear_predictor_reads_one_chunk_at_a_time(self, table,
+                                                        monkeypatch):
+        model = train_linear_cell(make_instances(12, seed=81), table,
+                                  FeatureConfig.ALL, heuristic_tag, folds=2)
+        test = make_instances(2 * EVAL_BATCH_SIZE + 3, seed=82)
+        want = one_at_a_time(model, test, table)
+        sizes = []
+        real = harness_module.extract_matrix
+
+        def recording(instances, *args):
+            sizes.append(len(instances))
+            return real(instances, *args)
+
+        monkeypatch.setattr(harness_module, "extract_matrix", recording)
+        predictor = linear_predictor(model, table, heuristic_tag)
+        assert predictor(inst for inst in test) == want
+        assert sizes == [EVAL_BATCH_SIZE, EVAL_BATCH_SIZE, 3]
 
     def test_linear_predictor_requires_config(self, table):
         train = make_instances(12, seed=72)

@@ -3,16 +3,17 @@ from __future__ import annotations
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
-                                feature_names, fit_scaler)
+                                feature_names, fit_scaler, min_max_scale)
 from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, cv_tune_c,
                               load_model, logreg_objective, minimize_lbfgs,
-                              predict, save_model, train_logreg)
+                              predict, predict_rows, save_model, train_logreg)
 
 
 def random_problem(rng, n=20, d=8):
@@ -334,6 +335,35 @@ class TestPredict:
         vector = FeatureVector(names=("other",), values=np.zeros(1))
         with pytest.raises(ValueError, match="layout"):
             predict(model, vector)
+
+    def scaled_model(self):
+        """A model trained on min-max scaled rows, carrying its scaler."""
+        x, y = random_problem(np.random.default_rng(14), n=30, d=3)
+        x = 3.0 * x + 1.0
+        names = tuple(f"x{i}" for i in range(3))
+        scaler = Scaler(names, x.min(axis=0), x.max(axis=0))
+        return train_logreg(min_max_scale(scaler, x), y, c=10.0, names=names,
+                            scaler=scaler)
+
+    def test_ndarray_is_used_as_given_by_a_scaled_model(self):
+        model = self.scaled_model()
+        raw = 3.0 * np.random.default_rng(15).standard_normal((40, 3)) + 1.0
+        for row in raw:
+            assert (predict(model, min_max_scale(model.scaler, row))
+                    == predict(model, FeatureVector(model.names, row)))
+        assert predict(model, raw[0]) != predict(model, FeatureVector(
+            model.names, raw[0]))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_predict_rows_is_per_row_predict(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        x = 3.0 * np.random.default_rng(16).standard_normal((60, 3)) + 1.0
+        want = [predict(model, FeatureVector(model.names, row))[0]
+                for row in x]
+        assert predict_rows(model, x).tolist() == want
+        assert len(set(want)) == 2
 
 
 class TestCvTuneC:

@@ -769,7 +769,7 @@ class TestEmbedInstance:
         inst = ClozeInstance(
             id="x", context=(long_sentence, "cat.", "beach.", "ocean."),
             ending1="pizza.", ending2="house.", gold=1)
-        embedded = embed_instance(inst, table, max_tokens=128)
+        embedded = embed_instance(inst, table)
         assert embedded.story.shape == (128, table.dim)
 
     def test_prediction_and_evaluation(self):
