@@ -14,7 +14,7 @@ from .corpus import (ENDING1, ENDING2, ClozeInstance, DevSplit, RocStory,
                      swap_endings, write_cloze_csv, write_roc_csv)
 from .datagen import (EndingIndex, build_ending_index, consensus_filter,
                       gen_random, gen_random_coherent, gen_shared_args)
-from .embeddings import (EmbeddingFormat, EmbeddingTable, centroid, cosine,
+from .embeddings import (EmbeddingFormat, EmbeddingTable, centroid,
                          load_embeddings, lookup, make_table)
 from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, Scaler, aligned_sim,
@@ -32,8 +32,8 @@ from .neural import (AttentionParams, ClassifierHead, EmbeddedInstance,
                      LstmParams, ModelParams, TrainConfig, Variant, attend,
                      backward, backward_batch, embed_instance, encode,
                      evaluate_model, forward, forward_batch, init_params,
-                     load_checkpoint, lstm_step, predict_neural,
-                     save_checkpoint, train_model)
+                     load_checkpoint, predict_neural, save_checkpoint,
+                     train_model)
 
 __version__ = "0.1.0"
 
@@ -45,8 +45,8 @@ __all__ = [
     "swap_endings", "write_cloze_csv", "write_roc_csv",
     "EndingIndex", "build_ending_index", "consensus_filter", "gen_random",
     "gen_random_coherent", "gen_shared_args",
-    "EmbeddingFormat", "EmbeddingTable", "centroid", "cosine",
-    "load_embeddings", "lookup", "make_table",
+    "EmbeddingFormat", "EmbeddingTable", "centroid", "load_embeddings",
+    "lookup", "make_table",
     "ParseError",
     "FeatureConfig", "FeatureVector", "Scaler", "aligned_sim", "apply_scaler",
     "extract", "feature_names", "fit_scaler", "load_features", "max_sim_topn",
@@ -60,7 +60,7 @@ __all__ = [
     "AttentionParams", "ClassifierHead", "EmbeddedInstance", "LstmParams",
     "ModelParams", "TrainConfig", "Variant", "attend", "backward",
     "backward_batch", "embed_instance", "encode", "evaluate_model", "forward",
-    "forward_batch", "init_params", "load_checkpoint", "lstm_step",
-    "predict_neural", "save_checkpoint", "train_model",
+    "forward_batch", "init_params", "load_checkpoint", "predict_neural",
+    "save_checkpoint", "train_model",
     "__version__",
 ]

@@ -20,8 +20,9 @@ from .datagen import (build_ending_index, consensus_filter, gen_random,
                       gen_random_coherent, gen_shared_args)
 from .embeddings import EmbeddingFormat, load_embeddings
 from .errors import ParseError
-from .features import (FeatureConfig, config_for_layout, extract,
-                       load_features, save_features)
+from .features import (FeatureConfig, FeatureVector, config_for_layout,
+                       extract_matrix, feature_names, load_features,
+                       save_features)
 from .harness import (accuracy, fit_linear, load_predictor, run_ablation,
                       save_ablation_report, train_lstm_cell)
 from .linear import DEFAULT_C_GRID, save_model
@@ -147,9 +148,11 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     config = _CONFIGS[args.config]
     annotator = _annotator_arg(args.annotations)
-    vectors = [extract(inst, table, annotator, config) for inst in instances]
+    matrix, columns = extract_matrix(instances, table, annotator, [config])
+    names = feature_names(config, table.dim)
+    vectors = [FeatureVector(names, row) for row in matrix[:, columns[config]]]
     save_features(args.out, vectors, gold_labels(instances))
-    print(f"wrote {len(vectors)} x {len(vectors[0].names)} features to {args.out}")
+    print(f"wrote {len(vectors)} x {len(names)} features to {args.out}")
 
 
 def _cmd_train_linear(args: argparse.Namespace) -> None:

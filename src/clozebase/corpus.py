@@ -65,7 +65,6 @@ class RocStory:
 class DevSplit:
     dev_train: tuple[ClozeInstance, ...]
     dev_dev: tuple[ClozeInstance, ...]
-    seed: int
 
 
 def parse_cloze_csv(path: str | Path) -> list[ClozeInstance]:
@@ -168,7 +167,7 @@ def split_dev(instances: Sequence[ClozeInstance], ratio: float, seed: int) -> De
     order = list(instances)
     random.Random(seed).shuffle(order)
     cut = math.floor(ratio * len(order) + 0.5)
-    return DevSplit(dev_train=tuple(order[:cut]), dev_dev=tuple(order[cut:]), seed=seed)
+    return DevSplit(dev_train=tuple(order[:cut]), dev_dev=tuple(order[cut:]))
 
 
 def gold_labels(instances: Sequence) -> list[int]:

@@ -38,17 +38,16 @@ class EndingEntry:
 class EndingIndex:
     """Per-story ending lemma sets plus an inverted lemma -> entries map.
 
-    `postings` holds the same inverted map as arrays of positions in
+    `by_lemma` holds each lemma's entries as an array of positions in
     `entries`, `position` maps each story id to its entry's position, and
     `id_rank` gives each entry's rank in descending story-id order, so that
     `_top_candidates` ranks with numpy alone.
     """
 
     entries: tuple[EndingEntry, ...]
-    by_lemma: Mapping[str, tuple[EndingEntry, ...]]
     context_lemmas: Mapping[str, frozenset[str]]
     position: Mapping[str, int]
-    postings: Mapping[str, np.ndarray] = field(compare=False, repr=False)
+    by_lemma: Mapping[str, np.ndarray] = field(compare=False, repr=False)
     id_rank: np.ndarray = field(compare=False, repr=False)
 
 
@@ -92,10 +91,9 @@ def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> End
         np.arange(len(entries) - 1, -1, -1))
     return EndingIndex(
         entries=tuple(entries),
-        by_lemma={k: tuple(entries[i] for i in v) for k, v in by_lemma.items()},
         context_lemmas=context_lemmas,
         position=position,
-        postings={k: np.array(v, dtype=np.int64) for k, v in by_lemma.items()},
+        by_lemma={k: np.array(v, dtype=np.int64) for k, v in by_lemma.items()},
         id_rank=id_rank,
     )
 
@@ -145,13 +143,14 @@ def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
     """Positions of the first `limit` other endings in (-overlap, story id)
     order, where overlap counts the lemmas shared with the story's context.
 
-    Scores come from one bincount over the context's postings; the key
-    score * n + id_rank is unique per entry, so the `limit` largest keys,
-    sorted descending, are exactly that order, without sorting all N - 1.
+    Scores come from one bincount over the context lemmas' `by_lemma`
+    arrays; the key score * n + id_rank is unique per entry, so the `limit`
+    largest keys, sorted descending, are exactly that order, without
+    sorting all N - 1.
     """
     n = len(index.entries)
-    hits = [index.postings[lemma] for lemma in index.context_lemmas[story_id]
-            if lemma in index.postings]
+    hits = [index.by_lemma[lemma] for lemma in index.context_lemmas[story_id]
+            if lemma in index.by_lemma]
     score = (np.bincount(np.concatenate(hits), minlength=n) if hits
              else np.zeros(n, dtype=np.int64))
     key = score * n + index.id_rank

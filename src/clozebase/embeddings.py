@@ -38,7 +38,6 @@ class EmbeddingTable:
 
     dim: int
     entries: Mapping[str, np.ndarray]
-    source_format: EmbeddingFormat = EmbeddingFormat.GLOVE_TEXT
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -51,8 +50,7 @@ class EmbeddingTable:
         return token in self.entries
 
 
-def make_table(entries: Mapping[str, Iterable[float]], dim: int,
-               source_format: EmbeddingFormat = EmbeddingFormat.GLOVE_TEXT) -> EmbeddingTable:
+def make_table(entries: Mapping[str, Iterable[float]], dim: int) -> EmbeddingTable:
     """Build a table from in-memory data, validating shape and finiteness."""
     store: dict[str, np.ndarray] = {}
     for token, values in entries.items():
@@ -63,7 +61,7 @@ def make_table(entries: Mapping[str, Iterable[float]], dim: int,
             raise ValueError(f"vector for {token!r} contains non-finite values")
         vec.flags.writeable = False
         store[token] = vec
-    return EmbeddingTable(dim=dim, entries=store, source_format=source_format)
+    return EmbeddingTable(dim=dim, entries=store)
 
 
 def load_embeddings(path: str | Path, format: EmbeddingFormat | str) -> EmbeddingTable:
@@ -167,7 +165,7 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
     # row views of the matrix; a repeated token keeps its first position and
     # its last vector, as repeated dict assignment does
     entries = dict(zip(tokens, matrix))
-    return EmbeddingTable(dim=dim, entries=entries, source_format=EmbeddingFormat.WORD2VEC_BINARY)
+    return EmbeddingTable(dim=dim, entries=entries)
 
 
 def _load_glove_text(path: Path) -> EmbeddingTable:
@@ -198,7 +196,7 @@ def _load_glove_text(path: Path) -> EmbeddingTable:
             entries[token] = vec
     if dim is None:
         raise ParseError(f"{path}: empty file")
-    return EmbeddingTable(dim=dim, entries=entries, source_format=EmbeddingFormat.GLOVE_TEXT)
+    return EmbeddingTable(dim=dim, entries=entries)
 
 
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
@@ -235,18 +233,10 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0.0 when either operand has zero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    return cosine_normed(a, vector_norm(a), b, vector_norm(b))
-
-
 def cosine_normed(a: np.ndarray, norm_a: float, b: np.ndarray,
                   norm_b: float) -> float:
-    """`cosine` of two float64 vectors whose norms are already known.
+    """Cosine similarity of two float64 vectors whose norms are already
+    known; 0.0 when either norm is zero.
 
     `a.dot(b)` is `np.dot(a, b)` without the function dispatch: the same
     product, to the bit.

@@ -140,7 +140,7 @@ def _resolver(table: EmbeddingTable) -> Callable[[str], _Word | None]:
         if token in memo:
             return memo[token]
         vec = lookup(table, token)
-        if vec is not None:     # widened as `cosine` widens; a no-op on float64
+        if vec is not None:     # float64, as `cosine_normed` takes; a no-op on float64
             vec = np.asarray(vec, dtype=np.float64)
         word = memo[token] = None if vec is None else (vec, vector_norm(vec))
         return word

@@ -283,6 +283,13 @@ def _parse_bool(text: str) -> bool:
     return {"true": True, "false": False}[text]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # v2 adds the final solve's diagnostics; a v1 file loads with them set to None
 _DIAGNOSTICS = {"iterations": int, "converged": _parse_bool, "grad_inf": float}
 
@@ -308,43 +315,42 @@ def save_model(path: str | Path, model: LinearModel) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
+    """Read a model file; a bad or non-finite number, or a feature whose max
+    is below its min, is a ParseError naming the line."""
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] not in MODEL_HEADERS:
         raise ParseError(f"{path}: not a linear model file "
                          f"(missing {_MODEL_MAGIC!r} header)")
-    keys = ("config", "c", "intercept")
+    keys = {"config": FeatureConfig, "c": _finite, "intercept": _finite}
     if lines[0] == _MODEL_MAGIC:
-        keys += tuple(_DIAGNOSTICS)
-    meta: dict[str, str] = {}
-    diagnostics: dict[str, object] = {}
+        keys |= _DIAGNOSTICS
+    meta: dict[str, object] = {}
     rows: list[tuple[str, float, float, float]] = []
+
+    def parse(lineno: int, what: str, text: str, kind: Callable) -> object:
+        try:
+            return kind(text)
+        except (KeyError, ValueError):
+            raise ParseError(f"{path}: line {lineno}: bad {what} {text!r}") from None
+
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) == 2 and fields[0] in keys:
-            meta[fields[0]] = fields[1]
-            if fields[0] in _DIAGNOSTICS:
-                try:
-                    diagnostics[fields[0]] = _DIAGNOSTICS[fields[0]](fields[1])
-                except (KeyError, ValueError):
-                    raise ParseError(f"{path}: line {lineno}: bad {fields[0]} "
-                                     f"{fields[1]!r}") from None
+            meta[fields[0]] = parse(lineno, *fields, keys[fields[0]])
         elif len(fields) == 4:
-            try:
-                rows.append((fields[0], float(fields[1]),
-                             float(fields[2]), float(fields[3])))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            weight, lo, hi = (parse(lineno, what, text, _finite) for what, text
+                              in zip(("weight", "min", "max"), fields[1:]))
+            if hi < lo:
+                raise ParseError(f"{path}: line {lineno}: max {hi!r} < min {lo!r}")
+            rows.append((fields[0], weight, lo, hi))
         else:
             raise ParseError(f"{path}: line {lineno}: unrecognized record")
     for key in ("config", "c", "intercept"):
         if key not in meta:
             raise ParseError(f"{path}: missing {key!r} line")
-    try:
-        config = FeatureConfig(meta["config"])
-    except ValueError:
-        raise ParseError(f"{path}: unknown config {meta['config']!r}") from None
+    config = meta["config"]
     names = tuple(r[0] for r in rows)
     layout = config_for_layout(names)
     if layout is None or layout[0] is not config:
@@ -352,12 +358,12 @@ def load_model(path: str | Path) -> LinearModel:
                          f"config {config.value}")
     return LinearModel(
         weights=np.asarray([r[1] for r in rows], dtype=np.float64),
-        intercept=float(meta["intercept"]),
-        c=float(meta["c"]),
+        intercept=meta["intercept"],
+        c=meta["c"],
         names=names,
         config=config,
         scaler=Scaler(names=names,
                       mins=np.asarray([r[2] for r in rows], dtype=np.float64),
                       maxs=np.asarray([r[3] for r in rows], dtype=np.float64)),
-        **diagnostics,
+        **{key: meta[key] for key in _DIAGNOSTICS if key in meta},
     )

@@ -154,10 +154,6 @@ def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
     return ModelParams(lstm=lstm, attention=attention, head=head, variant=variant)
 
 
-def clone_params(params: ModelParams) -> ModelParams:
-    return copy.deepcopy(params)
-
-
 def _split_gates(z: np.ndarray, h: int) -> list[np.ndarray]:
     """Views of the i, f, g, o column blocks of a (rows x 4h) array."""
     return [z[:, k * h:(k + 1) * h] for k in range(len(GATES))]
@@ -232,13 +228,6 @@ def _encode(params: LstmParams, seqs: Sequence[np.ndarray], h0: np.ndarray,
     c_last[order] = c[start[sorted_lengths - 1] + cols]
     return _Encoded(order=order, active=active, start=start, xs=xs, h0=h0,
                     c0=c0, gates=gates, c=c, h=h, h_last=h_last, c_last=c_last)
-
-
-def lstm_step(params: LstmParams, x: np.ndarray, h: np.ndarray,
-              c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the cell: a length-1 `encode`."""
-    _, h_new, c_new = encode(params, x[None], h, c)
-    return h_new, c_new
 
 
 def encode(params: LstmParams, xs: np.ndarray, h0: np.ndarray,
@@ -682,7 +671,7 @@ def train_model(train: Sequence[EmbeddedInstance],
         if acc > best_acc:
             best_acc = acc
             best_epoch = epoch
-            best_params = clone_params(params)
+            best_params = copy.deepcopy(params)
     return TrainResult(params=best_params, best_epoch=best_epoch,
                        best_dev_accuracy=best_acc,
                        epoch_dev_accuracies=tuple(accuracies),
@@ -709,7 +698,8 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint; version 1 gate tensors are stacked in gate order."""
+    """Read a checkpoint; version 1 gate tensors are stacked in gate order.
+    A tensor holding a NaN or an infinity is a ParseError naming it."""
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
@@ -753,4 +743,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                                      f"{stored.shape}, expected "
                                      f"{(rows,) + arr.shape[1:]}")
                 arr[k * rows:(k + 1) * rows] = stored
+                if not np.isfinite(arr[k * rows:(k + 1) * rows]).all():
+                    raise ParseError(f"{path}: tensor {part!r} has non-finite values")
     return params

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from clozebase.corpus import ClozeInstance, RocStory
-from clozebase.embeddings import EmbeddingFormat, make_table
+from clozebase.embeddings import make_table
 
 # 50 tokens spanning all coarse classes under the heuristic tagger.
 VOCAB = (
@@ -33,7 +33,7 @@ EMBED_DIM = 16
 def build_table(dim: int = EMBED_DIM, seed: int = 12345):
     rng = np.random.default_rng(seed)
     entries = {word: rng.standard_normal(dim) for word in VOCAB}
-    return make_table(entries, dim, EmbeddingFormat.GLOVE_TEXT)
+    return make_table(entries, dim)
 
 
 @pytest.fixture(scope="session")

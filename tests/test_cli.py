@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from clozebase.cli import main
-from clozebase.corpus import (ClozeInstance, RocStory, parse_cloze_csv,
-                              split_dev, write_cloze_csv, write_roc_csv)
+from clozebase.annotate import heuristic_tag
+from clozebase.corpus import (ClozeInstance, RocStory, augment_swap,
+                              gold_labels, parse_cloze_csv, split_dev,
+                              write_cloze_csv, write_roc_csv)
 from clozebase.embeddings import EmbeddingFormat, load_embeddings
-from clozebase.features import FeatureConfig, feature_names
+from clozebase.features import (FeatureConfig, extract, feature_names,
+                                save_features)
 from clozebase.harness import train_lstm_cell
 from clozebase.linear import load_model
 from clozebase.neural import TrainConfig, Variant, load_checkpoint, tensors
@@ -116,6 +119,24 @@ class TestLinearPipeline:
         assert "on 20 instances" in out
         acc = float(out.split()[1])
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("config", ["all", "sims-only"])
+    @pytest.mark.parametrize("swap", [[], ["--swap-augment"]])
+    def test_extract_writes_what_per_instance_extract_writes(
+            self, config, swap, data_path, glove_path, tmp_path):
+        out = tmp_path / "features.csv"
+        assert main(["extract", "--data", data_path, "--embeddings", glove_path,
+                     "--format", "glove-txt", "--config", config, *swap,
+                     "--out", str(out)]) == 0
+        instances = parse_cloze_csv(data_path)
+        if swap:
+            instances = augment_swap(instances)
+        table = load_embeddings(glove_path, EmbeddingFormat.GLOVE_TEXT)
+        vectors = [extract(inst, table, heuristic_tag, FeatureConfig(config))
+                   for inst in instances]
+        expected = tmp_path / "expected.csv"
+        save_features(expected, vectors, gold_labels(instances))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_train_linear_reports_the_final_solve(self, data_path, glove_path,
                                                   tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from clozebase.annotate import (CoarseClass, SidecarAnnotations, coarse_class,
@@ -60,7 +61,7 @@ class TestEndingIndex:
             RocStory(id="b", title="", sentences=("s", "s", "s", "s", "A dog slept.")),
         ]
         index = build_ending_index(stories, heuristic_tag)
-        assert {e.story_id for e in index.by_lemma["dog"]} == {"a", "b"}
+        assert {index.entries[i].story_id for i in index.by_lemma["dog"]} == {"a", "b"}
 
     def test_duplicate_id_rejected(self):
         stories = make_stories(3)
@@ -78,6 +79,17 @@ class TestEndingIndex:
             assert index.context_lemmas[story.id] == set().union(
                 *(oracle_lemmas(s) for s in story.context))
 
+    def test_by_lemma_lengths_are_brute_force_counts(self, stories50, index):
+        # perfbench's posting stats read exactly these lengths
+        counts = {}
+        for story in stories50:
+            for lemma in oracle_lemmas(story.ending):
+                counts[lemma] = counts.get(lemma, 0) + 1
+        assert {lemma: len(v) for lemma, v in index.by_lemma.items()} == counts
+        for lemma, positions in index.by_lemma.items():
+            assert positions.dtype == np.int64
+            assert all(lemma in index.entries[i].lemmas for i in positions)
+
     def test_sidecar_annotator_builds_the_same_index(self, stories50, index, tmp_path):
         # the heuristic's tags written out and read back as a sidecar file:
         # an annotator with no memo and freshly built tokens
@@ -89,9 +101,9 @@ class TestEndingIndex:
         assert sidecar.blocks == blocks
         from_sidecar = build_ending_index(stories50, sidecar)
         assert from_sidecar == index
-        assert from_sidecar.postings.keys() == index.postings.keys()
-        for lemma, positions in index.postings.items():
-            assert from_sidecar.postings[lemma].tolist() == positions.tolist()
+        assert list(from_sidecar.by_lemma) == list(index.by_lemma)
+        for lemma, positions in index.by_lemma.items():
+            assert from_sidecar.by_lemma[lemma].tolist() == positions.tolist()
         assert from_sidecar.id_rank.tolist() == index.id_rank.tolist()
 
 
@@ -256,7 +268,7 @@ def oracle_ranked_candidates(story, index):
     ctx = index.context_lemmas[story.id]
     scores: dict[str, int] = {}
     for lemma in ctx:
-        for entry in index.by_lemma.get(lemma, ()):
+        for entry in (index.entries[i] for i in index.by_lemma.get(lemma, ())):
             if entry.story_id != story.id:
                 scores[entry.story_id] = scores.get(entry.story_id, 0) + 1
     ranked = [e for e in index.entries if e.story_id != story.id]

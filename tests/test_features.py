@@ -8,7 +8,7 @@ import pytest
 
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
 from clozebase.corpus import ClozeInstance, swap_endings
-from clozebase.embeddings import EmbeddingFormat, centroid, make_table
+from clozebase.embeddings import centroid, make_table
 from clozebase.errors import ParseError
 from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
                                 Block, FeatureConfig, FeatureVector,
@@ -249,7 +249,7 @@ def wide_table():
     entries = {w: rng.standard_normal(300).astype(np.float32).astype(np.float64)
                for w in words}
     entries["nothing"] = np.zeros(300)
-    return make_table(entries, 300, EmbeddingFormat.WORD2VEC_BINARY)
+    return make_table(entries, 300)
 
 
 def edge_instances():

@@ -523,6 +523,36 @@ class TestModelPersistence:
         with pytest.raises(ParseError, match="line 5"):
             load_model(path)
 
+    @pytest.mark.parametrize("line, record, what, value", [
+        (3, "c\tinf", "c", "inf"),
+        (4, "intercept\tinf", "intercept", "inf"),
+        (4, "intercept\tnan", "intercept", "nan"),
+        (5, "e1_centroid_0\tnan\t0.0\t2.0", "weight", "nan"),
+        (5, "e1_centroid_0\t1.0\t-inf\t2.0", "min", "-inf"),
+        (5, "e1_centroid_0\t1.0\t0.0\tinf", "max", "inf"),
+    ])
+    def test_non_finite_number_names_the_line(self, tmp_path, line, record,
+                                              what, value):
+        lines = ["clozebase linear model v2", "config\tendings-only", "c\t0.5",
+                 "intercept\t0.0", "e1_centroid_0\t1.0\t0.0\t2.0",
+                 "e2_centroid_0\t1.0\t0.0\t2.0"]
+        lines[line - 1] = record
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
+                           f"{line}: bad {what} '{value}'$"):
+            load_model(path)
+
+    def test_max_below_min_names_the_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        "c\t0.5\nintercept\t0.0\n"
+                        "e1_centroid_0\t1.0\t0.0\t2.0\n"
+                        "e2_centroid_0\t1.0\t3.0\t2.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           "line 6: max 2.0 < min 3.0$"):
+            load_model(path)
+
     def test_save_requires_config_and_scaler(self, tmp_path):
         rng = np.random.default_rng(11)
         x, y = random_problem(rng, n=10, d=2)

@@ -2,22 +2,23 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from clozebase import neural
 from clozebase.corpus import ClozeInstance
 from clozebase.errors import ParseError
 from clozebase.neural import (ADAM_EPS, GATES, AttentionParams,
                               EmbeddedInstance, LstmParams, ModelParams,
                               TrainConfig, Variant, adam_init, adam_update,
-                              attend, backward, backward_batch, clone_params,
+                              attend, backward, backward_batch,
                               cross_entropy, embed_instance, embed_tokens,
                               encode, evaluate_model, forward, forward_batch,
-                              init_params, load_checkpoint, lstm_step,
-                              predict_neural, save_checkpoint, tensors,
-                              train_model)
+                              init_params, load_checkpoint, predict_neural,
+                              save_checkpoint, tensors, train_model)
 
 
 def sigmoid(z):
@@ -287,6 +288,27 @@ class TestBatchedCell:
             backward_batch(cache, [1, 2])
 
 
+def lstm_step(params, x, h, c):
+    """One step of the cell: `encode` over a length-1 sequence."""
+    _, h_new, c_new = encode(params, x[None], h, c)
+    return h_new, c_new
+
+
+def scalar_step(params, x, h0, c0):
+    """One step of the cell, one multiply-add at a time."""
+    w = gate_views(params)
+    d, size = len(x), len(h0)
+
+    def pre(gate, j):
+        return (sum(w[f"w_x{gate}"][j, k] * x[k] for k in range(d))
+                + sum(w[f"w_h{gate}"][j, k] * h0[k] for k in range(size))
+                + w[f"b_{gate}"][j])
+    c = [sigmoid(pre("f", j)) * c0[j]
+         + sigmoid(pre("i", j)) * math.tanh(pre("g", j)) for j in range(size)]
+    h = [sigmoid(pre("o", j)) * math.tanh(c[j]) for j in range(size)]
+    return np.array(h), np.array(c)
+
+
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         params = LstmParams(np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
@@ -309,20 +331,9 @@ class TestLstmStep:
         h0 = rng.standard_normal(4) * 0.1
         c0 = rng.standard_normal(4) * 0.1
         h, c = lstm_step(params, x, h0, c0)
-        w = gate_views(params)
-        for j in range(4):
-            ai = sum(w["w_xi"][j, k] * x[k] for k in range(3)) \
-                + sum(w["w_hi"][j, k] * h0[k] for k in range(4)) + w["b_i"][j]
-            af = sum(w["w_xf"][j, k] * x[k] for k in range(3)) \
-                + sum(w["w_hf"][j, k] * h0[k] for k in range(4)) + w["b_f"][j]
-            ag = sum(w["w_xg"][j, k] * x[k] for k in range(3)) \
-                + sum(w["w_hg"][j, k] * h0[k] for k in range(4)) + w["b_g"][j]
-            ao = sum(w["w_xo"][j, k] * x[k] for k in range(3)) \
-                + sum(w["w_ho"][j, k] * h0[k] for k in range(4)) + w["b_o"][j]
-            cj = sigmoid(af) * c0[j] + sigmoid(ai) * math.tanh(ag)
-            hj = sigmoid(ao) * math.tanh(cj)
-            assert c[j] == pytest.approx(cj, abs=1e-12)
-            assert h[j] == pytest.approx(hj, abs=1e-12)
+        h_oracle, c_oracle = scalar_step(params, x, h0, c0)
+        np.testing.assert_allclose(c, c_oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, h_oracle, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         params = init_params(0, 3, 4, Variant.RAW).lstm
@@ -337,10 +348,11 @@ class TestEncode:
         x = rng.standard_normal((1, 3))
         h0, c0 = rng.standard_normal(5) * 0.1, rng.standard_normal(5) * 0.1
         outputs, h_last, c_last = encode(params, x, h0, c0)
-        h_step, c_step = lstm_step(params, x[0], h0, c0)
+        h_step, c_step = scalar_step(params, x[0], h0, c0)
         assert outputs.shape == (1, 5)
-        np.testing.assert_array_equal(h_last, h_step)
-        np.testing.assert_array_equal(c_last, c_step)
+        np.testing.assert_array_equal(outputs[0], h_last)
+        np.testing.assert_allclose(h_last, h_step, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c_last, c_step, rtol=0, atol=1e-12)
 
     def test_chained_equals_concatenated(self):
         rng = np.random.default_rng(4)
@@ -797,12 +809,23 @@ class TestCheckpoint:
             np.testing.assert_array_equal(forward(inst, params)[0],
                                           forward(inst, loaded)[0])
 
-    def test_clone_is_independent(self):
-        params = init_params(28, 4, 5, Variant.RAW)
-        copy = clone_params(params)
-        for name, arr in tensors(copy).items():
-            arr[...] += 1.0
-            assert not np.array_equal(tensors(params)[name], arr), name
+    def test_clone_is_independent(self, monkeypatch):
+        # the best parameters train_model returns share no array with its
+        # live training state
+        live = []
+
+        def recording_init(*args):
+            live.append(init_params(*args))
+            return live[-1]
+        monkeypatch.setattr(neural, "init_params", recording_init)
+        config = TrainConfig(hidden_size=5, batch_size=2, epochs=1,
+                             learning_rate=0.01, seed=28, variant=Variant.RAW)
+        data = make_synthetic(4, 4, seed=28)
+        best = train_model(data, data, config).params
+        assert len(live) == 1 and best is not live[0]
+        for name, arr in tensors(best).items():
+            assert not np.shares_memory(arr, tensors(live[0])[name]), name
+            np.testing.assert_array_equal(arr, tensors(live[0])[name])
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_version_1_per_gate_archive_loads(self, tmp_path, variant):
@@ -851,6 +874,16 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: bad checkpoint metadata "
                                           f"({reason}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_names_the_tensor(self, tmp_path, bad):
+        params = init_params(34, 4, 5, Variant.COMBINED)
+        params.attention.w_y[1, 2] = bad
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, params)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: tensor "
+                           "'att.w_y' has non-finite values$"):
+            load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
