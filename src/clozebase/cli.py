@@ -206,7 +206,7 @@ def _cmd_train_lstm(args: argparse.Namespace) -> None:
 
 
 def _parse_embedding_specs(specs: Sequence[str]):
-    tables = {}
+    sources = {}
     for spec in specs:
         if "=" not in spec:
             raise ValueError(f"embedding spec {spec!r} is not NAME=PATH:FORMAT")
@@ -215,8 +215,10 @@ def _parse_embedding_specs(specs: Sequence[str]):
         if not sep or fmt not in _FORMATS:
             raise ValueError(f"embedding spec {spec!r} needs a format suffix "
                              f"(one of {', '.join(sorted(_FORMATS))})")
-        tables[name] = load_embeddings(path, _FORMATS[fmt])
-    return tables
+        if name in sources:
+            raise ValueError(f"embedding name {name!r} is given twice")
+        sources[name] = (path, _FORMATS[fmt])
+    return {name: load_embeddings(*source) for name, source in sources.items()}
 
 
 def _cmd_ablate(args: argparse.Namespace) -> None:

@@ -28,35 +28,27 @@ _ARGUMENT_CLASSES = (CoarseClass.NOUN, CoarseClass.PRONOUN)
 
 
 @dataclass(frozen=True)
-class EndingEntry:
-    story_id: str
-    ending: str
-    lemmas: frozenset[str]
-
-
-@dataclass(frozen=True)
 class EndingIndex:
-    """Per-story ending lemma sets plus an inverted lemma -> entries map.
+    """Story endings by position plus an inverted lemma -> positions map.
 
-    `by_lemma` holds each lemma's entries as an array of positions in
-    `entries`, `position` maps each story id to its entry's position, and
-    `id_rank` gives each entry's rank in descending story-id order, so that
-    `_top_candidates` ranks with numpy alone.
+    `endings[i]` is the ending of the i-th story the index was built from,
+    `position` maps each story id to that i, `by_lemma` holds each ending
+    lemma's positions as an array, and `id_rank` gives each position's rank
+    in descending story-id order, so that `_top_candidates` ranks with numpy
+    alone.
     """
 
-    entries: tuple[EndingEntry, ...]
+    endings: tuple[str, ...]
     context_lemmas: Mapping[str, frozenset[str]]
     position: Mapping[str, int]
     by_lemma: Mapping[str, np.ndarray] = field(compare=False, repr=False)
     id_rank: np.ndarray = field(compare=False, repr=False)
 
 
-def _argument_lemmas(text: str, annotator: Annotator) -> frozenset[str]:
-    lemmas = set()
-    for token in annotator(tokenize(text)):
-        if coarse_class(token.pos) in _ARGUMENT_CLASSES:
-            lemmas.add(token.lemma.lower())
-    return frozenset(lemmas)
+def _argument_lemmas(texts: Sequence[str], annotator: Annotator) -> frozenset[str]:
+    return frozenset(token.lemma.lower() for text in texts
+                     for token in annotator(tokenize(text))
+                     if coarse_class(token.pos) in _ARGUMENT_CLASSES)
 
 
 def _positions(stories: Sequence[RocStory]) -> dict[str, int]:
@@ -70,27 +62,16 @@ def _positions(stories: Sequence[RocStory]) -> dict[str, int]:
 
 def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> EndingIndex:
     position = _positions(stories)
-    entries = []
     by_lemma: dict[str, list[int]] = {}
     context_lemmas: dict[str, frozenset[str]] = {}
     for i, story in enumerate(stories):
-        entry = EndingEntry(
-            story_id=story.id,
-            ending=story.ending,
-            lemmas=_argument_lemmas(story.ending, annotator),
-        )
-        entries.append(entry)
-        for lemma in entry.lemmas:
+        for lemma in _argument_lemmas((story.ending,), annotator):
             by_lemma.setdefault(lemma, []).append(i)
-        ctx = set()
-        for sentence in story.context:
-            ctx |= _argument_lemmas(sentence, annotator)
-        context_lemmas[story.id] = frozenset(ctx)
-    id_rank = np.empty(len(entries), dtype=np.int64)
-    id_rank[sorted(range(len(entries)), key=lambda i: entries[i].story_id)] = (
-        np.arange(len(entries) - 1, -1, -1))
+        context_lemmas[story.id] = _argument_lemmas(story.context, annotator)
+    id_rank = np.empty(len(stories), dtype=np.int64)
+    id_rank[[position[i] for i in sorted(position, reverse=True)]] = np.arange(len(stories))
     return EndingIndex(
-        entries=tuple(entries),
+        endings=tuple(story.ending for story in stories),
         context_lemmas=context_lemmas,
         position=position,
         by_lemma={k: np.array(v, dtype=np.int64) for k, v in by_lemma.items()},
@@ -98,45 +79,51 @@ def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> End
     )
 
 
-def _place_endings(story: RocStory, wrong: str, j: int, strategy: str,
-                   rng: random.Random) -> ClozeInstance:
-    """Assemble one labeled instance, coin-flipping which slot is correct."""
-    correct_first = rng.random() < 0.5
-    if correct_first:
-        ending1, ending2, gold = story.ending, wrong, ENDING1
-    else:
-        ending1, ending2, gold = wrong, story.ending, ENDING2
-    return ClozeInstance(
-        id=f"{story.id}-{strategy}-{j}",
-        context=story.context,
-        ending1=ending1,
-        ending2=ending2,
-        gold=gold,
-    )
+def _generate(stories: Sequence[RocStory], strategy: str, rng_key: str,
+              wrong: Callable[[int, RocStory, random.Random], list[str]],
+              k: int, pool: int | None = None) -> list[ClozeInstance]:
+    """One instance per wrong ending of each story, numbered from 1.
+
+    Each story gets its own `random.Random` seeded from `rng_key` and its id.
+    `wrong(position, story, rng)` draws on it first; then one coin flip per
+    wrong ending, in order, picks which slot the real ending takes.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if pool is not None and pool < k:
+        raise ValueError(f"pool ({pool}) must be at least k ({k})")
+    if len(stories) < 2:
+        raise ValueError("need at least 2 stories to pick wrong endings")
+    _positions(stories)
+    instances = []
+    for p, story in enumerate(stories):
+        rng = random.Random(f"{rng_key}:{story.id}")
+        for j, ending in enumerate(wrong(p, story, rng), start=1):
+            if rng.random() < 0.5:
+                ending1, ending2, gold = story.ending, ending, ENDING1
+            else:
+                ending1, ending2, gold = ending, story.ending, ENDING2
+            instances.append(ClozeInstance(
+                id=f"{story.id}-{strategy}-{j}", context=story.context,
+                ending1=ending1, ending2=ending2, gold=gold))
+    return instances
 
 
 def gen_random(stories: Sequence[RocStory], k: int, seed: int) -> list[ClozeInstance]:
     """k instances per story with wrong endings sampled uniformly from other stories."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(stories) < 2:
-        raise ValueError("need at least 2 stories to sample wrong endings")
-    _positions(stories)
     # Sampling from range(n - 1) picks what sampling the list of the other
     # n - 1 endings would: random.sample and choice see only the length.
     others = range(len(stories) - 1)
-    instances = []
-    for p, story in enumerate(stories):
-        rng = random.Random(f"random:{seed}:{story.id}")
+
+    def wrong(p: int, story: RocStory, rng: random.Random) -> list[str]:
         if k <= len(others):
             chosen = rng.sample(others, k)
         else:
             chosen = list(others)
             chosen += [rng.choice(others) for _ in range(k - len(others))]
-        for j, i in enumerate(chosen, start=1):
-            wrong = stories[i + (i >= p)].ending   # skip the story's own slot
-            instances.append(_place_endings(story, wrong, j, "random", rng))
-    return instances
+        return [stories[i + (i >= p)].ending for i in chosen]   # skip own slot
+
+    return _generate(stories, "random", f"random:{seed}", wrong, k)
 
 
 def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
@@ -144,11 +131,11 @@ def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
     order, where overlap counts the lemmas shared with the story's context.
 
     Scores come from one bincount over the context lemmas' `by_lemma`
-    arrays; the key score * n + id_rank is unique per entry, so the `limit`
-    largest keys, sorted descending, are exactly that order, without
+    arrays; the key score * n + id_rank is unique per position, so the
+    `limit` largest keys, sorted descending, are exactly that order, without
     sorting all N - 1.
     """
-    n = len(index.entries)
+    n = len(index.endings)
     hits = [index.by_lemma[lemma] for lemma in index.context_lemmas[story_id]
             if lemma in index.by_lemma]
     score = (np.bincount(np.concatenate(hits), minlength=n) if hits
@@ -161,38 +148,22 @@ def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
 
 
 def gen_shared_args(stories: Sequence[RocStory], index: EndingIndex, k: int) -> list[ClozeInstance]:
-    """k instances per story using the top-overlap endings (deterministic choice)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(stories) < 2:
-        raise ValueError("need at least 2 stories to pick wrong endings")
-    instances = []
-    for story in stories:
-        rng = random.Random(f"shared:{story.id}")
-        # When k exceeds the corpus, every available ending is used once.
-        for j, i in enumerate(_top_candidates(story.id, index, k), start=1):
-            wrong = index.entries[i].ending
-            instances.append(_place_endings(story, wrong, j, "shared", rng))
-    return instances
+    """k instances per story using the top-overlap endings (deterministic choice).
+    When k exceeds the corpus, every available ending is used once."""
+    def wrong(p: int, story: RocStory, rng: random.Random) -> list[str]:
+        return [index.endings[i] for i in _top_candidates(story.id, index, k)]
+
+    return _generate(stories, "shared", "shared", wrong, k)
 
 
 def gen_random_coherent(stories: Sequence[RocStory], index: EndingIndex,
                         pool: int, k: int, seed: int) -> list[ClozeInstance]:
     """k instances per story sampled from each story's `pool` best-overlap endings."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if pool < k:
-        raise ValueError(f"pool ({pool}) must be at least k ({k})")
-    if len(stories) < 2:
-        raise ValueError("need at least 2 stories to pick wrong endings")
-    instances = []
-    for story in stories:
-        rng = random.Random(f"coherent:{seed}:{story.id}")
+    def wrong(p: int, story: RocStory, rng: random.Random) -> list[str]:
         top = _top_candidates(story.id, index, pool)
-        for j, i in enumerate(rng.sample(top, min(k, len(top))), start=1):
-            wrong = index.entries[i].ending
-            instances.append(_place_endings(story, wrong, j, "coherent", rng))
-    return instances
+        return [index.endings[i] for i in rng.sample(top, min(k, len(top)))]
+
+    return _generate(stories, "coherent", f"coherent:{seed}", wrong, k, pool)
 
 
 def consensus_filter(instances: Sequence[ClozeInstance],

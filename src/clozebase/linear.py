@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .features import (FeatureConfig, FeatureVector, Scaler, apply_scaler,
+from .features import (FeatureConfig, FeatureVector, Scaler,
                        config_for_layout, min_max_scale)
 
 DEFAULT_C_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
@@ -206,25 +206,25 @@ def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
 
 
 def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, float]:
-    """Label in {1,2} and p = P(label 2). A FeatureVector must have the
-    model's layout and gets its scaler, if any; an ndarray is used as given."""
+    """Label in {1,2} and p = P(label 2) of one raw row: a FeatureVector of
+    the model's layout or an ndarray, scaled by the model's scaler, if any."""
     if isinstance(v, FeatureVector):
         if v.names != model.names:
             raise ValueError("feature layout does not match the model")
-        if model.scaler is not None:
-            v = apply_scaler(model.scaler, v)
         values = v.values
     else:
         values = np.asarray(v, dtype=np.float64)
         if values.shape != model.weights.shape:
             raise ValueError(f"expected {model.weights.shape[0]} features, "
                              f"got {values.shape}")
+    if model.scaler is not None:
+        values = min_max_scale(model.scaler, values)
     p = float(sigmoid(model.weights @ values + model.intercept))
     return (2 if p >= 0.5 else 1), p
 
 
 def predict_rows(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """The labels `predict` gives the rows of a raw matrix as FeatureVectors."""
+    """The labels `predict` gives each row of a raw matrix."""
     if model.scaler is not None:
         x = min_max_scale(model.scaler, x)
     return np.where(sigmoid(x @ model.weights + model.intercept) >= 0.5, 2, 1)

@@ -699,7 +699,8 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint; version 1 gate tensors are stacked in gate order.
-    A tensor holding a NaN or an infinity is a ParseError naming it."""
+    A tensor that is not real numbers, or holds a NaN or an infinity, is a
+    ParseError naming it."""
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
@@ -737,7 +738,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             for k, part in enumerate(parts):
                 if part not in data:
                     raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
-                stored = data[part]
+                try:
+                    stored = data[part]
+                except ValueError:              # an object array needs pickle
+                    stored = np.array(None)
+                if stored.dtype.kind not in "biuf":
+                    raise ParseError(f"{path}: tensor {part!r} holds {stored.dtype} "
+                                     f"values, not real numbers")
                 if stored.shape != (rows,) + arr.shape[1:]:
                     raise ParseError(f"{path}: tensor {part!r} has shape "
                                      f"{stored.shape}, expected "

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from clozebase import cli
 from clozebase.cli import main
 from clozebase.annotate import heuristic_tag
 from clozebase.corpus import (ClozeInstance, RocStory, augment_swap,
@@ -376,6 +377,37 @@ class TestAblate:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_two_names_give_two_rows(self, tmp_path, glove_path, capsys):
+        dev = tmp_path / "dev.csv"
+        write_cloze_csv(dev, make_instances(10, seed=87))
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--dev", str(dev), "--test", str(dev),
+                     "--embeddings", f"toy={glove_path}:glove-txt",
+                     f"again={glove_path}:glove-txt",
+                     "--configs", "sims-only", "--cv-folds", "2",
+                     "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows] == ["embeddings", "toy", "again"]
+        assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
+
+    def test_repeated_name_rejected_before_any_table_loads(
+            self, tmp_path, glove_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda *args: loaded.append(args))
+        dev = tmp_path / "dev.csv"
+        write_cloze_csv(dev, make_instances(4, seed=86))
+        code = main(["ablate", "--dev", str(dev), "--test", str(dev),
+                     "--embeddings", f"toy={glove_path}:glove-txt",
+                     f"other={glove_path}:glove-txt",
+                     f"toy={glove_path}:glove-txt",
+                     "--configs", "endings-only",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "embedding name 'toy' is given twice" in capsys.readouterr().err
+        assert loaded == []
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestFilterConsensus:

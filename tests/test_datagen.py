@@ -7,10 +7,10 @@ import pytest
 
 from clozebase.annotate import (CoarseClass, SidecarAnnotations, coarse_class,
                                 heuristic_tag, tokenize)
-from clozebase.corpus import RocStory
-from clozebase.datagen import (_place_endings, build_ending_index,
-                               consensus_filter, gen_random,
-                               gen_random_coherent, gen_shared_args)
+from clozebase.corpus import ENDING1, ENDING2, ClozeInstance, RocStory
+from clozebase.datagen import (build_ending_index, consensus_filter,
+                               gen_random, gen_random_coherent,
+                               gen_shared_args)
 
 from conftest import make_stories
 
@@ -39,6 +39,12 @@ def oracle_ranking(story, stories):
     return scored
 
 
+def ending_lemmas(index, i):
+    """The lemmas whose posting list holds position i."""
+    return {lemma for lemma, positions in index.by_lemma.items()
+            if i in positions.tolist()}
+
+
 @pytest.fixture(scope="module")
 def index(stories50):
     return build_ending_index(stories50, heuristic_tag)
@@ -51,9 +57,12 @@ class TestEndingIndex:
             RocStory(id="b", title="", sentences=("s", "s", "s", "s", "go quickly now.")),
         ]
         index = build_ending_index(stories, heuristic_tag)
-        by_id = {e.story_id: e for e in index.entries}
-        assert by_id["a"].lemmas == frozenset({"dog"})
-        assert by_id["b"].lemmas == frozenset()
+        assert index.position == {"a": 0, "b": 1}
+        assert index.endings == ("The dog barked.", "go quickly now.")
+        assert {lemma: v.tolist() for lemma, v in index.by_lemma.items()} == {
+            "dog": [0]}
+        assert ending_lemmas(index, 0) == {"dog"}
+        assert ending_lemmas(index, 1) == set()
 
     def test_shared_lemma_retrieves_both(self):
         stories = [
@@ -61,7 +70,7 @@ class TestEndingIndex:
             RocStory(id="b", title="", sentences=("s", "s", "s", "s", "A dog slept.")),
         ]
         index = build_ending_index(stories, heuristic_tag)
-        assert {index.entries[i].story_id for i in index.by_lemma["dog"]} == {"a", "b"}
+        assert {stories[i].id for i in index.by_lemma["dog"]} == {"a", "b"}
 
     def test_duplicate_id_rejected(self):
         stories = make_stories(3)
@@ -73,9 +82,10 @@ class TestEndingIndex:
             gen_random(stories, k=1, seed=0)
 
     def test_lemmas_match_oracle(self, stories50, index):
-        by_id = {e.story_id: e for e in index.entries}
-        for story in stories50:
-            assert by_id[story.id].lemmas == oracle_lemmas(story.ending)
+        assert index.endings == tuple(story.ending for story in stories50)
+        for i, story in enumerate(stories50):
+            assert index.position[story.id] == i
+            assert ending_lemmas(index, i) == oracle_lemmas(story.ending)
             assert index.context_lemmas[story.id] == set().union(
                 *(oracle_lemmas(s) for s in story.context))
 
@@ -88,7 +98,8 @@ class TestEndingIndex:
         assert {lemma: len(v) for lemma, v in index.by_lemma.items()} == counts
         for lemma, positions in index.by_lemma.items():
             assert positions.dtype == np.int64
-            assert all(lemma in index.entries[i].lemmas for i in positions)
+            assert all(lemma in oracle_lemmas(stories50[i].ending)
+                       for i in positions)
 
     def test_sidecar_annotator_builds_the_same_index(self, stories50, index, tmp_path):
         # the heuristic's tags written out and read back as a sidecar file:
@@ -120,6 +131,27 @@ def assert_well_formed(instances, stories, k):
         assert bad != story.ending          # never paired with its own ending
     assert all(count == k for count in per_story.values())
     assert len(per_story) == len(stories)
+
+
+class TestArgumentChecks:
+    """Every generator checks k, then pool, then corpus size, then
+    duplicate ids, before it draws any ending."""
+
+    @pytest.mark.parametrize("stories, k, pool, match", [
+        (make_stories(1) * 2, 0, -1, "k must be"),
+        (make_stories(1) * 2, 2, 1, "pool"),
+        (make_stories(1), 1, 1, "2 stories"),
+        (make_stories(1) * 2, 1, 1, "duplicate story id"),
+    ])
+    def test_order(self, stories, k, pool, match):
+        index = build_ending_index(make_stories(2), heuristic_tag)
+        with pytest.raises(ValueError, match=match):
+            gen_random_coherent(stories, index, pool=pool, k=k, seed=0)
+        if match != "pool":
+            with pytest.raises(ValueError, match=match):
+                gen_shared_args(stories, index, k=k)
+            with pytest.raises(ValueError, match=match):
+                gen_random(stories, k=k, seed=0)
 
 
 class TestGenRandom:
@@ -240,7 +272,25 @@ class TestGenRandomCoherent:
 
 # The generators as they were when each ranking sorted all N - 1 endings and
 # gen_random listed them, kept verbatim as oracles for the numpy ranking and
-# the index-only sampling.
+# the index-only sampling. They share no code with the generators: the
+# placement below is the package's former `_place_endings`, copied verbatim,
+# and the ranking reads story ids from the story list.
+
+def _place_endings(story, wrong, j, strategy, rng):
+    """Assemble one labeled instance, coin-flipping which slot is correct."""
+    correct_first = rng.random() < 0.5
+    if correct_first:
+        ending1, ending2, gold = story.ending, wrong, ENDING1
+    else:
+        ending1, ending2, gold = wrong, story.ending, ENDING2
+    return ClozeInstance(
+        id=f"{story.id}-{strategy}-{j}",
+        context=story.context,
+        ending1=ending1,
+        ending2=ending2,
+        gold=gold,
+    )
+
 
 def oracle_gen_random(stories, k, seed):
     """k instances per story with wrong endings sampled uniformly from other stories."""
@@ -263,16 +313,16 @@ def oracle_gen_random(stories, k, seed):
     return instances
 
 
-def oracle_ranked_candidates(story, index):
-    """All other stories' endings, best lemma overlap first, ties by story id."""
+def oracle_ranked_candidates(story, stories, index):
+    """All other stories, best ending lemma overlap first, ties by story id."""
     ctx = index.context_lemmas[story.id]
     scores: dict[str, int] = {}
     for lemma in ctx:
-        for entry in (index.entries[i] for i in index.by_lemma.get(lemma, ())):
-            if entry.story_id != story.id:
-                scores[entry.story_id] = scores.get(entry.story_id, 0) + 1
-    ranked = [e for e in index.entries if e.story_id != story.id]
-    ranked.sort(key=lambda e: (-scores.get(e.story_id, 0), e.story_id))
+        for other in (stories[i] for i in index.by_lemma.get(lemma, ())):
+            if other.id != story.id:
+                scores[other.id] = scores.get(other.id, 0) + 1
+    ranked = [s for s in stories if s.id != story.id]
+    ranked.sort(key=lambda s: (-scores.get(s.id, 0), s.id))
     return ranked
 
 
@@ -285,7 +335,7 @@ def oracle_gen_shared_args(stories, index, k):
     instances = []
     for story in stories:
         rng = random.Random(f"shared:{story.id}")
-        ranked = oracle_ranked_candidates(story, index)
+        ranked = oracle_ranked_candidates(story, stories, index)
         # When k exceeds the corpus, every available ending is used once.
         chosen = [e.ending for e in ranked[:k]]
         for j, wrong in enumerate(chosen, start=1):
@@ -304,7 +354,7 @@ def oracle_gen_random_coherent(stories, index, pool, k, seed):
     instances = []
     for story in stories:
         rng = random.Random(f"coherent:{seed}:{story.id}")
-        ranked = oracle_ranked_candidates(story, index)[:pool]
+        ranked = oracle_ranked_candidates(story, stories, index)[:pool]
         chosen = [e.ending for e in rng.sample(ranked, min(k, len(ranked)))]
         for j, wrong in enumerate(chosen, start=1):
             instances.append(_place_endings(story, wrong, j, "coherent", rng))

@@ -10,7 +10,8 @@ import pytest
 
 from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
-                                feature_names, fit_scaler, min_max_scale)
+                                apply_scaler, feature_names, fit_scaler,
+                                min_max_scale)
 from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, cv_tune_c,
                               load_model, logreg_objective, minimize_lbfgs,
                               predict, predict_rows, save_model, train_logreg)
@@ -345,14 +346,35 @@ class TestPredict:
         return train_logreg(min_max_scale(scaler, x), y, c=10.0, names=names,
                             scaler=scaler)
 
-    def test_ndarray_is_used_as_given_by_a_scaled_model(self):
+    def test_ndarray_is_a_raw_row_of_a_scaled_model(self):
         model = self.scaled_model()
         raw = 3.0 * np.random.default_rng(15).standard_normal((40, 3)) + 1.0
+        unscaled = replace(model, scaler=None)
         for row in raw:
-            assert (predict(model, min_max_scale(model.scaler, row))
-                    == predict(model, FeatureVector(model.names, row)))
-        assert predict(model, raw[0]) != predict(model, FeatureVector(
-            model.names, raw[0]))
+            assert (predict(model, row)
+                    == predict(model, FeatureVector(model.names, row))
+                    == predict(unscaled, min_max_scale(model.scaler, row)))
+        assert predict(model, raw[0]) != predict(unscaled, raw[0])
+
+    def test_feature_vector_probability_is_the_scaled_dot_product(self):
+        # bit for bit the value of scoring `apply_scaler`'s vector
+        model = self.scaled_model()
+        raw = 3.0 * np.random.default_rng(17).standard_normal((40, 3)) + 1.0
+        for row in raw:
+            scaled = apply_scaler(model.scaler, FeatureVector(model.names, row))
+            z = model.weights @ scaled.values + model.intercept
+            assert (predict(model, FeatureVector(model.names, row))[1]
+                    == float(1.0 / (1.0 + np.exp(-z))))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_ndarray_row_is_its_predict_rows_label(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        x = 3.0 * np.random.default_rng(15).standard_normal((40, 3)) + 1.0
+        for i in range(len(x)):
+            assert predict(model, x[i])[0] == predict_rows(model, x[i:i + 1])[0]
+        assert len({predict(model, row)[0] for row in x}) == 2
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_predict_rows_is_per_row_predict(self, scaled):

@@ -885,6 +885,36 @@ class TestCheckpoint:
                            "'att.w_y' has non-finite values$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad, dtype", [
+        (np.array(["a", "b"]), "<U1"),
+        (np.array([0.5, None], dtype=object), "object"),
+        (np.array([1 + 2j, 3 - 1j]), "complex128"),
+    ])
+    def test_tensor_of_non_real_values_names_the_tensor(self, tmp_path, bad,
+                                                        dtype):
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, init_params(35, 4, 5, Variant.COMBINED))
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["head.b_out"] = bad
+        np.savez(path, **arrays)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: tensor "
+                           f"'head.b_out' holds {dtype} values, not real "
+                           "numbers$"):
+            load_checkpoint(path)
+
+    def test_integer_tensor_loads_as_floats(self, tmp_path):
+        params = init_params(36, 4, 5, Variant.RAW)
+        path = tmp_path / "int.npz"
+        save_checkpoint(path, params)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["head.b_out"] = np.array([3, -1])
+        np.savez(path, **arrays)
+        loaded = load_checkpoint(path)
+        assert loaded.head.b_out.dtype == np.float64
+        assert loaded.head.b_out.tolist() == [3.0, -1.0]
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
