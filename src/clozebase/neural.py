@@ -713,7 +713,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ParseError(f"{path}: not an LSTM checkpoint (no metadata)")
         try:
             meta = json.loads(str(data["__meta__"]))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:           # JSONDecodeError, or an object array
             raise ParseError(f"{path}: bad checkpoint metadata "
                              f"(not JSON: {exc})") from None
         if not isinstance(meta, dict):

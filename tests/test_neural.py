@@ -865,6 +865,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("meta, reason", [
         ('{"version": 2,', "not JSON"),
         ("[1, 2]", "not a JSON object"),
+        (np.array([{"version": 2}], dtype=object), "not JSON"),
     ])
     def test_malformed_metadata_names_the_path(self, tmp_path, meta, reason):
         path = tmp_path / "meta.npz"
