@@ -22,10 +22,9 @@ from .features import (FeatureConfig, FeatureVector, Scaler, aligned_sim,
                        load_features, max_sim_topn, pos_sims, save_features,
                        sim_story_ending)
 from .harness import (AblationReport, EvalResult, accuracy, evaluate_linear,
-                      fit_linear, load_ablation_report, majority_baseline,
-                      run_ablation, run_neural_comparison,
-                      save_ablation_report, train_linear_cell,
-                      train_lstm_cell)
+                      fit_linear, majority_baseline, run_ablation,
+                      run_neural_comparison, save_ablation_report,
+                      train_linear_cell, train_lstm_cell)
 from .linear import (CvReport, LinearModel, cv_tune_c, load_model, predict,
                      save_model, train_logreg)
 from .neural import (AttentionParams, ClassifierHead, EmbeddedInstance,
@@ -52,9 +51,8 @@ __all__ = [
     "extract", "feature_names", "fit_scaler", "load_features", "max_sim_topn",
     "pos_sims", "save_features", "sim_story_ending",
     "AblationReport", "EvalResult", "accuracy", "evaluate_linear",
-    "fit_linear", "load_ablation_report", "majority_baseline", "run_ablation",
-    "run_neural_comparison", "save_ablation_report", "train_linear_cell",
-    "train_lstm_cell",
+    "fit_linear", "majority_baseline", "run_ablation", "run_neural_comparison",
+    "save_ablation_report", "train_linear_cell", "train_lstm_cell",
     "CvReport", "LinearModel", "cv_tune_c", "load_model", "predict",
     "save_model", "train_logreg",
     "AttentionParams", "ClassifierHead", "EmbeddedInstance", "LstmParams",

@@ -310,24 +310,20 @@ class SidecarAnnotations:
     """
 
     def __init__(self, blocks: Sequence[Sequence[AnnotatedToken]]):
-        self.blocks: list[list[AnnotatedToken]] = [list(b) for b in blocks]
         self._by_surface: dict[tuple[str, ...], list[AnnotatedToken]] = {}
-        for block in self.blocks:
+        for block in blocks:
             key = tuple(tok.surface for tok in block)
-            self._by_surface.setdefault(key, block)
+            self._by_surface.setdefault(key, list(block))
 
     @classmethod
     def load(cls, path: str | Path) -> "SidecarAnnotations":
         path = Path(path)
-        blocks: list[list[AnnotatedToken]] = []
-        current: list[AnnotatedToken] = []
+        blocks: list[list[AnnotatedToken]] = [[]]
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:
-                    if current:
-                        blocks.append(current)
-                        current = []
+                    blocks.append([])
                     continue
                 fields = line.split("\t")
                 if len(fields) != 3:
@@ -335,18 +331,8 @@ class SidecarAnnotations:
                 surface, pos, lemma = fields
                 if not surface or not pos:
                     raise ParseError(f"{path}: line {lineno}: empty surface or pos field")
-                current.append(AnnotatedToken(surface=surface, pos=pos, lemma=lemma))
-        if current:
-            blocks.append(current)
-        return cls(blocks)
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for i, block in enumerate(self.blocks):
-                if i:
-                    handle.write("\n")
-                for tok in block:
-                    handle.write(f"{tok.surface}\t{tok.pos}\t{tok.lemma}\n")
+                blocks[-1].append(AnnotatedToken(surface=surface, pos=pos, lemma=lemma))
+        return cls([block for block in blocks if block])
 
     def __call__(self, tokens: Sequence[str]) -> list[AnnotatedToken]:
         block = self._by_surface.get(tuple(tokens))

@@ -162,8 +162,6 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
         raise ParseError(f"{args.features}: feature names are not the layout "
                          "of any configuration")
     grid = [float(c) for c in args.c_grid.split(",") if c]
-    if not grid:
-        raise ValueError("empty C grid")
     x = np.stack([v.values for v in vectors])
     model, report = fit_linear(x, vectors[0].names, labels, layout[0],
                                folds=args.cv_folds, c_grid=grid, seed=args.seed)

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -67,6 +67,24 @@ class DevSplit:
     dev_dev: tuple[ClozeInstance, ...]
 
 
+def _csv_rows(path: Path, widths: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, row) for each row after the mandatory header, whose
+    width must be one of `widths`; every row must have the header's width."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = csv.reader(handle)
+        try:
+            header = next(rows)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, header row required") from None
+        if len(header) not in widths:
+            allowed = " or ".join(map(str, widths))
+            raise ParseError(f"{path}: row 1: expected {allowed} columns in header, got {len(header)}")
+        for rownum, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {rownum}: expected {len(header)} columns, got {len(row)}")
+            yield rownum, row
+
+
 def parse_cloze_csv(path: str | Path) -> list[ClozeInstance]:
     """Parse a Story Cloze CSV: id, 4 context sentences, 2 endings, optional gold column.
 
@@ -74,31 +92,18 @@ def parse_cloze_csv(path: str | Path) -> list[ClozeInstance]:
     gold indicator column (valued 1 or 2) is present.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = csv.reader(handle)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header row required") from None
-        if len(header) not in (7, 8):
-            raise ParseError(f"{path}: row 1: expected 7 or 8 columns in header, got {len(header)}")
-        labeled = len(header) == 8
-        instances: list[ClozeInstance] = []
-        for rownum, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum}: expected {len(header)} columns, got {len(row)}")
-            gold: int | None = None
-            if labeled:
-                if row[7] not in ("1", "2"):
-                    raise ParseError(f"{path}: row {rownum}: gold indicator must be 1 or 2, got {row[7]!r}")
-                gold = int(row[7])
-            instances.append(ClozeInstance(
-                id=row[0],
-                context=(row[1], row[2], row[3], row[4]),
-                ending1=row[5],
-                ending2=row[6],
-                gold=gold,
-            ))
+    instances: list[ClozeInstance] = []
+    for rownum, row in _csv_rows(path, (7, 8)):
+        labeled = len(row) == 8
+        if labeled and row[7] not in ("1", "2"):
+            raise ParseError(f"{path}: row {rownum}: gold indicator must be 1 or 2, got {row[7]!r}")
+        instances.append(ClozeInstance(
+            id=row[0],
+            context=(row[1], row[2], row[3], row[4]),
+            ending1=row[5],
+            ending2=row[6],
+            gold=int(row[7]) if labeled else None,
+        ))
     return instances
 
 
@@ -124,28 +129,18 @@ def write_cloze_csv(path: str | Path, instances: Sequence[ClozeInstance]) -> Non
 def parse_roc_csv(path: str | Path) -> list[RocStory]:
     """Parse a ROC Stories CSV: id, title, 5 sentences; story ids must be unique."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = csv.reader(handle)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header row required") from None
-        if len(header) != 7:
-            raise ParseError(f"{path}: row 1: expected 7 columns in header, got {len(header)}")
-        stories: list[RocStory] = []
-        first_row: dict[str, int] = {}
-        for rownum, row in enumerate(rows, start=2):
-            if len(row) != 7:
-                raise ParseError(f"{path}: row {rownum}: expected 7 columns, got {len(row)}")
-            if row[0] in first_row:
-                raise ParseError(f"{path}: row {rownum}: story id {row[0]!r} "
-                                 f"already used on row {first_row[row[0]]}")
-            first_row[row[0]] = rownum
-            stories.append(RocStory(
-                id=row[0],
-                title=row[1],
-                sentences=(row[2], row[3], row[4], row[5], row[6]),
-            ))
+    stories: list[RocStory] = []
+    first_row: dict[str, int] = {}
+    for rownum, row in _csv_rows(path, (7,)):
+        if row[0] in first_row:
+            raise ParseError(f"{path}: row {rownum}: story id {row[0]!r} "
+                             f"already used on row {first_row[row[0]]}")
+        first_row[row[0]] = rownum
+        stories.append(RocStory(
+            id=row[0],
+            title=row[1],
+            sentences=(row[2], row[3], row[4], row[5], row[6]),
+        ))
     return stories
 
 

@@ -72,33 +72,6 @@ def save_ablation_report(path: str | Path, report: AblationReport) -> None:
             writer.writerow([name] + [repr(row[c]) for c in report.configs])
 
 
-def load_ablation_report(path: str | Path) -> AblationReport:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty report") from None
-        if not header or header[0] != "embeddings":
-            raise ParseError(f"{path}: malformed report header")
-        try:
-            configs = tuple(FeatureConfig(v) for v in header[1:])
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        rows: dict[str, dict[FeatureConfig, float]] = {}
-        for lineno, fields in enumerate(reader, start=2):
-            if len(fields) != len(configs) + 1:
-                raise ParseError(f"{path}: line {lineno}: expected "
-                                 f"{len(configs) + 1} columns, got {len(fields)}")
-            try:
-                rows[fields[0]] = {c: float(v)
-                                   for c, v in zip(configs, fields[1:])}
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return AblationReport(configs=configs, rows=rows)
-
-
 def fit_linear(x: np.ndarray, names: Sequence[str], labels: Sequence[int],
                config: FeatureConfig, folds: int = 5,
                c_grid: Sequence[float] = DEFAULT_C_GRID,
@@ -204,18 +177,6 @@ def run_neural_comparison(dev_train: Sequence[ClozeInstance],
                                    gold).accuracy,
         ))
     return tuple(rows)
-
-
-def save_neural_report(path: str | Path,
-                       rows: Sequence[NeuralComparisonRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["variant", "hidden", "batch", "best_epoch",
-                         "dev_accuracy", "test_accuracy"])
-        for row in rows:
-            writer.writerow([row.config.variant.value, row.config.hidden_size,
-                             row.config.batch_size, row.best_epoch,
-                             repr(row.dev_accuracy), repr(row.test_accuracy)])
 
 
 def linear_predictor(model: LinearModel, table: EmbeddingTable,

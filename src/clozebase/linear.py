@@ -172,6 +172,11 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return result(max_iter, "max_iter")
 
 
+def _check_c(c: float) -> None:
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"C must be a finite positive number, got {c}")
+
+
 def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
                  names: Sequence[str] | None = None,
                  config: FeatureConfig | None = None,
@@ -183,8 +188,7 @@ def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
                          f"{y.shape[0]} labels")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix contains non-finite values")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
+    _check_c(c)
     y_pm = _labels_to_pm(y)
     if len(np.unique(y_pm)) < 2:
         raise ValueError("training data contains a single class")
@@ -245,7 +249,9 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if not grid:
-        raise ValueError("C grid is empty")
+        raise ValueError("empty C grid")
+    for c in grid:
+        _check_c(c)
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     n = x.shape[0]

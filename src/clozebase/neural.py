@@ -585,6 +585,8 @@ class TrainConfig:
                      "learning_rate", "restarts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -724,32 +726,43 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ParseError(f"{path}: unsupported checkpoint version "
                              f"{version!r}")
         try:
-            params = init_params(0, int(meta["input_size"]),
-                                 int(meta["hidden_size"]),
-                                 Variant(meta["variant"]))
-        except (KeyError, ValueError) as exc:
+            d, h = int(meta["input_size"]), int(meta["hidden_size"])
+            variant = Variant(meta["variant"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad checkpoint metadata "
                              f"({type(exc).__name__}: {exc})") from None
+        if min(d, h) <= 0:
+            raise ParseError(f"{path}: bad checkpoint metadata (input_size "
+                             f"{d} and hidden_size {h} must be positive)")
+
+        def stored(part: str, shape: tuple[int, ...]) -> np.ndarray:
+            if part not in data:
+                raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
+            try:
+                arr = data[part]
+            except ValueError:              # an object array needs pickle
+                arr = np.array(None)
+            if arr.dtype.kind not in "biuf":
+                raise ParseError(f"{path}: tensor {part!r} holds {arr.dtype} "
+                                 f"values, not real numbers")
+            if arr.shape != shape:
+                raise ParseError(f"{path}: tensor {part!r} has shape "
+                                 f"{arr.shape}, expected {shape}")
+            return arr
+
+        # init_params allocates from the sizes: check them against the stored
+        # input and recurrent weights first
+        gates, suffix = (1, GATES[0]) if version == 1 else (len(GATES), "")
+        stored(f"lstm.w_x{suffix}", (gates * h, d))
+        stored(f"lstm.w_h{suffix}", (gates * h, h))
+        params = init_params(0, d, h, variant)
         for name, arr in tensors(params).items():
             parts = [name]
             if version == 1 and name in _V1_GATE_TENSORS:
                 parts = [_V1_GATE_TENSORS[name].format(g) for g in GATES]
             rows = arr.shape[0] // len(parts)
             for k, part in enumerate(parts):
-                if part not in data:
-                    raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
-                try:
-                    stored = data[part]
-                except ValueError:              # an object array needs pickle
-                    stored = np.array(None)
-                if stored.dtype.kind not in "biuf":
-                    raise ParseError(f"{path}: tensor {part!r} holds {stored.dtype} "
-                                     f"values, not real numbers")
-                if stored.shape != (rows,) + arr.shape[1:]:
-                    raise ParseError(f"{path}: tensor {part!r} has shape "
-                                     f"{stored.shape}, expected "
-                                     f"{(rows,) + arr.shape[1:]}")
-                arr[k * rows:(k + 1) * rows] = stored
+                arr[k * rows:(k + 1) * rows] = stored(part, (rows,) + arr.shape[1:])
                 if not np.isfinite(arr[k * rows:(k + 1) * rows]).all():
                     raise ParseError(f"{path}: tensor {part!r} has non-finite values")
     return params

@@ -87,3 +87,11 @@ def make_stories(n: int, seed: int = 11) -> list[RocStory]:
 @pytest.fixture(scope="session")
 def stories50():
     return make_stories(50)
+
+
+def write_sidecar(path, blocks) -> None:
+    """Write annotated sentences as an external tagger's sidecar file: one
+    surface<TAB>pos<TAB>lemma line per token, a blank line between sentences."""
+    path.write_text("\n".join(
+        "".join(f"{tok.surface}\t{tok.pos}\t{tok.lemma}\n" for tok in block)
+        for block in blocks), encoding="utf-8")

@@ -15,6 +15,8 @@ from clozebase.annotate import (_COARSE_PREFIXES, _LEXICON, _NUMBER_RE,
                                 heuristic_tag, tokenize)
 from clozebase.errors import ParseError
 
+from conftest import write_sidecar
+
 
 # The plain tokenizer, coarse-class mapping and per-token tagger: the
 # reference the fast path, the cache and the per-word memo must reproduce.
@@ -275,18 +277,31 @@ class TestSidecar:
         path = tmp_path / "anno.tsv"
         self.write_sample(path)
         sidecar = SidecarAnnotations.load(path)
-        assert len(sidecar.blocks) == 2
         annotated = sidecar(["She", "runs"])
         assert annotated == [AnnotatedToken("She", "PRP", "she"),
                              AnnotatedToken("runs", "VBZ", "run")]
+        assert sidecar(["The", "end", "."]) == [
+            AnnotatedToken("The", "DT", "the"),
+            AnnotatedToken("end", "NN", "end"),
+            AnnotatedToken(".", ".", ".")]
 
-    def test_save_round_trip(self, tmp_path):
+    def test_written_format_loads_back(self, tmp_path):
+        blocks = [heuristic_tag(tokenize(sentence))
+                  for sentence in ("She runs.", "The dogs barked loudly.")]
         path = tmp_path / "anno.tsv"
-        self.write_sample(path)
+        write_sidecar(path, blocks)
         sidecar = SidecarAnnotations.load(path)
-        out = tmp_path / "copy.tsv"
-        sidecar.save(out)
-        assert SidecarAnnotations.load(out).blocks == sidecar.blocks
+        for block in blocks:
+            assert sidecar([tok.surface for tok in block]) == block
+
+    def test_repeated_blank_lines_add_no_sentence(self, tmp_path):
+        path = tmp_path / "anno.tsv"
+        path.write_text("\n\nShe\tPRP\tshe\n\n\n\nThe\tDT\tthe\n\n")
+        sidecar = SidecarAnnotations.load(path)
+        assert sidecar(["She"]) == [AnnotatedToken("She", "PRP", "she")]
+        assert sidecar(["The"]) == [AnnotatedToken("The", "DT", "the")]
+        with pytest.raises(ValueError, match="no sidecar annotation"):
+            sidecar([])
 
     def test_missing_sentence_is_named(self, tmp_path):
         path = tmp_path / "anno.tsv"

@@ -176,6 +176,23 @@ class TestLinearPipeline:
         assert code == 1
         assert "error: empty C grid" in capsys.readouterr().err
 
+    def test_nan_c_rejected_and_no_model_written(self, data_path, glove_path,
+                                                 tmp_path, capsys):
+        # before, nan won the CV and the saved model held a C that
+        # load_model refuses
+        features = str(tmp_path / "features.csv")
+        main(["extract", "--data", data_path, "--embeddings", glove_path,
+              "--format", "glove-txt", "--config", "endings-only",
+              "--out", features])
+        capsys.readouterr()
+        model = tmp_path / "m.txt"
+        code = main(["train-linear", "--features", features, "--c-grid", "nan",
+                     "--model-out", str(model)])
+        assert code == 1
+        assert ("error: C must be a finite positive number, got nan"
+                in capsys.readouterr().err)
+        assert not model.exists()
+
     def test_header_only_feature_file_rejected(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         features.write_text("plain_sim_e1,plain_sim_e2\n", encoding="utf-8")

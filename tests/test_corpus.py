@@ -114,6 +114,36 @@ class TestRocCsv:
             parse_roc_csv(path)
 
 
+CLOZE_HEADER = "id,s1,s2,s3,s4,e1,e2"
+ROC_HEADER = "id,title,s1,s2,s3,s4,s5"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cloze_csv, "", "empty file, header row required"),
+    (parse_roc_csv, "", "empty file, header row required"),
+    (parse_cloze_csv, "id,s1,s2\n",
+     "row 1: expected 7 or 8 columns in header, got 3"),
+    (parse_roc_csv, CLOZE_HEADER + ",label\n",
+     "row 1: expected 7 columns in header, got 8"),
+    (parse_cloze_csv, CLOZE_HEADER + ",label\nx,a,b,c,d,e,f\n",
+     "row 2: expected 8 columns, got 7"),
+    (parse_cloze_csv, CLOZE_HEADER + "\nx,a,b,c,d,e,f\ny,a,b,c,d,e,f,1\n",
+     "row 3: expected 7 columns, got 8"),
+    (parse_roc_csv, ROC_HEADER + "\na,t,1,2,3,4,5\nb,t,1\n",
+     "row 3: expected 7 columns, got 3"),
+    (parse_cloze_csv, CLOZE_HEADER + ",label\nx,a,b,c,d,e,f,1\ny,a,b,c,d,e,f,01\n",
+     "row 3: gold indicator must be 1 or 2, got '01'"),
+    (parse_roc_csv, ROC_HEADER + "\na,t,1,2,3,4,5\nb,t,1,2,3,4,5\na,u,1,2,3,4,5\n",
+     "row 4: story id 'a' already used on row 2"),
+])
+def test_parse_error_text(tmp_path, parse, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 class TestSplitDev:
     def test_sizes_round_half_away_from_zero(self):
         instances = make_instances(1871, seed=6)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import collections
+import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +18,10 @@ from clozebase.features import (FeatureConfig, apply_scaler, extract,
                                 feature_names, fit_scaler)
 from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
                                evaluate_linear, fit_linear, linear_predictor,
-                               load_ablation_report, load_predictor,
-                               majority_baseline, neural_predictor,
-                               run_ablation,
+                               load_predictor, majority_baseline,
+                               neural_predictor, run_ablation,
                                run_neural_comparison, save_ablation_report,
-                               save_neural_report, train_linear_cell,
-                               train_lstm_cell)
+                               train_linear_cell, train_lstm_cell)
 from clozebase.linear import (DEFAULT_C_GRID, cv_tune_c, predict, save_model,
                               train_logreg)
 from clozebase.neural import (EVAL_BATCH_SIZE, GATES, TrainConfig, Variant,
@@ -69,6 +69,11 @@ class TestMajorityBaseline:
             majority_baseline([], [1])
 
 
+def read_report(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 class TestAblationReportIo:
     def make_report(self):
         configs = (FeatureConfig.ALL, FeatureConfig.SIMS_ONLY)
@@ -79,45 +84,23 @@ class TestAblationReportIo:
         return AblationReport(configs=configs, rows=rows)
 
     def test_round_trip(self, tmp_path):
+        # one row per table in report order, each cell the repr of its float
         report = self.make_report()
         path = tmp_path / "ablation.csv"
         save_ablation_report(path, report)
-        loaded = load_ablation_report(path)
-        assert loaded.configs == report.configs
-        assert set(loaded.rows) == set(report.rows)
-        for name in report.rows:
-            for config in report.configs:
-                assert loaded.rows[name][config] == report.rows[name][config]
+        header, *rows = read_report(path)
+        assert header == ["embeddings", "all", "sims-only"]
+        assert [row[0] for row in rows] == ["w2v", "glove"]
+        for name, *cells in rows:
+            assert cells == [repr(report.rows[name][c]) for c in report.configs]
+            assert [float(cell) for cell in cells] == [
+                report.rows[name][c] for c in report.configs]
 
     def test_header_names_configs(self, tmp_path):
         path = tmp_path / "ablation.csv"
         save_ablation_report(path, self.make_report())
         header = path.read_text().splitlines()[0]
         assert header == "embeddings,all,sims-only"
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError, match="empty"):
-            load_ablation_report(path)
-
-    def test_unknown_config_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("embeddings,no-such-config\nw2v,0.5\n")
-        with pytest.raises(ParseError):
-            load_ablation_report(path)
-
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("embeddings,all\nw2v,0.5,0.6\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_ablation_report(path)
-
-    def test_non_numeric_cell_rejected(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        path.write_text("embeddings,all\nw2v,not-a-number\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_ablation_report(path)
 
 
 class TestLinearCell:
@@ -214,6 +197,18 @@ class TestLinearCell:
             fit_linear(np.empty((0, len(names))), names, [],
                        FeatureConfig.SIMS_ONLY)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fit_linear_rejects_a_non_finite_c(self, bad):
+        # before, nan won the CV (unconverged solves at theta = 0 scored
+        # 0.5) and the model was saved with a C that load_model refuses
+        names = feature_names(FeatureConfig.ENDINGS_ONLY, 1)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(20, len(names)))
+        with pytest.raises(ValueError, match=f"C must be a finite positive "
+                                             f"number, got {bad}$"):
+            fit_linear(x, names, [1, 2] * 10, FeatureConfig.ENDINGS_ONLY,
+                       folds=2, c_grid=[bad, 1.0])
+
 
 class TestRunAblation:
     def test_grid_shape_and_ranges(self, table, tmp_path):
@@ -229,8 +224,9 @@ class TestRunAblation:
             assert 0.0 <= report.rows["toy"][config] <= 1.0
         path = tmp_path / "report.csv"
         save_ablation_report(path, report)
-        loaded = load_ablation_report(path)
-        assert loaded.rows["toy"] == report.rows["toy"]
+        assert read_report(path) == [
+            ["embeddings", "sims-only", "endings-only"],
+            ["toy"] + [repr(report.rows["toy"][c]) for c in configs]]
 
     def test_multiple_tables(self, table):
         dev = make_instances(10, seed=52)
@@ -291,7 +287,7 @@ class TestTrainLstmCell:
 
 
 class TestNeuralComparison:
-    def test_rows_and_report(self, table, tmp_path):
+    def test_rows_and_report(self, table):
         dev_train = make_instances(8, seed=60)
         dev_dev = make_instances(4, seed=61)
         test = make_instances(4, seed=62)
@@ -304,18 +300,6 @@ class TestNeuralComparison:
             assert 1 <= row.best_epoch <= 2
             assert 0.0 <= row.dev_accuracy <= 1.0
             assert 0.0 <= row.test_accuracy <= 1.0
-        path = tmp_path / "neural.csv"
-        save_neural_report(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("variant,hidden,batch,best_epoch,dev_accuracy,"
-                            "test_accuracy")
-        assert len(lines) == 3
-        assert lines[1].startswith("raw,4,4,")
-        assert lines[2].startswith("att,6,4,")
-        # cells parse back as floats
-        for line in lines[1:]:
-            fields = line.split(",")
-            float(fields[4]), float(fields[5])
 
     def test_deterministic(self, table):
         dev_train = make_instances(6, seed=63)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import clozebase.linear as linear_module
 from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 apply_scaler, feature_names, fit_scaler,
@@ -288,6 +289,12 @@ class TestTrainLogreg:
         with pytest.raises(ValueError, match="C"):
             train_logreg(np.zeros((2, 1)), [1, 2], c=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_c_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"C must be a finite positive "
+                                             f"number, got {bad}$"):
+            train_logreg(np.zeros((2, 1)), [1, 2], c=bad)
+
     def test_model_records_the_solve(self):
         rng = np.random.default_rng(12)
         x, y = random_problem(rng, n=30, d=5)
@@ -463,6 +470,16 @@ class TestCvTuneC:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             cv_tune_c(np.zeros((4, 1)), [1, 2, 1, 2], folds=2, grid=[], seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_c_rejected_before_any_solve(self, bad, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a fold was solved")
+        monkeypatch.setattr(linear_module, "minimize_lbfgs", no_solve)
+        x, y = random_problem(np.random.default_rng(16), n=12)
+        with pytest.raises(ValueError, match=f"C must be a finite positive "
+                                             f"number, got {bad}$"):
+            cv_tune_c(x, y, folds=2, grid=[1.0, bad], seed=0)
 
     def test_default_grid_shape(self):
         assert DEFAULT_C_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)

@@ -11,9 +11,10 @@ import pytest
 from clozebase import neural
 from clozebase.corpus import ClozeInstance
 from clozebase.errors import ParseError
-from clozebase.neural import (ADAM_EPS, GATES, AttentionParams,
-                              EmbeddedInstance, LstmParams, ModelParams,
-                              TrainConfig, Variant, adam_init, adam_update,
+from clozebase.neural import (ADAM_EPS, CHECKPOINT_VERSION, GATES,
+                              AttentionParams, EmbeddedInstance, LstmParams,
+                              ModelParams, TrainConfig, Variant, adam_init,
+                              adam_update,
                               attend, backward, backward_batch,
                               cross_entropy, embed_instance, embed_tokens,
                               encode, evaluate_model, forward, forward_batch,
@@ -665,6 +666,15 @@ class TestTraining:
             TrainConfig(hidden_size=0, batch_size=1, epochs=1,
                         learning_rate=0.001, seed=0, variant=Variant.RAW)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, bad):
+        # a nan rate passed `<= 0`, and one Adam step then left non-finite
+        # weights that load_checkpoint refuses
+        with pytest.raises(ValueError, match=f"learning_rate must be finite, "
+                                             f"got {bad}$"):
+            TrainConfig(hidden_size=4, batch_size=1, epochs=1,
+                        learning_rate=bad, seed=0, variant=Variant.RAW)
+
     def test_empty_sets_rejected(self):
         config = TrainConfig(hidden_size=4, batch_size=2, epochs=1,
                              learning_rate=0.01, seed=0, variant=Variant.RAW)
@@ -862,10 +872,64 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="lstm.w_hg"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version, d, tensor, expected", [
+        (CHECKPOINT_VERSION, 4, "lstm.w_x", "(20, 4), expected (200000, 4)"),
+        (1, 4, "lstm.w_xi", "(5, 4), expected (50000, 4)"),
+        # a stored W_x of (4h x 1) fits the sizes, so W_h must be checked
+        (CHECKPOINT_VERSION, 1, "lstm.w_h",
+         "(20, 5), expected (200000, 50000)"),
+        (1, 1, "lstm.w_hi", "(5, 5), expected (50000, 50000)"),
+    ])
+    def test_sizes_are_checked_before_allocating(self, tmp_path, monkeypatch,
+                                                 version, d, tensor, expected):
+        # hidden_size 50000 would make init_params fill 80 GB for W_h alone
+        h = 50000
+        params = init_params(37, 4, 5, Variant.RAW)
+        arrays = dict(tensors(params))
+        if version == 1:
+            arrays = {name: arr for name, arr in arrays.items()
+                      if not name.startswith("lstm.")}
+            arrays.update((f"lstm.{name}", arr.copy())
+                          for name, arr in gate_views(params.lstm).items())
+        if d == 1:
+            rows = h if version == 1 else len(GATES) * h
+            arrays[tensor.replace("w_h", "w_x")] = np.zeros((rows, 1))
+        meta = {"version": version, "variant": "raw", "input_size": d,
+                "hidden_size": h}
+        path = tmp_path / "big.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, __meta__=np.asarray(json.dumps(meta)), **arrays)
+
+        def no_allocation(*args):
+            raise AssertionError("init_params was called")
+        monkeypatch.setattr(neural, "init_params", no_allocation)
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: tensor '{tensor}' has shape "
+                                  f"{expected}")
+
+    @pytest.mark.parametrize("sizes", [(0, 5), (4, -5)])
+    def test_non_positive_sizes_rejected(self, tmp_path, monkeypatch, sizes):
+        path = tmp_path / "zero.npz"
+        meta = {"version": CHECKPOINT_VERSION, "variant": "raw",
+                "input_size": sizes[0], "hidden_size": sizes[1]}
+        np.savez(path, __meta__=np.asarray(json.dumps(meta)))
+
+        def no_allocation(*args):
+            raise AssertionError("init_params was called")
+        monkeypatch.setattr(neural, "init_params", no_allocation)
+        with pytest.raises(ParseError, match=(
+                f"^{re.escape(str(path))}: bad checkpoint metadata "
+                rf"\(input_size {sizes[0]} and hidden_size {sizes[1]} must "
+                r"be positive\)$")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("meta, reason", [
         ('{"version": 2,', "not JSON"),
         ("[1, 2]", "not a JSON object"),
         (np.array([{"version": 2}], dtype=object), "not JSON"),
+        ('{"version": 2, "variant": "raw", "input_size": 4, '
+         '"hidden_size": null}', "TypeError: int() argument"),
     ])
     def test_malformed_metadata_names_the_path(self, tmp_path, meta, reason):
         path = tmp_path / "meta.npz"

@@ -24,9 +24,8 @@ from clozebase.corpus import parse_cloze_csv, split_dev
 from clozebase.embeddings import EmbeddingFormat, load_embeddings
 from clozebase.features import FeatureConfig
 from clozebase.harness import (evaluate_linear, majority_baseline,
-                               train_linear_cell, train_lstm_cell)
-from clozebase.neural import (TrainConfig, Variant, embed_instance,
-                              evaluate_model)
+                               run_neural_comparison, train_linear_cell)
+from clozebase.neural import TrainConfig, Variant
 
 DEV_CSV = os.environ.get("CLOZEBASE_DEV_CSV")
 TEST_CSV = os.environ.get("CLOZEBASE_TEST_CSV")
@@ -99,17 +98,14 @@ class TestLstm:
     @pytest.fixture(scope="class")
     def results(self, dev, test_set, w2v_table):
         split = split_dev(dev, ratio=0.9, seed=0)
-        emb_test = [embed_instance(i, w2v_table) for i in test_set]
-        out = {}
-        for variant in (Variant.RAW, Variant.ATTENTION):
-            config = TrainConfig(hidden_size=384, batch_size=500, epochs=10,
-                                 learning_rate=0.001, seed=0, variant=variant,
-                                 restarts=5)
-            best, _ = train_lstm_cell(split.dev_train, split.dev_dev,
-                                      w2v_table, config)
-            out[variant] = (best.best_dev_accuracy,
-                            evaluate_model(emb_test, best.params))
-        return out
+        configs = [TrainConfig(hidden_size=384, batch_size=500, epochs=10,
+                               learning_rate=0.001, seed=0, variant=variant,
+                               restarts=5)
+                   for variant in (Variant.RAW, Variant.ATTENTION)]
+        rows = run_neural_comparison(split.dev_train, split.dev_dev,
+                                     test_set, configs, w2v_table)
+        return {row.config.variant: (row.dev_accuracy, row.test_accuracy)
+                for row in rows}
 
     def test_raw_variant(self, results):
         dev_acc, test_acc = results[Variant.RAW]
