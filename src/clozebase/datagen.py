@@ -133,8 +133,10 @@ def _top_candidates(story_id: str, index: EndingIndex, limit: int) -> list[int]:
     Scores come from one bincount over the context lemmas' `by_lemma`
     arrays; the key score * n + id_rank is unique per position, so the
     `limit` largest keys, sorted descending, are exactly that order, without
-    sorting all N - 1.
+    sorting all N - 1. A story the index was not built from is a ValueError.
     """
+    if story_id not in index.position:
+        raise ValueError(f"story {story_id!r} is not in the ending index")
     n = len(index.endings)
     hits = [index.by_lemma[lemma] for lemma in index.context_lemmas[story_id]
             if lemma in index.by_lemma]

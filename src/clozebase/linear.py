@@ -94,12 +94,12 @@ class SolveResult:
 
 
 def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                   x0: np.ndarray, max_iter: int = MAX_ITER) -> SolveResult:
+                   x0: np.ndarray) -> SolveResult:
     """Limited-memory BFGS with Armijo backtracking (halving) line search.
 
     Converged means the relative gradient test or the flat-objective test
     held (module docstring); a line search that finds no decrease or whose
-    accepted point rounds to x, or `max_iter` steps, end the solve
+    accepted point rounds to x, or MAX_ITER steps, end the solve
     unconverged.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -115,7 +115,7 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                            stop in ("gradient", "flat"),
                            float(np.abs(grad).max()), stop)
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if float(np.abs(grad).max()) <= grad_bound:
             return result(iterations - 1, "gradient")
         # two-loop recursion for the search direction
@@ -168,8 +168,8 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         if flat == FLAT_ITERS:
             return result(iterations, "flat")
     if float(np.abs(grad).max()) <= grad_bound:
-        return result(max_iter, "gradient")
-    return result(max_iter, "max_iter")
+        return result(MAX_ITER, "gradient")
+    return result(MAX_ITER, "max_iter")
 
 
 def _check_c(c: float) -> None:

@@ -2,7 +2,7 @@
 
 A single LSTM (shared weights) reads the story, and its final state seeds
 the encoding of each candidate ending. Three representation variants feed
-the softmax head:
+the softmax head; `_REPRESENTATION` defines each variant's o:
 
 * raw      -- o = [e1; e2]                 (final ending hidden states)
 * att      -- o = [h*1; h*2]               (attention over story outputs)
@@ -14,10 +14,12 @@ h* = tanh(W_p r + W_x h_e).
 
 The LSTM's gates are fused: W_x (4h x d), W_h (4h x h) and b (4h) stack the
 rows of the input, forget, cell and output gates, in that order. One cell
-runs a whole minibatch: its sequences are padded into a time-major block
-sorted by length, the input projection of the block is one matrix product,
-each time step is one (B x h)(h x 4h) product over the rows still running,
-and each weight gradient is one product over the stacked gate deltas.
+runs a whole minibatch. Its sequences are sorted by length; their inputs,
+gate activations and cells are packed time-major with no padding, and only
+the outputs h form a padded (T x B x h) block. The input projection is one
+matrix product, each time step is one (B x h)(h x 4h) product over the
+rows still running, and each weight gradient is one product over the
+stacked gate deltas.
 Single-instance calls are batches of one.
 
 Everything is float64 and hand-differentiated; `backward` returns exact
@@ -31,6 +33,7 @@ import copy
 import enum
 import itertools
 import json
+import math
 import random
 import zipfile
 from dataclasses import dataclass
@@ -101,8 +104,13 @@ class ModelParams:
     variant: Variant
 
 
-def representation_width(variant: Variant, hidden_size: int) -> int:
-    return 4 * hidden_size if variant is Variant.COMBINED else 2 * hidden_size
+# Each variant's o as (part, ending) blocks of h columns, in order: part "e"
+# is an ending's final state, "a" its attention readout h*.
+_REPRESENTATION: dict[Variant, tuple[tuple[str, int], ...]] = {
+    Variant.RAW: (("e", 0), ("e", 1)),
+    Variant.ATTENTION: (("a", 0), ("a", 1)),
+    Variant.COMBINED: (("e", 0), ("a", 0), ("e", 1), ("a", 1)),
+}
 
 
 def tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -140,8 +148,9 @@ def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
         w_h.append(_xavier(rng, (h, h)))
     lstm = LstmParams(np.concatenate(w_x), np.concatenate(w_h),
                       np.zeros(len(GATES) * h))
+    blocks = _REPRESENTATION[variant]
     attention = None
-    if variant is not Variant.RAW:
+    if ("a", 0) in blocks:
         attention = AttentionParams(
             w_y=_xavier(rng, (h, h)),
             w_h=_xavier(rng, (h, h)),
@@ -149,8 +158,8 @@ def init_params(seed: int, d: int, h: int, variant: Variant) -> ModelParams:
             w_p=_xavier(rng, (h, h)),
             w_x=_xavier(rng, (h, h)),
         )
-    width = representation_width(variant, h)
-    head = ClassifierHead(w_out=_xavier(rng, (2, width)), b_out=np.zeros(2))
+    head = ClassifierHead(w_out=_xavier(rng, (2, len(blocks) * h)),
+                          b_out=np.zeros(2))
     return ModelParams(lstm=lstm, attention=attention, head=head, variant=variant)
 
 
@@ -196,11 +205,7 @@ def _encode(params: LstmParams, seqs: Sequence[np.ndarray], h0: np.ndarray,
     start = np.cumsum(active) - active
     xs = np.empty((int(active.sum()), d))
     for col, row in enumerate(order):
-        seq = seqs[row]
-        if seq.ndim != 2 or seq.shape[1] != d:
-            raise ValueError(f"input width {seq.shape[-1]} does not match "
-                             f"the LSTM's input_size {d}")
-        xs[start[:len(seq)] + col] = seq
+        xs[start[:len(seqs[row])] + col] = seqs[row]
 
     gates = xs @ params.w_x.T
     gates += params.b
@@ -233,6 +238,9 @@ def _encode(params: LstmParams, seqs: Sequence[np.ndarray], h0: np.ndarray,
 def encode(params: LstmParams, xs: np.ndarray, h0: np.ndarray,
            c0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the cell over one sequence; returns (all outputs, h_last, c_last)."""
+    if xs.ndim != 2 or xs.shape[1] != params.input_size:
+        raise ValueError(f"input width {xs.shape[-1]} does not match "
+                         f"the LSTM's input_size {params.input_size}")
     enc = _encode(params, [xs], h0[None], c0[None])
     return enc.h[:, 0], enc.h_last[0], enc.c_last[0]
 
@@ -243,6 +251,11 @@ class _Attended:
     alpha: np.ndarray       # (T, B), zero past each story's length
     r: np.ndarray           # (B, h)
     h_star: np.ndarray      # (B, h)
+
+
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    exp = np.exp(z - z.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def _project(outputs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -264,8 +277,7 @@ def _attend(ap: AttentionParams, outputs: np.ndarray, projected: np.ndarray,
     valid (T x B) marks the steps within each story's length.
     """
     scores = np.where(valid, _attention_m(ap, projected, h_e) @ ap.w, -np.inf)
-    exp = np.exp(scores - scores.max(axis=0))
-    alpha = exp / exp.sum(axis=0)
+    alpha = _softmax(scores, axis=0)
     r = np.einsum("tb,tbh->bh", alpha, outputs)
     h_star = np.tanh(r @ ap.w_p.T + h_e @ ap.w_x.T)
     return _Attended(h_e=h_e, alpha=alpha, r=r, h_star=h_star)
@@ -327,7 +339,7 @@ class ForwardCache:
     endings: _Encoded
     projected: np.ndarray | None     # story outputs @ W_y^T, for attention
     attends: tuple[_Attended, _Attended] | None
-    o_vec: np.ndarray       # (B, representation width)
+    o_vec: np.ndarray       # (B, h * blocks of the variant)
     probs: np.ndarray       # (B, 2)
     spent: bool = False     # backward has overwritten the gate activations
 
@@ -355,25 +367,17 @@ def forward_batch(insts: Sequence[EmbeddedInstance],
                       np.concatenate([story.c_last, story.c_last]))
     e1, e2 = endings.h_last[:batch], endings.h_last[batch:]
 
+    parts = {"e": (e1, e2)}
     projected = attends = None
-    if params.variant is Variant.RAW:
-        o_vec = np.concatenate([e1, e2], axis=1)
-    else:
-        ap = params.attention
-        assert ap is not None
+    if (ap := params.attention) is not None:
         valid = np.arange(batch)[None, :] < story.active[:, None]
         projected = _project(story.h, ap.w_y.T)
-        a1 = _attend(ap, story.h, projected, valid, e1)
-        a2 = _attend(ap, story.h, projected, valid, e2)
-        attends = (a1, a2)
-        if params.variant is Variant.ATTENTION:
-            o_vec = np.concatenate([a1.h_star, a2.h_star], axis=1)
-        else:
-            o_vec = np.concatenate([e1, a1.h_star, e2, a2.h_star], axis=1)
-
-    logits = o_vec @ params.head.w_out.T + params.head.b_out
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = exp / exp.sum(axis=1, keepdims=True)
+        attends = (_attend(ap, story.h, projected, valid, e1),
+                   _attend(ap, story.h, projected, valid, e2))
+        parts["a"] = (attends[0].h_star, attends[1].h_star)
+    o_vec = np.concatenate([parts[part][ending] for part, ending
+                            in _REPRESENTATION[params.variant]], axis=1)
+    probs = _softmax(o_vec @ params.head.w_out.T + params.head.b_out, axis=1)
     cache = ForwardCache(params=params, order=order, story=story,
                          endings=endings, projected=projected,
                          attends=attends, o_vec=o_vec, probs=probs)
@@ -502,23 +506,17 @@ def backward_batch(cache: ForwardCache,
     grads["head.w_out"] += d_logits.T @ cache.o_vec
     grads["head.b_out"] += d_logits.sum(axis=0)
     d_o = d_logits @ params.head.w_out
-    blocks = [d_o[:, k * h_size:(k + 1) * h_size]
-              for k in range(d_o.shape[1] // h_size)]
+    zero = np.zeros((batch, h_size))
+    d_parts = {"e": [zero, zero], "a": [zero, zero]}
+    for k, (part, ending) in enumerate(_REPRESENTATION[params.variant]):
+        d_parts[part][ending] = d_o[:, k * h_size:(k + 1) * h_size]
 
-    if params.variant is Variant.RAW:
-        d_e, d_h_star = blocks, None
-    elif params.variant is Variant.ATTENTION:
-        d_e, d_h_star = [np.zeros((batch, h_size))] * 2, blocks
-    else:
-        d_e, d_h_star = [blocks[0], blocks[2]], [blocks[1], blocks[3]]
-
-    d_last = np.concatenate(d_e)
+    d_last = np.concatenate(d_parts["e"])
     d_story_outputs = None
-    if d_h_star is not None:
-        assert cache.attends is not None and params.attention is not None
+    if cache.attends is not None:
         d_story_outputs, d_h_es = _attend_backward(
             params.attention, cache.story.h, cache.projected, cache.attends,
-            d_h_star, grads)
+            d_parts["a"], grads)
         d_last += np.concatenate(d_h_es)
     d_h0, d_c0 = _encode_backward(params.lstm, cache.endings, None, d_last,
                                   np.zeros_like(d_last), grads)
@@ -541,10 +539,7 @@ class AdamState:
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(a) for k, a in tensors(params).items()},
-        v={k: np.zeros_like(a) for k, a in tensors(params).items()},
-    )
+    return AdamState(m=zero_grads(params), v=zero_grads(params))
 
 
 def adam_update(params: ModelParams, state: AdamState,
@@ -701,8 +696,9 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint; version 1 gate tensors are stacked in gate order.
-    A tensor that is not real numbers, or holds a NaN or an infinity, is a
-    ParseError naming it."""
+    Every tensor's dtype and shape are checked from its .npy header before
+    any tensor is decompressed; a tensor that is not real numbers, has the
+    wrong shape, or holds a NaN or an infinity, is a ParseError naming it."""
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
@@ -735,34 +731,55 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ParseError(f"{path}: bad checkpoint metadata (input_size "
                              f"{d} and hidden_size {h} must be positive)")
 
-        def stored(part: str, shape: tuple[int, ...]) -> np.ndarray:
-            if part not in data:
+        names = set(data.zip.namelist())
+
+        def check(part: str, shape: tuple[int, ...]) -> None:
+            """Check a stored tensor's dtype and shape from its .npy header."""
+            if f"{part}.npy" not in names:
                 raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
-            try:
-                arr = data[part]
-            except ValueError:              # an object array needs pickle
-                arr = np.array(None)
-            if arr.dtype.kind not in "biuf":
-                raise ParseError(f"{path}: tensor {part!r} holds {arr.dtype} "
+            with data.zip.open(f"{part}.npy") as member:
+                try:
+                    npy_version = np.lib.format.read_magic(member)
+                    read_header = (np.lib.format.read_array_header_1_0
+                                   if npy_version == (1, 0) else
+                                   np.lib.format.read_array_header_2_0)
+                    stored_shape, _, dtype = read_header(member)
+                except (ValueError, zipfile.BadZipFile) as exc:
+                    raise ParseError(f"{path}: tensor {part!r} is "
+                                     f"unreadable ({exc})") from None
+                room = data.zip.getinfo(member.name).file_size - member.tell()
+            if dtype.kind not in "biuf":
+                raise ParseError(f"{path}: tensor {part!r} holds {dtype} "
                                  f"values, not real numbers")
-            if arr.shape != shape:
+            if stored_shape != shape:
                 raise ParseError(f"{path}: tensor {part!r} has shape "
-                                 f"{arr.shape}, expected {shape}")
-            return arr
+                                 f"{stored_shape}, expected {shape}")
+            if math.prod(shape) * dtype.itemsize > room:
+                raise ParseError(f"{path}: tensor {part!r} is unreadable "
+                                 f"(its header needs more than the "
+                                 f"{room} bytes stored)")
 
         # init_params allocates from the sizes: check them against the stored
         # input and recurrent weights first
         gates, suffix = (1, GATES[0]) if version == 1 else (len(GATES), "")
-        stored(f"lstm.w_x{suffix}", (gates * h, d))
-        stored(f"lstm.w_h{suffix}", (gates * h, h))
+        check(f"lstm.w_x{suffix}", (gates * h, d))
+        check(f"lstm.w_h{suffix}", (gates * h, h))
         params = init_params(0, d, h, variant)
+        slots = []
         for name, arr in tensors(params).items():
             parts = [name]
             if version == 1 and name in _V1_GATE_TENSORS:
                 parts = [_V1_GATE_TENSORS[name].format(g) for g in GATES]
             rows = arr.shape[0] // len(parts)
             for k, part in enumerate(parts):
-                arr[k * rows:(k + 1) * rows] = stored(part, (rows,) + arr.shape[1:])
-                if not np.isfinite(arr[k * rows:(k + 1) * rows]).all():
-                    raise ParseError(f"{path}: tensor {part!r} has non-finite values")
+                check(part, (rows,) + arr.shape[1:])
+                slots.append((part, arr[k * rows:(k + 1) * rows]))
+        for part, slot in slots:
+            try:
+                slot[...] = data[part]
+            except (ValueError, zipfile.BadZipFile) as exc:   # e.g. a bad CRC
+                raise ParseError(f"{path}: tensor {part!r} is unreadable "
+                                 f"({exc})") from None
+            if not np.isfinite(slot).all():
+                raise ParseError(f"{path}: tensor {part!r} has non-finite values")
     return params

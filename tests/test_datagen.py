@@ -155,6 +155,30 @@ class TestArgumentChecks:
                 gen_random(stories, k=k, seed=0)
 
 
+    def test_story_outside_the_index_is_named(self, stories50):
+        index = build_ending_index(stories50[:10], heuristic_tag)
+        stranger = stories50[10].id
+        with pytest.raises(ValueError, match=f"story '{stranger}' is not in "
+                           "the ending index"):
+            gen_shared_args(stories50[:11], index, k=2)
+        with pytest.raises(ValueError, match=f"story '{stranger}' is not in "
+                           "the ending index"):
+            gen_random_coherent(stories50[:11], index, pool=3, k=2, seed=0)
+
+    def test_subset_of_the_index_stories(self, stories50, index):
+        subset = stories50[5:12]
+        ids = {story.id for story in subset}
+
+        def of_subset(instances):
+            return [inst for inst in instances
+                    if inst.id.rsplit("-", 2)[0] in ids]
+        assert gen_shared_args(subset, index, k=3) == of_subset(
+            gen_shared_args(stories50, index, k=3))
+        assert gen_random_coherent(subset, index, pool=6, k=3, seed=1) == (
+            of_subset(gen_random_coherent(stories50, index, pool=6, k=3,
+                                          seed=1)))
+
+
 class TestGenRandom:
     def test_counts_and_exclusion(self, stories50):
         instances = gen_random(stories50, k=10, seed=3)

@@ -202,9 +202,10 @@ class TestStoppingRule:
         assert abs(result.theta[-1] - theta_ref[-1]) <= bound
         assert new_calls[0] < 0.05 * oracle_calls[0]
 
-    def test_iteration_cap_is_unconverged(self):
+    def test_iteration_cap_is_unconverged(self, monkeypatch):
         fun, size = stalled_problem()
-        result = minimize_lbfgs(fun, np.zeros(size), max_iter=3)
+        monkeypatch.setattr(linear_module, "MAX_ITER", 3)
+        result = minimize_lbfgs(fun, np.zeros(size))
         assert result.iterations == 3
         assert result.stop == "max_iter" and not result.converged
         assert result.grad_inf == float(np.abs(fun(result.theta)[1]).max())

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -966,6 +968,82 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: tensor "
                            f"'head.b_out' holds {dtype} values, not real "
                            "numbers$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor, shape", [
+        ("lstm.w_x", (20, 3)),          # checked before init_params
+        ("head.w_out", (2, 11)),        # checked before any data is read
+    ])
+    def test_shape_is_read_from_the_header(self, tmp_path, monkeypatch,
+                                           tensor, shape):
+        path = tmp_path / "shape.npz"
+        save_checkpoint(path, init_params(38, 4, 5, Variant.RAW))
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[tensor] = np.zeros(shape)
+        np.savez(path, **arrays)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(archive, key):
+            read.append(key)
+            return getitem(archive, key)
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            recording_getitem)
+        with pytest.raises(ParseError, match=re.escape(
+                f"'{tensor}' has shape {shape}, expected")):
+            load_checkpoint(path)
+        assert read == ["__meta__"]
+
+    def test_each_tensor_is_read_once(self, tmp_path, monkeypatch):
+        params = init_params(39, 4, 5, Variant.COMBINED)
+        path = tmp_path / "once.npz"
+        save_checkpoint(path, params)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(archive, key):
+            read.append(key)
+            return getitem(archive, key)
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            recording_getitem)
+        load_checkpoint(path)
+        assert sorted(read) == sorted(["__meta__", *tensors(params)])
+
+    @pytest.mark.parametrize("cut, reason", [
+        (None, "the magic string is not correct"),
+        (-8, "its header needs more than the 8 bytes stored"),
+    ])
+    def test_malformed_member_names_the_tensor(self, tmp_path, cut, reason):
+        payload = b"not an array"
+        if cut is not None:
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, np.zeros(2))
+            payload = buffer.getvalue()[:cut]
+        ok, path = tmp_path / "ok.npz", tmp_path / "bad.npz"
+        save_checkpoint(ok, init_params(40, 4, 5, Variant.RAW))
+        with zipfile.ZipFile(ok) as source, zipfile.ZipFile(path, "w") as out:
+            for name in source.namelist():
+                out.writestr(name, payload if name == "head.b_out.npy"
+                             else source.read(name))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           f"tensor 'head.b_out' is unreadable \\({reason}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor", ["head.b_out", "lstm.w_x"])
+    def test_corrupt_tensor_data_names_the_tensor(self, tmp_path, tensor):
+        # the CRC fails while reading head.b_out's header, which comes in
+        # the same read as its data, and while reading lstm.w_x's data
+        params = init_params(41, 40, 30, Variant.RAW)
+        params.head.b_out[:] = [1.25, -3.5]     # not the zeros of lstm.b
+        path = tmp_path / "crc.npz"
+        save_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())     # np.savez stores, not deflates
+        stored = tensors(params)[tensor].tobytes()
+        raw[raw.find(stored) + len(stored) - 1] ^= 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           f"tensor '{tensor}' is unreadable \\(Bad CRC"):
             load_checkpoint(path)
 
     def test_integer_tensor_loads_as_floats(self, tmp_path):
