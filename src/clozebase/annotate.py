@@ -183,10 +183,8 @@ _VOWELS = "aeiou"
 
 
 def _ends_cvc(stem: str) -> bool:
-    # consonant-vowel-consonant tail, final consonant not w/x/y: the stem
-    # dropped a silent e ("lik" -> "like").
-    if len(stem) < 3:
-        return False
+    """Consonant-vowel-consonant tail, final consonant not w/x/y: the stem
+    dropped a silent e ("lik" -> "like"). Callers pass 3 letters or more."""
     last, mid, first = stem[-1], stem[-2], stem[-3]
     return (last not in _VOWELS and last not in "wxy"
             and mid in _VOWELS and first not in _VOWELS)
@@ -199,15 +197,12 @@ def _undouble(stem: str) -> str:
 
 
 def _strip_plural(word: str) -> str:
+    """`_tag_word` passes only words of 3+ letters in -s, not -ss/-us/-is."""
     if word.endswith("ies") and len(word) > 4:
         return word[:-3] + "y"
     if word.endswith(("ches", "shes", "xes", "ses", "zes", "oes")):
         return word[:-2]
-    if word.endswith("ss") or word.endswith("us") or word.endswith("is"):
-        return word
-    if word.endswith("s") and len(word) >= 3:
-        return word[:-1]
-    return word
+    return word[:-1]
 
 
 def _strip_ing(word: str) -> str:
@@ -223,11 +218,10 @@ def _strip_ing(word: str) -> str:
 
 
 def _strip_ed(word: str) -> str:
+    """`_tag_word` passes only words of 4+ letters in -ed."""
     if word.endswith("ied") and len(word) >= 5:
         return word[:-3] + "y"
     stem = word[:-2]
-    if len(stem) < 2:
-        return word
     if len(stem) == 2:
         return stem + "e"
     undoubled = _undouble(stem)

@@ -4,14 +4,15 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ParseError
 
 ENDING1 = 1
 ENDING2 = 2
+_Labeled = TypeVar("_Labeled")    # a ClozeInstance or a neural.EmbeddedInstance
 
 
 @dataclass(frozen=True)
@@ -173,22 +174,19 @@ def gold_labels(instances: Sequence) -> list[int]:
     return [inst.gold for inst in instances]
 
 
-def swap_endings(instance: ClozeInstance) -> ClozeInstance:
-    """Exchange the two endings and invert the label; id gains a -swap suffix."""
+def swap_endings(instance: _Labeled) -> _Labeled:
+    """Exchange the two endings and invert the label; id gains a -swap suffix.
+    Every other field (context, or an EmbeddedInstance's story) is shared."""
     if instance.gold is None:
         raise ValueError(f"instance {instance.id!r} is unlabeled, cannot swap its label")
-    return ClozeInstance(
-        id=instance.id + "-swap",
-        context=instance.context,
-        ending1=instance.ending2,
-        ending2=instance.ending1,
-        gold=ENDING1 if instance.gold == ENDING2 else ENDING2,
-    )
+    return replace(instance, id=instance.id + "-swap",
+                   ending1=instance.ending2, ending2=instance.ending1,
+                   gold=ENDING1 if instance.gold == ENDING2 else ENDING2)
 
 
-def augment_swap(instances: Iterable[ClozeInstance]) -> list[ClozeInstance]:
+def augment_swap(instances: Iterable[_Labeled]) -> list[_Labeled]:
     """Double a labeled set: each instance is emitted with both ending orders."""
-    augmented: list[ClozeInstance] = []
+    augmented: list[_Labeled] = []
     for inst in instances:
         if inst.gold is None:
             raise ValueError(f"instance {inst.id!r} is unlabeled, augmentation needs labels")

@@ -46,9 +46,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
 
 def make_table(entries: Mapping[str, Iterable[float]], dim: int) -> EmbeddingTable:
     """Build a table from in-memory data, validating shape and finiteness."""

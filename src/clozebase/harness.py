@@ -4,7 +4,7 @@
 swap-augment the training set, extract features, tune C by cross-validation,
 retrain on everything, score the test set. `run_neural_comparison` does the
 analogous sweep over LSTM training configs with a train/validation/test
-split, each config trained by `train_lstm_cell` (swap-augment, embed, keep
+split, each config trained by `train_lstm_cell` (embed, swap-augment, keep
 the best of `config.restarts` runs). A predictor labels a sequence of
 instances; `load_predictor` makes one from a saved model of either kind.
 """
@@ -135,13 +135,14 @@ def train_lstm_cell(train: Sequence[ClozeInstance],
                     valid: Sequence[ClozeInstance], table: EmbeddingTable,
                     config: TrainConfig
                     ) -> tuple[TrainResult, tuple[TrainResult, ...]]:
-    """Swap-augment, embed, then `config.restarts` runs of `train_model`.
+    """Embed, swap-augment, then `config.restarts` runs of `train_model`.
 
-    Run r uses seed `config.seed * config.restarts + r`. Returns the run
-    with the highest validation accuracy (ties go to the earlier restart)
-    and every run in restart order.
+    Each training instance is embedded once; its swapped twin shares its
+    story and ending arrays. Run r uses seed `config.seed * config.restarts
+    + r`. Returns the run with the highest validation accuracy (ties go to
+    the earlier restart) and every run in restart order.
     """
-    emb_train = [embed_instance(i, table) for i in augment_swap(train)]
+    emb_train = augment_swap([embed_instance(i, table) for i in train])
     emb_valid = [embed_instance(i, table) for i in valid]
     runs = tuple(
         train_model(emb_train, emb_valid,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -182,6 +183,16 @@ class TestHeuristicTag:
         ("3.5", "CD", "3.5"),
         ("pizza", "NN", "pizza"),
         ("glass", "NN", "glass"),     # -ss never strips
+        # each lemma rule, pinned apart from the oracle's shared helpers
+        ("babies", "NNS", "baby"),    # -ies
+        ("boxes", "NNS", "box"),      # -xes, -ches, -ses, -oes
+        ("watches", "NNS", "watch"),
+        ("buses", "NNS", "bus"),
+        ("heroes", "NNS", "hero"),
+        ("used", "VBD", "use"),       # two-letter -ed stem
+        ("stopped", "VBD", "stop"),   # doubled consonant
+        ("thing", "VBG", "thing"),    # -ing stem too short to strip
+        ("hoping", "VBG", "hope"),    # silent e restored
     ])
     def test_suffix_rules(self, word, pos, lemma):
         (surface, got_pos, got_lemma), = self.tags(word)
@@ -314,6 +325,14 @@ class TestSidecar:
         path = tmp_path / "anno.tsv"
         path.write_text("She\tPRP\tshe\nbroken line\n")
         with pytest.raises(ParseError, match="line 2"):
+            SidecarAnnotations.load(path)
+
+    @pytest.mark.parametrize("line", ["\tPRP\tshe", "She\t\tshe"])
+    def test_empty_surface_or_pos_is_numbered(self, tmp_path, line):
+        path = tmp_path / "anno.tsv"
+        path.write_text(f"The\tDT\tthe\n{line}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "
+                           "empty surface or pos field$"):
             SidecarAnnotations.load(path)
 
     def test_usable_as_annotator(self, tmp_path):

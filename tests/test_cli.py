@@ -7,7 +7,8 @@ import pytest
 
 from clozebase import cli
 from clozebase.cli import main
-from clozebase.annotate import heuristic_tag
+from clozebase.annotate import (AnnotatedToken, SidecarAnnotations,
+                                heuristic_tag, tokenize)
 from clozebase.corpus import (ClozeInstance, RocStory, augment_swap,
                               gold_labels, parse_cloze_csv, split_dev,
                               write_cloze_csv, write_roc_csv)
@@ -18,7 +19,8 @@ from clozebase.harness import train_lstm_cell
 from clozebase.linear import load_model
 from clozebase.neural import TrainConfig, Variant, load_checkpoint, tensors
 
-from conftest import EMBED_DIM, VOCAB, make_instances, make_stories
+from conftest import (EMBED_DIM, VOCAB, make_instances, make_stories,
+                      write_sidecar)
 
 
 @pytest.fixture()
@@ -138,6 +140,57 @@ class TestLinearPipeline:
         expected = tmp_path / "expected.csv"
         save_features(expected, vectors, gold_labels(instances))
         assert out.read_bytes() == expected.read_bytes()
+
+    def write_sidecar_for(self, path, instances):
+        """Every sentence of `instances`, nouns tagged JJ so that the
+        part-of-speech features differ from the heuristic tagger's."""
+        blocks = [[AnnotatedToken(t.surface, "JJ" if t.pos.startswith("NN")
+                                  else t.pos, t.lemma)
+                   for t in heuristic_tag(tokenize(text))]
+                  for inst in instances
+                  for text in (*inst.context, inst.ending1, inst.ending2)]
+        write_sidecar(path, blocks)
+
+    def test_extract_with_sidecar_annotations(self, data_path, glove_path,
+                                              tmp_path):
+        sidecar = tmp_path / "anno.tsv"
+        instances = parse_cloze_csv(data_path)
+        self.write_sidecar_for(sidecar, instances)
+        outs = {}
+        for annotations in (str(sidecar), "heuristic"):
+            outs[annotations] = tmp_path / f"{len(outs)}.csv"
+            assert main(["extract", "--data", data_path,
+                         "--embeddings", glove_path, "--format", "glove-txt",
+                         "--config", "all", "--annotations", annotations,
+                         "--out", str(outs[annotations])]) == 0
+        table = load_embeddings(glove_path, EmbeddingFormat.GLOVE_TEXT)
+        annotator = SidecarAnnotations.load(sidecar)
+        expected = tmp_path / "expected.csv"
+        save_features(expected, [extract(inst, table, annotator,
+                                         FeatureConfig.ALL)
+                                 for inst in instances],
+                      gold_labels(instances))
+        assert outs[str(sidecar)].read_bytes() == expected.read_bytes()
+        assert (outs[str(sidecar)].read_bytes()
+                != outs["heuristic"].read_bytes())
+
+    def test_sentence_missing_from_sidecar_fails(self, data_path, glove_path,
+                                                 tmp_path, capsys):
+        sidecar = tmp_path / "anno.tsv"
+        instances = parse_cloze_csv(data_path)
+        last = instances[-1]
+        self.write_sidecar_for(sidecar, instances[:-1] + [
+            ClozeInstance(last.id, last.context, last.ending1, "Gone.",
+                          last.gold)])
+        out = tmp_path / "features.csv"
+        code = main(["extract", "--data", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--config", "all", "--annotations", str(sidecar),
+                     "--out", str(out)])
+        assert code == 1
+        assert ("no sidecar annotation covers sentence"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_train_linear_reports_the_final_solve(self, data_path, glove_path,
                                                   tmp_path, capsys):

@@ -34,6 +34,12 @@ def test_gold_ending_property():
                       ending1="e", ending2="f").gold_ending
 
 
+def test_story_rejects_four_sentences():
+    with pytest.raises(ValueError, match="^story 's': expected 5 sentences, "
+                                         "got 4$"):
+        RocStory(id="s", title="t", sentences=("1", "2", "3", "4"))
+
+
 def test_story_context_and_ending():
     story = RocStory(id="s", title="t", sentences=("1", "2", "3", "4", "5"))
     assert story.context == ("1", "2", "3", "4")

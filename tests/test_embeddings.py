@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -417,6 +418,17 @@ class TestGloveText:
         path = tmp_path / "glove.txt"
         path.write_text("a 1 nan\n")
         with pytest.raises(ParseError, match="non-finite"):
+            load_embeddings(path, EmbeddingFormat.GLOVE_TEXT)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 2\n\nb 3 4\n", "empty record at line 2"),
+        ("a\nb 1 2\n", "line 1 has a token but no values"),
+    ])
+    def test_bad_record_names_line(self, tmp_path, text, message):
+        path = tmp_path / "glove.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           f"{message}$"):
             load_embeddings(path, EmbeddingFormat.GLOVE_TEXT)
 
     def test_empty_file(self, tmp_path):

@@ -11,7 +11,7 @@ from clozebase.corpus import ClozeInstance, swap_endings
 from clozebase.embeddings import centroid, make_table
 from clozebase.errors import ParseError
 from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
-                                Block, FeatureConfig, FeatureVector,
+                                Block, FeatureConfig, FeatureVector, Scaler,
                                 aligned_sim, apply_scaler, config_for_layout,
                                 extract, extract_matrix, feature_names,
                                 fit_scaler, load_features, max_sim_topn,
@@ -413,6 +413,10 @@ class TestBlockBehavior:
         assert max_sim_topn(story, ending, table, 1) == pytest.approx(
             max(per_word), abs=1e-12)
 
+    def test_max_sim_needs_a_positive_n(self, table):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            max_sim_topn(["dog"], ["cat"], table, 0)
+
     def test_max_sim_clamps_to_available(self, table):
         story = ["dog", "cat"]
         got = max_sim_topn(story, ["beach"], table, 5)
@@ -650,6 +654,16 @@ class TestScaler:
         with pytest.raises(ValueError, match="empty"):
             fit_scaler([])
 
+    @pytest.mark.parametrize("names, mins, maxs, message", [
+        (("a", "b"), [0.0], [1.0], "scaler names/mins/maxs lengths differ"),
+        (("a",), [0.0, 1.0], [1.0, 2.0],
+         "scaler names/mins/maxs lengths differ"),
+        (("a", "b"), [0.0, 2.0], [1.0, 1.0], "scaler has max < min"),
+    ])
+    def test_inconsistent_scaler_rejected(self, names, mins, maxs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scaler(names, np.asarray(mins), np.asarray(maxs))
+
     def test_layout_mismatch_rejected(self):
         scaler = fit_scaler([self.vec([1.0, 2.0])])
         with pytest.raises(ValueError, match="layout"):
@@ -686,10 +700,30 @@ class TestPersistence:
             assert restored.names == original.names
             np.testing.assert_array_equal(restored.values, original.values)
 
+    @pytest.mark.parametrize("names, labels, message", [
+        (["a"], [1, 2], "1 vectors but 2 labels"),
+        ([], [], "nothing to save"),
+        (["a", "b"], [1, 2], "inconsistent feature layout across vectors"),
+        (["a"], [3], "label must be 1 or 2, got 3"),
+    ])
+    def test_save_rejects_bad_input(self, tmp_path, names, labels, message):
+        vectors = [FeatureVector(names=(name,), values=np.zeros(1))
+                   for name in names]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_features(tmp_path / "features.csv", vectors, labels)
+
     def test_label_column_validated(self, tmp_path):
         path = tmp_path / "features.csv"
-        path.write_text("a,b\n0.5,oops\n")
-        with pytest.raises(ParseError, match="label"):
+        path.write_text("a,b\n0.5,0.25,x\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "
+                           "label must be 1 or 2, got 'x'$"):
+            load_features(path)
+
+    def test_bad_number_names_the_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("a,b\n0.5,0.25,1\n0.5,abc,1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: "
+                           "could not convert string to float: 'abc'$"):
             load_features(path)
 
     def test_column_count_validated(self, tmp_path):

@@ -258,17 +258,21 @@ def assert_same_run(got, expected):
 
 
 class TestTrainLstmCell:
-    def test_run_r_is_train_model_at_the_restart_seed(self, table):
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_run_r_is_train_model_at_the_restart_seed(self, table, variant):
         train = make_instances(6, seed=54)
         valid = make_instances(4, seed=55)
-        best, runs = train_lstm_cell(train, valid, table,
-                                     lstm_config(seed=2, restarts=3))
+        best, runs = train_lstm_cell(
+            train, valid, table,
+            lstm_config(seed=2, restarts=3, variant=variant))
         assert len(runs) == 3
+        # the oracle embeds every swapped twin afresh
         emb_train = [embed_instance(i, table) for i in augment_swap(train)]
         emb_valid = [embed_instance(i, table) for i in valid]
         for r, run in enumerate(runs):
-            expected = train_model(emb_train, emb_valid,
-                                   lstm_config(seed=2 * 3 + r, restarts=3))
+            expected = train_model(
+                emb_train, emb_valid,
+                lstm_config(seed=2 * 3 + r, restarts=3, variant=variant))
             assert_same_run(run, expected)
         top = max(run.best_dev_accuracy for run in runs)
         assert best is next(run for run in runs if run.best_dev_accuracy == top)
@@ -284,6 +288,31 @@ class TestTrainLstmCell:
         assert best is runs[0]
         assert not np.array_equal(runs[0].params.lstm.w_x,
                                   runs[1].params.lstm.w_x)
+
+    def test_swapping_embedded_instances_equals_embedding_swapped_ones(
+            self, table):
+        xs = make_instances(5, seed=58)
+        got = augment_swap([embed_instance(i, table) for i in xs])
+        want = [embed_instance(j, table) for j in augment_swap(xs)]
+        assert [e.id for e in got] == [e.id for e in want]
+        assert [e.gold for e in got] == [e.gold for e in want]
+        for g, w in zip(got, want):
+            for part in ("story", "ending1", "ending2"):
+                np.testing.assert_array_equal(getattr(g, part),
+                                              getattr(w, part), err_msg=part)
+        for original, twin in zip(got[0::2], got[1::2]):
+            assert twin.story is original.story
+            assert twin.ending1 is original.ending2
+            assert twin.ending2 is original.ending1
+
+    def test_unlabeled_training_instance_is_named(self, table):
+        train = make_instances(3, seed=59)
+        train[1] = replace(train[1], gold=None)
+        with pytest.raises(ValueError) as info:
+            train_lstm_cell(train, make_instances(2, seed=60), table,
+                            lstm_config())
+        assert str(info.value) == (f"instance {train[1].id!r} is unlabeled, "
+                                   "augmentation needs labels")
 
 
 class TestNeuralComparison:

@@ -13,9 +13,10 @@ from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 apply_scaler, feature_names, fit_scaler,
                                 min_max_scale)
-from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, cv_tune_c,
-                              load_model, logreg_objective, minimize_lbfgs,
-                              predict, predict_rows, save_model, train_logreg)
+from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, LinearModel,
+                              cv_tune_c, load_model, logreg_objective,
+                              minimize_lbfgs, predict, predict_rows,
+                              save_model, train_logreg)
 
 
 def random_problem(rng, n=20, d=8):
@@ -272,6 +273,16 @@ class TestTrainLogreg:
         # intercept alone must point at the majority class (label 2)
         assert predict(model, np.zeros(4))[0] == 2
 
+    def test_row_label_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "feature matrix (3, 2) does not match 2 labels")):
+            train_logreg(np.zeros((3, 2)), [1, 2], c=1.0)
+
+    def test_weights_must_match_names(self):
+        with pytest.raises(ValueError, match="^2 weights for 3 feature names$"):
+            LinearModel(weights=np.zeros(2), intercept=0.0, c=1.0,
+                        names=("a", "b", "c"))
+
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match="single class"):
@@ -482,6 +493,15 @@ class TestCvTuneC:
                                              f"number, got {bad}$"):
             cv_tune_c(x, y, folds=2, grid=[1.0, bad], seed=0)
 
+    @pytest.mark.parametrize("n, folds, message", [
+        (4, 1, "need at least 2 folds, got 1"),
+        (3, 4, "3 examples cannot fill 4 folds"),
+    ])
+    def test_bad_fold_count_rejected(self, n, folds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cv_tune_c(np.zeros((n, 1)), [1, 2, 1, 2][:n], folds=folds,
+                      grid=[1.0], seed=0)
+
     def test_default_grid_shape(self):
         assert DEFAULT_C_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
 
@@ -581,6 +601,15 @@ class TestModelPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
                            f"{line}: bad {what} '{value}'$"):
+            load_model(path)
+
+    def test_three_field_line_is_unrecognized(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        "c\t0.5\nintercept\t0.0\n"
+                        "e1_centroid_0\t1.0\t0.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           "line 5: unrecognized record$"):
             load_model(path)
 
     def test_max_below_min_names_the_line(self, tmp_path):

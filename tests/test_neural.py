@@ -283,6 +283,13 @@ class TestBatchedCell:
         with pytest.raises(ValueError, match="already"):
             backward(cache, 1)
 
+    def test_empty_batch_rejected(self):
+        params = init_params(52, 4, 5, Variant.RAW)
+        with pytest.raises(ValueError, match="^cannot run an empty batch$"):
+            forward_batch([], params)
+        with pytest.raises(ValueError, match="^nothing to evaluate$"):
+            evaluate_model([], params)
+
     def test_gold_count_must_match_batch(self):
         rng = np.random.default_rng(50)
         params = init_params(51, 4, 5, Variant.RAW)
@@ -941,6 +948,35 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: bad checkpoint metadata "
                                           f"({reason}")
+
+    @pytest.mark.parametrize("version", [3, "2"])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "v3.npz"
+        save_checkpoint(path, init_params(53, 4, 5, Variant.RAW))
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["__meta__"]))
+        arrays["__meta__"] = np.asarray(json.dumps({**meta, "version": version}))
+        np.savez(path, **arrays)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           f"unsupported checkpoint version {version!r}$"):
+            load_checkpoint(path)
+
+    def test_version_2_0_npy_header_loads(self, tmp_path):
+        params = init_params(54, 4, 5, Variant.COMBINED)
+        ok, path = tmp_path / "ok.npz", tmp_path / "npy2.npz"
+        save_checkpoint(ok, params)
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, params.lstm.w_x, version=(2, 0))
+        assert buffer.getvalue()[6:8] == b"\x02\x00"
+        with zipfile.ZipFile(ok) as source, zipfile.ZipFile(path, "w") as out:
+            for name in source.namelist():
+                out.writestr(name, buffer.getvalue() if name == "lstm.w_x.npy"
+                             else source.read(name))
+        loaded = load_checkpoint(path)
+        for name, arr in tensors(params).items():
+            np.testing.assert_array_equal(tensors(loaded)[name], arr,
+                                          err_msg=name)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_names_the_tensor(self, tmp_path, bad):
