@@ -14,6 +14,13 @@ The `all` config keeps every block; each named config for the ablations is
 a mask over that layout, the set of blocks it keeps, so its names and values
 are a subsequence of `all`'s. Scaling maps every feature into [0, 1] with
 train-set min/max.
+
+Each text is looked up once into one matrix: its centroid, then its distinct
+in-vocabulary vectors. One batched call per ending gives the plain, max-sim
+and aligned cosines, and one 5 x 5 call the POS similarities. The batch is
+a stacked `np.matmul` of (1 x d)(d x 1) cores, not a GEMM, so every cosine,
+centroid and mean equals the per-pair definition (`ndarray.dot` over the
+two norms, rows added in order) bit for bit.
 """
 from __future__ import annotations
 
@@ -27,8 +34,7 @@ import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import (EmbeddingTable, cosine_normed, lookup, mean_vector,
-                         vector_norm)
+from .embeddings import EmbeddingTable, lookup, mean_vector
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -115,99 +121,120 @@ class FeatureVector:
                 f"{len(self.names)} names but {self.values.shape[0]} values")
 
 
-_Word = tuple[np.ndarray, float]    # a vector and its norm
-
-
 class _Text(NamedTuple):
     """A token sequence looked up once.
 
-    `words` are the in-vocabulary vectors with their norms, in token order;
-    `unique` holds each distinct vector once and `slots[i]` is the index in
-    `unique` of `words[i]`, so a per-word score is computed once per
-    distinct vector. `center` is the centroid with its norm.
+    `rows` is the centroid followed by each distinct in-vocabulary vector
+    once, in order of first use, and `norms` their norms; `slots[i]` is the
+    row of the i-th in-vocabulary token, so a per-word score is computed
+    once per distinct vector.
     """
-    words: list[_Word]
-    unique: list[_Word]
+    rows: np.ndarray
+    norms: np.ndarray
     slots: list[int]
-    center: _Word
 
 
-def _resolver(table: EmbeddingTable) -> Callable[[str], _Word | None]:
-    """`lookup` plus the vector's norm, memoized per token string."""
-    memo: dict[str, _Word | None] = {}
+def _resolver(table: EmbeddingTable) -> Callable[[str], np.ndarray | None]:
+    """`lookup` as float64, memoized per token string."""
+    memo: dict[str, np.ndarray | None] = {}
 
-    def resolve(token: str) -> _Word | None:
-        if token in memo:
-            return memo[token]
-        vec = lookup(table, token)
-        if vec is not None:     # float64, as `cosine_normed` takes; a no-op on float64
-            vec = np.asarray(vec, dtype=np.float64)
-        word = memo[token] = None if vec is None else (vec, vector_norm(vec))
-        return word
+    def resolve(token: str) -> np.ndarray | None:
+        if token not in memo:
+            vec = lookup(table, token)
+            memo[token] = None if vec is None else np.asarray(vec, dtype=np.float64)
+        return memo[token]
     return resolve
 
 
-def _center(vectors: Sequence[np.ndarray], dim: int) -> _Word:
-    vec = mean_vector(vectors, dim)
-    return vec, vector_norm(vec)
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm, sqrt(v·v), each v·v a (1 x d)(d x 1) core of one
+    stacked `np.matmul`: the `ndarray.dot` that `vector_norm` takes."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
 
 
-def _text(tokens: Sequence[str], resolve: Callable[[str], _Word | None],
+def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
+             norm_b: np.ndarray) -> np.ndarray:
+    """The (m x k) cosines of a's rows with b's rows, each equal to
+    `cosine_normed`'s to the bit, and 0.0 where either norm is 0.
+
+    One stacked `np.matmul` of (1 x d)(d x 1) cores gives every dot product;
+    numpy runs each core through the `ddot` that `ndarray.dot` runs, where
+    a GEMM would reorder the sums. Each norm is tested on its own, as
+    `cosine_normed` tests them: the product of a zero and an infinite norm
+    is NaN, not 0.
+    """
+    dots = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
+    return np.divide(dots, np.multiply.outer(norm_a, norm_b),
+                     out=np.zeros_like(dots),
+                     where=np.logical_and.outer(norm_a != 0.0, norm_b != 0.0))
+
+
+def _text(tokens: Sequence[str], resolve: Callable[[str], np.ndarray | None],
           dim: int) -> _Text:
-    words = [word for word in map(resolve, tokens) if word is not None]
-    unique = list({id(word[0]): word for word in words}.values())
-    slot_of = {id(word[0]): slot for slot, word in enumerate(unique)}
-    slots = [slot_of[id(word[0])] for word in words]
-    return _Text(words, unique, slots, _center([word[0] for word in words], dim))
+    words = [vec for vec in map(resolve, tokens) if vec is not None]
+    distinct = {id(vec): vec for vec in words}
+    row = {key: i for i, key in enumerate(distinct, start=1)}
+    rows = np.array([mean_vector(words, dim), *distinct.values()])
+    return _Text(rows, _norms(rows), [row[id(vec)] for vec in words])
 
 
-def _plain_sim(story: _Text, ending: _Text) -> float:
-    return cosine_normed(*story.center, *ending.center)
+def _sims(story: _Text, ending: _Text) -> np.ndarray:
+    """The cosines of the story's rows with the ending's: [0, 0] is the
+    plain similarity, column 0 holds each story word's with the ending
+    centroid, and [1:, 1:] each pair of words'."""
+    return _cosines(story.rows, story.norms, ending.rows, ending.norms)
 
 
-def _max_sims(story: _Text, ending: _Text,
+def _max_sims(story: _Text, sims: np.ndarray,
               topns: Sequence[int]) -> list[float]:
-    if not story.words:
+    if not story.slots:
         return [0.0] * len(topns)
-    per_vector = [cosine_normed(vec, norm, *ending.center)
-                  for vec, norm in story.unique]
-    scores = [per_vector[slot] for slot in story.slots]
+    per_row = sims[:, 0].tolist()
+    scores = [per_row[slot] for slot in story.slots]
     scores.sort(reverse=True)
     return [float(sum(top) / len(top)) for top in (scores[:n] for n in topns)]
 
 
-def _aligned_sim(story: _Text, ending: _Text) -> float:
-    if not story.words or not ending.words:
+def _aligned_sim(story: _Text, ending: _Text, sims: np.ndarray) -> float:
+    if not story.slots or not ending.slots:
         return 0.0
-    per_vector = [max([cosine_normed(vec, norm, other, other_norm)
-                       for other, other_norm in ending.words])
-                  for vec, norm in story.unique]
-    best = [per_vector[slot] for slot in story.slots]
+    # Python's `max` per row, as the per-pair loop took it: a NaN after a
+    # row's first value is passed over, not propagated as `np.max` would.
+    per_row = [max(row) for row in sims[:, 1:].tolist()]
+    best = [per_row[slot] for slot in story.slots]
     return float(sum(best) / len(best))
 
 
 def _class_centers(annotated: Sequence[AnnotatedToken],
-                   resolve: Callable[[str], _Word | None], dim: int) -> list[_Word]:
-    """The centroid of each class in POS_CLASSES, with its norm."""
+                   resolve: Callable[[str], np.ndarray | None],
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
+    their norms."""
     members: dict[CoarseClass, list[np.ndarray]] = {cls: [] for cls in POS_CLASSES}
     for tok in annotated:
         vectors = members.get(coarse_class(tok.pos))
-        word = None if vectors is None else resolve(tok.surface)
-        if word is not None:
-            vectors.append(word[0])
-    return [_center(members[cls], dim) for cls in POS_CLASSES]
+        vec = None if vectors is None else resolve(tok.surface)
+        if vec is not None:
+            vectors.append(vec)
+    centers = np.array([mean_vector(members[cls], dim) for cls in POS_CLASSES])
+    return centers, _norms(centers)
 
 
-def _pos_sims(story_centers: Sequence[_Word],
-              ending_centers: Sequence[_Word]) -> list[float]:
-    return [cosine_normed(*cs, *ce) for cs in story_centers for ce in ending_centers]
+def _pos_sims(story_centers: tuple[np.ndarray, np.ndarray],
+              ending_centers: tuple[np.ndarray, np.ndarray]) -> list[float]:
+    return _cosines(*story_centers, *ending_centers).ravel().tolist()
+
+
+def _texts(table: EmbeddingTable, *tokens: Sequence[str]) -> list[_Text]:
+    resolve = _resolver(table)
+    return [_text(sequence, resolve, table.dim) for sequence in tokens]
 
 
 def sim_story_ending(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                      table: EmbeddingTable) -> float:
-    resolve = _resolver(table)
-    return _plain_sim(_text(story_tokens, resolve, table.dim),
-                      _text(ending_tokens, resolve, table.dim))
+    story, ending = _texts(table, story_tokens, ending_tokens)
+    return float(_cosines(story.rows[:1], story.norms[:1],
+                          ending.rows[:1], ending.norms[:1])[0, 0])
 
 
 def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
@@ -215,17 +242,16 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     """Mean of the n best per-story-word cosines with the ending centroid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    resolve = _resolver(table)
-    return _max_sims(_text(story_tokens, resolve, table.dim),
-                     _text(ending_tokens, resolve, table.dim), (n,))[0]
+    story, ending = _texts(table, story_tokens, ending_tokens)
+    column = _cosines(story.rows, story.norms, ending.rows[:1], ending.norms[:1])
+    return _max_sims(story, column, (n,))[0]
 
 
 def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
-    resolve = _resolver(table)
-    return _aligned_sim(_text(story_tokens, resolve, table.dim),
-                        _text(ending_tokens, resolve, table.dim))
+    story, ending = _texts(table, story_tokens, ending_tokens)
+    return _aligned_sim(story, ending, _sims(story, ending))
 
 
 def pos_sims(story_annotated: Sequence[AnnotatedToken],
@@ -237,31 +263,35 @@ def pos_sims(story_annotated: Sequence[AnnotatedToken],
                      _class_centers(ending_annotated, resolve, table.dim))
 
 
-def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
+_PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
+
+
+def _extract_blocks(instance: ClozeInstance,
+                    resolve: Callable[[str], np.ndarray | None], dim: int,
                     annotator: Annotator | None,
                     blocks: frozenset[Block]) -> np.ndarray:
-    """The values of `blocks` in `all`'s order, each token looked up once and
-    the story side built once for both endings; bit-equal to the block
-    functions'."""
+    """The values of `blocks` in `all`'s order, each token looked up once,
+    the story side built once for both endings and each ending's cosines
+    taken in one call; bit-equal to the block functions'."""
     if Block.POS_SIM in blocks and annotator is None:
         raise ValueError("part-of-speech similarities need annotations, but "
                          "no annotator was given")
-    dim = table.dim
-    resolve = _resolver(table)
     story_sentences = [tokenize(s) for s in instance.context]
     ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
     texts = [_text(tokens, resolve, dim) for tokens in
              ([tok for sent in story_sentences for tok in sent], *ending_tokens)]
+    if blocks & _PAIR_SIMS:
+        sims = {k: _sims(texts[0], texts[k]) for k in (1, 2)}
     if Block.POS_SIM in blocks:
         classes = [_class_centers(annotated, resolve, dim) for annotated in (
             [tok for sent in story_sentences for tok in annotator(sent)],
             *map(annotator, ending_tokens))]
     values: dict[Block, Callable[[int], np.ndarray | list[float]]] = {
-        Block.STORY_CENTROID: lambda k: texts[k].center[0],
-        Block.ENDING_CENTROIDS: lambda k: texts[k].center[0],
-        Block.PLAIN_SIM: lambda k: [_plain_sim(texts[0], texts[k])],
-        Block.MAX_SIM: lambda k: _max_sims(texts[0], texts[k], MAX_SIM_TOPNS),
-        Block.ALIGNED_SIM: lambda k: [_aligned_sim(texts[0], texts[k])],
+        Block.STORY_CENTROID: lambda k: texts[k].rows[0],
+        Block.ENDING_CENTROIDS: lambda k: texts[k].rows[0],
+        Block.PLAIN_SIM: lambda k: sims[k][0, :1],
+        Block.MAX_SIM: lambda k: _max_sims(texts[0], sims[k], MAX_SIM_TOPNS),
+        Block.ALIGNED_SIM: lambda k: [_aligned_sim(texts[0], texts[k], sims[k])],
         Block.POS_SIM: lambda k: _pos_sims(classes[0], classes[k]),
     }
     return np.concatenate([values[block](k) for block, k in _LAYOUT
@@ -272,7 +302,8 @@ def extract(instance: ClozeInstance, table: EmbeddingTable,
             annotator: Annotator | None, config: FeatureConfig) -> FeatureVector:
     """Compute the blocks the config keeps for one instance, in layout order."""
     return FeatureVector(feature_names(config, table.dim), _extract_blocks(
-        instance, table, annotator, CONFIG_BLOCKS[config]))
+        instance, _resolver(table), table.dim, annotator,
+        CONFIG_BLOCKS[config]))
 
 
 def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
@@ -288,8 +319,9 @@ def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
     columns = {c: np.array([index[n] for n in feature_names(c, table.dim)])
                for c in configs}
     matrix = np.empty((len(instances), len(index)))
+    resolve = _resolver(table)
     for row, instance in zip(matrix, instances):
-        row[:] = _extract_blocks(instance, table, annotator, blocks)
+        row[:] = _extract_blocks(instance, resolve, table.dim, annotator, blocks)
     return matrix, columns
 
 
@@ -332,19 +364,22 @@ def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
 
 def save_features(path: str | Path, vectors: Sequence[FeatureVector],
                   labels: Sequence[int]) -> None:
-    """Text matrix: header of names, then value rows with the label last."""
+    """Text matrix: header of names, then value rows with the label last.
+    Every row is checked before the file is opened, so a bad row leaves the
+    path as it was."""
     if len(vectors) != len(labels):
         raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
     if not vectors:
         raise ValueError("nothing to save")
     names = vectors[0].names
+    for vector, label in zip(vectors, labels):
+        if vector.names != names:
+            raise ValueError("inconsistent feature layout across vectors")
+        if label not in (1, 2):
+            raise ValueError(f"label must be 1 or 2, got {label!r}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(names) + "\n")
         for vector, label in zip(vectors, labels):
-            if vector.names != names:
-                raise ValueError("inconsistent feature layout across vectors")
-            if label not in (1, 2):
-                raise ValueError(f"label must be 1 or 2, got {label!r}")
             row = [repr(float(x)) for x in vector.values]
             row.append(str(label))
             handle.write(",".join(row) + "\n")

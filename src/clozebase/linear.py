@@ -106,8 +106,10 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     value, grad = fun_grad(x)
     history = [value]
     grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    # the (s, y, rho = 1/(s.y)) pairs, oldest first, and gamma = (s.y)/(y.y)
+    # of the newest pair: each product is taken once, when its pair is stored
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    gamma = 1.0
     flat = 0
 
     def result(iterations: int, stop: str) -> SolveResult:
@@ -121,15 +123,13 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         # two-loop recursion for the search direction
         q = grad.copy()
         alphas = []
-        for s, y in zip(reversed(s_list), reversed(y_list)):
-            rho = 1.0 / float(y @ s)
+        for s, y, rho in reversed(pairs):
             a = rho * float(s @ q)
-            alphas.append((a, rho))
+            alphas.append(a)
             q -= a * y
-        if s_list:
-            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+        if pairs:
             q *= gamma
-        for (a, rho), s, y in zip(reversed(alphas), s_list, y_list):
+        for a, (s, y, rho) in zip(reversed(alphas), pairs):
             beta = rho * float(y @ q)
             q += (a - beta) * s
         direction = -q
@@ -137,32 +137,31 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         if slope >= 0.0:            # not a descent direction: reset to steepest
             direction = -grad
             slope = -float(grad @ grad)
-            s_list.clear()
-            y_list.clear()
+            pairs.clear()
         step = 1.0
         armijo = 1e-4
         new_value, new_grad = None, None
         for _ in range(60):
-            candidate = x + step * direction
+            s = step * direction
+            candidate = x + s
             new_value, new_grad = fun_grad(candidate)
             if new_value <= value + armijo * step * slope:
                 break
             step *= 0.5
         else:
             return result(iterations, "line_search")
-        if np.array_equal(candidate, x):    # the step rounded away: no move
+        if not (candidate != x).any():      # the step rounded away: no move
             return result(iterations, "line_search")
-        s = step * direction
         y = new_grad - grad
-        if float(s @ y) > 1e-12:
-            s_list.append(s)
-            y_list.append(y)
-            if len(s_list) > LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
+        sy = float(s @ y)
+        if sy > 1e-12:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / float(y @ y)
+            if len(pairs) > LBFGS_MEMORY:
+                pairs.pop(0)
         scale = max(abs(value), abs(new_value), 1.0)
         flat = flat + 1 if value - new_value <= FLAT_RTOL * scale else 0
-        x = x + s
+        x = candidate
         value, grad = new_value, new_grad
         history.append(value)
         if flat == FLAT_ITERS:

@@ -6,9 +6,11 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import clozebase.features as features_module
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
 from clozebase.corpus import ClozeInstance, swap_endings
-from clozebase.embeddings import centroid, make_table
+from clozebase.embeddings import (centroid, cosine_normed, lookup, make_table,
+                                  mean_vector, vector_norm)
 from clozebase.errors import ParseError
 from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
                                 Block, FeatureConfig, FeatureVector, Scaler,
@@ -712,6 +714,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_features(tmp_path / "features.csv", vectors, labels)
 
+    @pytest.mark.parametrize("second, labels, message", [
+        ("a", [1, 3], "label must be 1 or 2, got 3"),
+        ("b", [1, 2], "inconsistent feature layout across vectors"),
+    ])
+    @pytest.mark.parametrize("before", [None, "kept\n"])
+    def test_bad_later_row_leaves_the_path_as_it_was(self, tmp_path, second,
+                                                     labels, message, before):
+        path = tmp_path / "features.csv"
+        if before is not None:
+            path.write_text(before)
+        vectors = [FeatureVector(names=(name,), values=np.zeros(1))
+                   for name in ("a", second)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_features(path, vectors, labels)
+        if before is None:
+            assert not path.exists()
+        else:
+            assert path.read_text() == before
+
     def test_label_column_validated(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("a,b\n0.5,0.25,x\n")
@@ -752,3 +773,186 @@ class TestPersistence:
         with pytest.raises(ParseError,
                            match=re.escape(f"{path}: no feature rows")):
             load_features(path)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair oracle: the memoized extraction that the batched cosines replaced,
+# kept as it was (one `cosine_normed` per pair, `mean_vector` per centroid,
+# `vector_norm` per vector). `extract_matrix` must equal it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def pp_resolver(table):
+    memo = {}
+
+    def resolve(token):
+        if token not in memo:
+            vec = lookup(table, token)
+            memo[token] = None if vec is None else (vec, vector_norm(vec))
+        return memo[token]
+    return resolve
+
+
+def pp_center(vectors, dim):
+    vec = mean_vector(vectors, dim)
+    return vec, vector_norm(vec)
+
+
+def pp_text(tokens, resolve, dim):
+    """(words, unique, slots, center) as the per-pair code kept a text."""
+    words = [word for word in map(resolve, tokens) if word is not None]
+    unique = list({id(word[0]): word for word in words}.values())
+    slot_of = {id(word[0]): slot for slot, word in enumerate(unique)}
+    slots = [slot_of[id(word[0])] for word in words]
+    return words, unique, slots, pp_center([word[0] for word in words], dim)
+
+
+def pp_max_sims(story, ending, topns):
+    words, unique, slots, _ = story
+    if not words:
+        return [0.0] * len(topns)
+    per_vector = [cosine_normed(vec, norm, *ending[3]) for vec, norm in unique]
+    scores = [per_vector[slot] for slot in slots]
+    scores.sort(reverse=True)
+    return [float(sum(top) / len(top)) for top in (scores[:n] for n in topns)]
+
+
+def pp_aligned_sim(story, ending):
+    words, unique, slots, _ = story
+    if not words or not ending[0]:
+        return 0.0
+    per_vector = [max([cosine_normed(vec, norm, other, other_norm)
+                       for other, other_norm in ending[0]])
+                  for vec, norm in unique]
+    best = [per_vector[slot] for slot in slots]
+    return float(sum(best) / len(best))
+
+
+def pp_class_centers(annotated, resolve, dim):
+    members = {cls: [] for cls in POS_CLASSES}
+    for tok in annotated:
+        vectors = members.get(coarse_class(tok.pos))
+        word = None if vectors is None else resolve(tok.surface)
+        if word is not None:
+            vectors.append(word[0])
+    return [pp_center(members[cls], dim) for cls in POS_CLASSES]
+
+
+def pp_extract(instance, table, annotator, config):
+    blocks = CONFIG_BLOCKS[config]
+    dim, resolve = table.dim, pp_resolver(table)
+    sentences = [tokenize(s) for s in instance.context]
+    endings = (tokenize(instance.ending1), tokenize(instance.ending2))
+    texts = [pp_text(tokens, resolve, dim) for tokens in
+             ([tok for sent in sentences for tok in sent], *endings)]
+    classes = [pp_class_centers(annotated, resolve, dim) for annotated in (
+        [tok for sent in sentences for tok in annotator(sent)],
+        *map(annotator, endings))]
+    values = {
+        Block.STORY_CENTROID: lambda k: texts[k][3][0],
+        Block.ENDING_CENTROIDS: lambda k: texts[k][3][0],
+        Block.PLAIN_SIM: lambda k: [cosine_normed(*texts[0][3], *texts[k][3])],
+        Block.MAX_SIM: lambda k: pp_max_sims(texts[0], texts[k], MAX_SIM_TOPNS),
+        Block.ALIGNED_SIM: lambda k: [pp_aligned_sim(texts[0], texts[k])],
+        Block.POS_SIM: lambda k: [cosine_normed(*cs, *ce) for cs in classes[0]
+                                  for ce in classes[k]],
+    }
+    return np.concatenate([values[block](k) for block, k in
+                           features_module._LAYOUT if block in blocks])
+
+
+def extreme_table(dim):
+    """VOCAB at `dim` in full float64, whose sums round differently in
+    another order (float32 values widened to float64 often add exactly),
+    plus a zero vector ("nothing"), two tiny vectors whose
+    norms' product is subnormal ("speck", "mote"), and two vast ones whose
+    norms are inf, so that a cosine among them is inf/inf = NaN ("giant",
+    "titan", of mixed signs)."""
+    rng = np.random.default_rng(dim)
+    entries = {w: rng.standard_normal(dim) for w in VOCAB}
+    entries["nothing"] = np.zeros(dim)
+    for word, scale in (("speck", 3e-162), ("mote", 5e-162),
+                        ("giant", 1e160), ("titan", 3e160)):
+        entries[word] = scale * rng.choice((-1.0, 1.0), dim)
+    return make_table(entries, dim)
+
+
+def extreme_instances():
+    plain = ("she walked to the park.", "the dog played.",
+             "he liked the game.", "they smiled.")
+    return edge_instances() + [
+        ClozeInstance("all-oov-ending", plain, "zzqx0 qqq.", "zzqx1.", 1),
+        ClozeInstance("all-oov-both", ("zzqx0.", "zzqx1.", "zzqx2.", "zzqx3."),
+                      "zzqx4.", "qqq.", 2),
+        ClozeInstance("one-token", ("dog.", "zzqx0.", "zzqx1.", "zzqx2."),
+                      "cat.", "quickly.", 1),
+        # no adverb, adjective or pronoun anywhere: empty POS classes
+        ClozeInstance("empty-class", ("dog walked.", "cat played.",
+                                      "pizza jumped.", "ball went."),
+                      "dog ran.", "car smiled.", 2),
+        ClozeInstance("tiny", ("speck mote speck walked.", "the mote.",
+                               "mote dog speck.", "she smiled."),
+                      "speck mote.", "the dog speck.", 1),
+        # NaN after a row's first cosine, then NaN first
+        ClozeInstance("vast-late", ("giant walked.", "titan giant.",
+                                    "the dog.", "she smiled."),
+                      "dog giant titan.", "cat titan.", 2),
+        ClozeInstance("vast-first", ("giant titan.", "giant.", "dog giant.",
+                                     "she smiled."),
+                      "giant dog.", "titan dog giant.", 1),
+        ClozeInstance("mixed", ("speck giant nothing dog.", "titan mote.",
+                                "nothing nothing.", "zzqx0 she."),
+                      "mote titan nothing.", "speck.", 2),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestPerPairOracle:
+    @pytest.mark.parametrize("dim", [1, 16, 300])
+    @pytest.mark.parametrize("config", list(FeatureConfig))
+    def test_matrix_equals_per_pair_code(self, dim, config):
+        table = extreme_table(dim)
+        instances = make_instances(12, seed=dim) + extreme_instances()
+        got = extract_matrix(instances, table, heuristic_tag, [config])[0]
+        want = np.stack([pp_extract(inst, table, heuristic_tag, config)
+                         for inst in instances])
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_extremes_reach_nan_and_subnormal_cosines(self):
+        table = extreme_table(300)
+        by_id = {inst.id: inst for inst in extreme_instances()}
+        names = feature_names(FeatureConfig.SIMS_ONLY, 300)
+
+        def named(key):
+            return dict(zip(names, extract_matrix(
+                [by_id[key]], table, heuristic_tag,
+                [FeatureConfig.SIMS_ONLY])[0][0]))
+        # a vast story word's row starts with a finite cosine, then NaN:
+        # Python's max passes over the NaN, as the per-pair loop did
+        assert np.isfinite(named("vast-late")["e1_alignedsim"])
+        assert np.isnan(named("vast-first")["e1_alignedsim"])
+        speck, mote = (table.entries[w] for w in ("speck", "mote"))
+        product = vector_norm(speck) * vector_norm(mote)
+        assert 0.0 < product < np.finfo(np.float64).tiny
+        assert np.isfinite(list(named("tiny").values())).all()
+
+    def test_stacked_matmul_core_is_ndarray_dot(self):
+        """The platform fact the batched cosines rest on: numpy runs each
+        (1 x d)(d x 1) core of a stacked matmul through `ndarray.dot`'s
+        ddot. A numpy or BLAS build where this fails moves features."""
+        rng = np.random.default_rng(7)
+        for dim in (1, 7, 300, 1000):
+            a = rng.standard_normal((6, dim)) * 10.0 ** rng.uniform(-8, 8, dim)
+            b = rng.standard_normal((5, dim)) * 10.0 ** rng.uniform(-8, 8, dim)
+            stacked = np.matmul(a[:, None, None, :], b[None, :, :, None])
+            want = np.array([[u.dot(v) for v in b] for u in a])
+            assert stacked[:, :, 0, 0].tobytes() == want.tobytes(), dim
+            norms = features_module._norms(a)
+            assert norms.tobytes() == np.array(
+                [vector_norm(u) for u in a]).tobytes(), dim
+            got = features_module._cosines(a, norms, b,
+                                           features_module._norms(b))
+            assert got.tobytes() == np.array(
+                [[cosine_normed(u, vector_norm(u), v, vector_norm(v))
+                  for v in b] for u in a]).tobytes(), dim

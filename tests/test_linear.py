@@ -13,7 +13,8 @@ from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 apply_scaler, feature_names, fit_scaler,
                                 min_max_scale)
-from clozebase.linear import (DEFAULT_C_GRID, MAX_ITER, LinearModel,
+from clozebase.linear import (DEFAULT_C_GRID, FLAT_ITERS, FLAT_RTOL,
+                              GRAD_TOL, LBFGS_MEMORY, MAX_ITER, LinearModel, SolveResult,
                               cv_tune_c, load_model, logreg_objective,
                               minimize_lbfgs, predict, predict_rows,
                               save_model, train_logreg)
@@ -245,6 +246,118 @@ class TestStoppingRule:
                                             "gtol": 1e-12, "maxcor": 10})
         assert ours.converged
         assert abs(ours.value - theirs.fun) <= 1e-10 * max(1.0, abs(theirs.fun))
+
+
+def per_iteration_lbfgs(fun_grad, x0):
+    """`minimize_lbfgs` as it was before it cached each pair's products: it
+    takes every stored pair's y.s and gamma's two dot products again on
+    every iteration. Kept as the oracle the cached solver must equal."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    value, grad = fun_grad(x)
+    history = [value]
+    grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
+    s_list, y_list = [], []
+    flat = 0
+
+    def result(iterations, stop):
+        return SolveResult(x, value, tuple(history), iterations,
+                           stop in ("gradient", "flat"),
+                           float(np.abs(grad).max()), stop)
+
+    for iterations in range(1, MAX_ITER + 1):
+        if float(np.abs(grad).max()) <= grad_bound:
+            return result(iterations - 1, "gradient")
+        q = grad.copy()
+        alphas = []
+        for s, y in zip(reversed(s_list), reversed(y_list)):
+            rho = 1.0 / float(y @ s)
+            a = rho * float(s @ q)
+            alphas.append((a, rho))
+            q -= a * y
+        if s_list:
+            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+            q *= gamma
+        for (a, rho), s, y in zip(reversed(alphas), s_list, y_list):
+            beta = rho * float(y @ q)
+            q += (a - beta) * s
+        direction = -q
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = -float(grad @ grad)
+            s_list.clear()
+            y_list.clear()
+        step = 1.0
+        for _ in range(60):
+            candidate = x + step * direction
+            new_value, new_grad = fun_grad(candidate)
+            if new_value <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            return result(iterations, "line_search")
+        if np.array_equal(candidate, x):
+            return result(iterations, "line_search")
+        s = step * direction
+        y = new_grad - grad
+        if float(s @ y) > 1e-12:
+            s_list.append(s)
+            y_list.append(y)
+            if len(s_list) > LBFGS_MEMORY:
+                s_list.pop(0)
+                y_list.pop(0)
+        scale = max(abs(value), abs(new_value), 1.0)
+        flat = flat + 1 if value - new_value <= FLAT_RTOL * scale else 0
+        x = x + s
+        value, grad = new_value, new_grad
+        history.append(value)
+        if flat == FLAT_ITERS:
+            return result(iterations, "flat")
+    if float(np.abs(grad).max()) <= grad_bound:
+        return result(MAX_ITER, "gradient")
+    return result(MAX_ITER, "max_iter")
+
+
+def assert_same_solve(got, want):
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.history == want.history
+    assert (got.value, got.iterations, got.stop, got.converged, got.grad_inf) \
+        == (want.value, want.iterations, want.stop, want.converged, want.grad_inf)
+
+
+class TestCachedCurvatureOracle:
+    @pytest.mark.parametrize("seed,n,d,c", [(30, 64, 962, 100.0),
+                                            (31, 64, 962, 0.01),
+                                            (32, 80, 10, 1.0),
+                                            (33, 40, 40, 10.0),
+                                            (34, 50, 5, 0.05),
+                                            (35, 30, 60, 5.0)])
+    def test_solve_equals_the_per_iteration_products(self, seed, n, d, c):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (n, d))
+        y_pm = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        fun = lambda t: logreg_objective(t, x, y_pm, c)
+        want = per_iteration_lbfgs(fun, np.zeros(d + 1))
+        assert_same_solve(minimize_lbfgs(fun, np.zeros(d + 1)), want)
+
+    def test_memory_overflows_and_matches(self):
+        fun, size = stalled_problem()
+        want = per_iteration_lbfgs(fun, np.zeros(size))
+        assert want.iterations > 3 * LBFGS_MEMORY
+        assert_same_solve(minimize_lbfgs(fun, np.zeros(size)), want)
+
+    @pytest.mark.parametrize("fun, x0", [
+        (lambda t: (float(t.sum()), -np.ones_like(t)), np.zeros(2)),
+        (lambda t: (0.5 * float(t @ t), -t.copy()), np.ones(2)),
+        # Rosenbrock: curvature pairs skipped and descent resets
+        (lambda t: (float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2),
+                    np.array([-400.0 * t[0] * (t[1] - t[0] ** 2)
+                              - 2.0 * (1.0 - t[0]),
+                              200.0 * (t[1] - t[0] ** 2)])),
+         np.array([-1.2, 1.0])),
+    ])
+    def test_other_stops_match(self, fun, x0):
+        assert_same_solve(minimize_lbfgs(fun, x0), per_iteration_lbfgs(fun, x0))
 
 
 class TestTrainLogreg:
