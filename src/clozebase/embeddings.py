@@ -7,7 +7,6 @@ All vectors are widened to float64 on load; downstream feature code assumes
 from __future__ import annotations
 
 import enum
-import math
 import os
 import stat
 from dataclasses import dataclass
@@ -222,22 +221,3 @@ def mean_vector(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
     if not vectors:
         return total
     return total / len(vectors)
-
-
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm as `np.linalg.norm` computes it: sqrt(v·v)."""
-    flat = v.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
-
-
-def cosine_normed(a: np.ndarray, norm_a: float, b: np.ndarray,
-                  norm_b: float) -> float:
-    """Cosine similarity of two float64 vectors whose norms are already
-    known; 0.0 when either norm is zero.
-
-    `a.dot(b)` is `np.dot(a, b)` without the function dispatch: the same
-    product, to the bit.
-    """
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(a.dot(b) / (norm_a * norm_b))

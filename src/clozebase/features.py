@@ -20,7 +20,8 @@ in-vocabulary vectors. One batched call per ending gives the plain, max-sim
 and aligned cosines, and one 5 x 5 call the POS similarities. The batch is
 a stacked `np.matmul` of (1 x d)(d x 1) cores, not a GEMM, so every cosine,
 centroid and mean equals the per-pair definition (`ndarray.dot` over the
-two norms, rows added in order) bit for bit.
+two norms, rows added in order) bit for bit; that definition is kept in the
+tests, as the oracle the batched code is checked against.
 """
 from __future__ import annotations
 
@@ -134,34 +135,22 @@ class _Text(NamedTuple):
     slots: list[int]
 
 
-def _resolver(table: EmbeddingTable) -> Callable[[str], np.ndarray | None]:
-    """`lookup` as float64, memoized per token string."""
-    memo: dict[str, np.ndarray | None] = {}
-
-    def resolve(token: str) -> np.ndarray | None:
-        if token not in memo:
-            vec = lookup(table, token)
-            memo[token] = None if vec is None else np.asarray(vec, dtype=np.float64)
-        return memo[token]
-    return resolve
-
-
 def _norms(rows: np.ndarray) -> np.ndarray:
     """Each row's norm, sqrt(v·v), each v·v a (1 x d)(d x 1) core of one
-    stacked `np.matmul`: the `ndarray.dot` that `vector_norm` takes."""
+    stacked `np.matmul`: the same `ndarray.dot` as the per-pair norm."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
 
 
 def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
              norm_b: np.ndarray) -> np.ndarray:
-    """The (m x k) cosines of a's rows with b's rows, each equal to
-    `cosine_normed`'s to the bit, and 0.0 where either norm is 0.
+    """The (m x k) cosines of a's rows with b's rows, each equal to the
+    per-pair a·b / (|a| |b|) to the bit, and 0.0 where either norm is 0.
 
     One stacked `np.matmul` of (1 x d)(d x 1) cores gives every dot product;
     numpy runs each core through the `ddot` that `ndarray.dot` runs, where
-    a GEMM would reorder the sums. Each norm is tested on its own, as
-    `cosine_normed` tests them: the product of a zero and an infinite norm
-    is NaN, not 0.
+    a GEMM would reorder the sums. Each norm is tested on its own, as the
+    per-pair definition tests them: the product of a zero and an infinite
+    norm is NaN, not 0.
     """
     dots = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
     return np.divide(dots, np.multiply.outer(norm_a, norm_b),
@@ -169,12 +158,12 @@ def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
                      where=np.logical_and.outer(norm_a != 0.0, norm_b != 0.0))
 
 
-def _text(tokens: Sequence[str], resolve: Callable[[str], np.ndarray | None],
-          dim: int) -> _Text:
-    words = [vec for vec in map(resolve, tokens) if vec is not None]
+def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
+    words = [vec for vec in (lookup(table, tok) for tok in tokens)
+             if vec is not None]
     distinct = {id(vec): vec for vec in words}
     row = {key: i for i, key in enumerate(distinct, start=1)}
-    rows = np.array([mean_vector(words, dim), *distinct.values()])
+    rows = np.array([mean_vector(words, table.dim), *distinct.values()])
     return _Text(rows, _norms(rows), [row[id(vec)] for vec in words])
 
 
@@ -205,18 +194,18 @@ def _aligned_sim(story: _Text, ending: _Text, sims: np.ndarray) -> float:
     return float(sum(best) / len(best))
 
 
-def _class_centers(annotated: Sequence[AnnotatedToken],
-                   resolve: Callable[[str], np.ndarray | None],
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _class_centers(annotated: Sequence[AnnotatedToken], table: EmbeddingTable
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
     their norms."""
     members: dict[CoarseClass, list[np.ndarray]] = {cls: [] for cls in POS_CLASSES}
     for tok in annotated:
         vectors = members.get(coarse_class(tok.pos))
-        vec = None if vectors is None else resolve(tok.surface)
+        vec = None if vectors is None else lookup(table, tok.surface)
         if vec is not None:
             vectors.append(vec)
-    centers = np.array([mean_vector(members[cls], dim) for cls in POS_CLASSES])
+    centers = np.array([mean_vector(members[cls], table.dim)
+                        for cls in POS_CLASSES])
     return centers, _norms(centers)
 
 
@@ -225,14 +214,9 @@ def _pos_sims(story_centers: tuple[np.ndarray, np.ndarray],
     return _cosines(*story_centers, *ending_centers).ravel().tolist()
 
 
-def _texts(table: EmbeddingTable, *tokens: Sequence[str]) -> list[_Text]:
-    resolve = _resolver(table)
-    return [_text(sequence, resolve, table.dim) for sequence in tokens]
-
-
 def sim_story_ending(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                      table: EmbeddingTable) -> float:
-    story, ending = _texts(table, story_tokens, ending_tokens)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     return float(_cosines(story.rows[:1], story.norms[:1],
                           ending.rows[:1], ending.norms[:1])[0, 0])
 
@@ -242,7 +226,7 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     """Mean of the n best per-story-word cosines with the ending centroid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    story, ending = _texts(table, story_tokens, ending_tokens)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     column = _cosines(story.rows, story.norms, ending.rows[:1], ending.norms[:1])
     return _max_sims(story, column, (n,))[0]
 
@@ -250,7 +234,7 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
 def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
-    story, ending = _texts(table, story_tokens, ending_tokens)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     return _aligned_sim(story, ending, _sims(story, ending))
 
 
@@ -258,32 +242,30 @@ def pos_sims(story_annotated: Sequence[AnnotatedToken],
              ending_annotated: Sequence[AnnotatedToken],
              table: EmbeddingTable) -> list[float]:
     """Cosine for each ordered (story class, ending class) pair; 25 values."""
-    resolve = _resolver(table)
-    return _pos_sims(_class_centers(story_annotated, resolve, table.dim),
-                     _class_centers(ending_annotated, resolve, table.dim))
+    return _pos_sims(_class_centers(story_annotated, table),
+                     _class_centers(ending_annotated, table))
 
 
 _PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
 
 
-def _extract_blocks(instance: ClozeInstance,
-                    resolve: Callable[[str], np.ndarray | None], dim: int,
+def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
                     annotator: Annotator | None,
                     blocks: frozenset[Block]) -> np.ndarray:
-    """The values of `blocks` in `all`'s order, each token looked up once,
-    the story side built once for both endings and each ending's cosines
-    taken in one call; bit-equal to the block functions'."""
+    """The values of `blocks` in `all`'s order, the story side built once
+    for both endings and each ending's cosines taken in one call; bit-equal
+    to the block functions'."""
     if Block.POS_SIM in blocks and annotator is None:
         raise ValueError("part-of-speech similarities need annotations, but "
                          "no annotator was given")
     story_sentences = [tokenize(s) for s in instance.context]
     ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
-    texts = [_text(tokens, resolve, dim) for tokens in
+    texts = [_text(tokens, table) for tokens in
              ([tok for sent in story_sentences for tok in sent], *ending_tokens)]
     if blocks & _PAIR_SIMS:
         sims = {k: _sims(texts[0], texts[k]) for k in (1, 2)}
     if Block.POS_SIM in blocks:
-        classes = [_class_centers(annotated, resolve, dim) for annotated in (
+        classes = [_class_centers(annotated, table) for annotated in (
             [tok for sent in story_sentences for tok in annotator(sent)],
             *map(annotator, ending_tokens))]
     values: dict[Block, Callable[[int], np.ndarray | list[float]]] = {
@@ -302,8 +284,7 @@ def extract(instance: ClozeInstance, table: EmbeddingTable,
             annotator: Annotator | None, config: FeatureConfig) -> FeatureVector:
     """Compute the blocks the config keeps for one instance, in layout order."""
     return FeatureVector(feature_names(config, table.dim), _extract_blocks(
-        instance, _resolver(table), table.dim, annotator,
-        CONFIG_BLOCKS[config]))
+        instance, table, annotator, CONFIG_BLOCKS[config]))
 
 
 def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
@@ -319,9 +300,8 @@ def extract_matrix(instances: Sequence[ClozeInstance], table: EmbeddingTable,
     columns = {c: np.array([index[n] for n in feature_names(c, table.dim)])
                for c in configs}
     matrix = np.empty((len(instances), len(index)))
-    resolve = _resolver(table)
     for row, instance in zip(matrix, instances):
-        row[:] = _extract_blocks(instance, resolve, table.dim, annotator, blocks)
+        row[:] = _extract_blocks(instance, table, annotator, blocks)
     return matrix, columns
 
 

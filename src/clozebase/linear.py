@@ -295,8 +295,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _non_negative(kind: Callable[[str], float]) -> Callable[[str], float]:
+    """`kind`, refusing a negative value."""
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value < 0:
+            raise ValueError(text)
+        return value
+    return parse
+
+
 # v2 adds the final solve's diagnostics; a v1 file loads with them set to None
-_DIAGNOSTICS = {"iterations": int, "converged": _parse_bool, "grad_inf": float}
+_DIAGNOSTICS = {"iterations": _non_negative(int), "converged": _parse_bool,
+                "grad_inf": _non_negative(_finite)}
 
 
 def save_model(path: str | Path, model: LinearModel) -> None:
@@ -320,7 +331,8 @@ def save_model(path: str | Path, model: LinearModel) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model file; a bad or non-finite number, or a feature whose max
+    """Read a model file; a bad or non-finite number, a negative iteration
+    count or gradient norm, a repeated metadata line, or a feature whose max
     is below its min, is a ParseError naming the line."""
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
@@ -343,6 +355,9 @@ def load_model(path: str | Path) -> LinearModel:
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) == 2 and fields[0] in keys:
+            if fields[0] in meta:
+                raise ParseError(f"{path}: line {lineno}: repeated "
+                                 f"{fields[0]!r} line")
             meta[fields[0]] = parse(lineno, *fields, keys[fields[0]])
         elif len(fields) == 4:
             weight, lo, hi = (parse(lineno, what, text, _finite) for what, text

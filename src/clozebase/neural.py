@@ -700,86 +700,95 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     any tensor is decompressed; a tensor that is not real numbers, has the
     wrong shape, or holds a NaN or an infinity, is a ParseError naming it."""
     path = Path(path)
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ParseError(f"{path}: not an LSTM checkpoint (no .npz archive)")
-    with archive as data:
-        if "__meta__" not in data:
-            raise ParseError(f"{path}: not an LSTM checkpoint (no metadata)")
+    # np.load of a path leaves the file open when it raises: hold the handle
+    # here, so every way out closes it
+    with open(path, "rb") as handle:
         try:
-            meta = json.loads(str(data["__meta__"]))
-        except ValueError as exc:           # JSONDecodeError, or an object array
-            raise ParseError(f"{path}: bad checkpoint metadata "
-                             f"(not JSON: {exc})") from None
-        if not isinstance(meta, dict):
-            raise ParseError(f"{path}: bad checkpoint metadata "
-                             f"(not a JSON object)")
-        version = meta.get("version")
-        if version not in (1, CHECKPOINT_VERSION):
-            raise ParseError(f"{path}: unsupported checkpoint version "
-                             f"{version!r}")
-        try:
-            d, h = int(meta["input_size"]), int(meta["hidden_size"])
-            variant = Variant(meta["variant"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad checkpoint metadata "
-                             f"({type(exc).__name__}: {exc})") from None
-        if min(d, h) <= 0:
-            raise ParseError(f"{path}: bad checkpoint metadata (input_size "
-                             f"{d} and hidden_size {h} must be positive)")
-
-        names = set(data.zip.namelist())
-
-        def check(part: str, shape: tuple[int, ...]) -> None:
-            """Check a stored tensor's dtype and shape from its .npy header."""
-            if f"{part}.npy" not in names:
-                raise ParseError(f"{path}: checkpoint missing tensor {part!r}")
-            with data.zip.open(f"{part}.npy") as member:
-                try:
-                    npy_version = np.lib.format.read_magic(member)
-                    read_header = (np.lib.format.read_array_header_1_0
-                                   if npy_version == (1, 0) else
-                                   np.lib.format.read_array_header_2_0)
-                    stored_shape, _, dtype = read_header(member)
-                except (ValueError, zipfile.BadZipFile) as exc:
-                    raise ParseError(f"{path}: tensor {part!r} is "
-                                     f"unreadable ({exc})") from None
-                room = data.zip.getinfo(member.name).file_size - member.tell()
-            if dtype.kind not in "biuf":
-                raise ParseError(f"{path}: tensor {part!r} holds {dtype} "
-                                 f"values, not real numbers")
-            if stored_shape != shape:
-                raise ParseError(f"{path}: tensor {part!r} has shape "
-                                 f"{stored_shape}, expected {shape}")
-            if math.prod(shape) * dtype.itemsize > room:
-                raise ParseError(f"{path}: tensor {part!r} is unreadable "
-                                 f"(its header needs more than the "
-                                 f"{room} bytes stored)")
-
-        # init_params allocates from the sizes: check them against the stored
-        # input and recurrent weights first
-        gates, suffix = (1, GATES[0]) if version == 1 else (len(GATES), "")
-        check(f"lstm.w_x{suffix}", (gates * h, d))
-        check(f"lstm.w_h{suffix}", (gates * h, h))
-        params = init_params(0, d, h, variant)
-        slots = []
-        for name, arr in tensors(params).items():
-            parts = [name]
-            if version == 1 and name in _V1_GATE_TENSORS:
-                parts = [_V1_GATE_TENSORS[name].format(g) for g in GATES]
-            rows = arr.shape[0] // len(parts)
-            for k, part in enumerate(parts):
-                check(part, (rows,) + arr.shape[1:])
-                slots.append((part, arr[k * rows:(k + 1) * rows]))
-        for part, slot in slots:
+            archive = np.load(handle, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ParseError(f"{path}: not an LSTM checkpoint "
+                             f"(no .npz archive)")
+        with archive as data:
+            if "__meta__" not in data:
+                raise ParseError(f"{path}: not an LSTM checkpoint "
+                                 f"(no metadata)")
             try:
-                slot[...] = data[part]
-            except (ValueError, zipfile.BadZipFile) as exc:   # e.g. a bad CRC
-                raise ParseError(f"{path}: tensor {part!r} is unreadable "
-                                 f"({exc})") from None
-            if not np.isfinite(slot).all():
-                raise ParseError(f"{path}: tensor {part!r} has non-finite values")
+                meta = json.loads(str(data["__meta__"]))
+            except ValueError as exc:   # JSONDecodeError, or an object array
+                raise ParseError(f"{path}: bad checkpoint metadata "
+                                 f"(not JSON: {exc})") from None
+            if not isinstance(meta, dict):
+                raise ParseError(f"{path}: bad checkpoint metadata "
+                                 f"(not a JSON object)")
+            version = meta.get("version")
+            if version not in (1, CHECKPOINT_VERSION):
+                raise ParseError(f"{path}: unsupported checkpoint version "
+                                 f"{version!r}")
+            try:
+                d, h = int(meta["input_size"]), int(meta["hidden_size"])
+                variant = Variant(meta["variant"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: bad checkpoint metadata "
+                                 f"({type(exc).__name__}: {exc})") from None
+            if min(d, h) <= 0:
+                raise ParseError(f"{path}: bad checkpoint metadata "
+                                 f"(input_size {d} and hidden_size {h} "
+                                 f"must be positive)")
+
+            names = set(data.zip.namelist())
+
+            def check(part: str, shape: tuple[int, ...]) -> None:
+                """Check a tensor's dtype and shape from its .npy header."""
+                if f"{part}.npy" not in names:
+                    raise ParseError(f"{path}: checkpoint missing tensor "
+                                     f"{part!r}")
+                with data.zip.open(f"{part}.npy") as member:
+                    try:
+                        npy_version = np.lib.format.read_magic(member)
+                        read_header = (np.lib.format.read_array_header_1_0
+                                       if npy_version == (1, 0) else
+                                       np.lib.format.read_array_header_2_0)
+                        stored_shape, _, dtype = read_header(member)
+                    except (ValueError, zipfile.BadZipFile) as exc:
+                        raise ParseError(f"{path}: tensor {part!r} is "
+                                         f"unreadable ({exc})") from None
+                    room = (data.zip.getinfo(member.name).file_size
+                            - member.tell())
+                if dtype.kind not in "biuf":
+                    raise ParseError(f"{path}: tensor {part!r} holds {dtype} "
+                                     f"values, not real numbers")
+                if stored_shape != shape:
+                    raise ParseError(f"{path}: tensor {part!r} has shape "
+                                     f"{stored_shape}, expected {shape}")
+                if math.prod(shape) * dtype.itemsize > room:
+                    raise ParseError(f"{path}: tensor {part!r} is unreadable "
+                                     f"(its header needs more than the "
+                                     f"{room} bytes stored)")
+
+            # init_params allocates from the sizes: check them against the
+            # stored input and recurrent weights first
+            gates, suffix = (1, GATES[0]) if version == 1 else (len(GATES), "")
+            check(f"lstm.w_x{suffix}", (gates * h, d))
+            check(f"lstm.w_h{suffix}", (gates * h, h))
+            params = init_params(0, d, h, variant)
+            slots = []
+            for name, arr in tensors(params).items():
+                parts = [name]
+                if version == 1 and name in _V1_GATE_TENSORS:
+                    parts = [_V1_GATE_TENSORS[name].format(g) for g in GATES]
+                rows = arr.shape[0] // len(parts)
+                for k, part in enumerate(parts):
+                    check(part, (rows,) + arr.shape[1:])
+                    slots.append((part, arr[k * rows:(k + 1) * rows]))
+            for part, slot in slots:
+                try:
+                    slot[...] = data[part]
+                except (ValueError, zipfile.BadZipFile) as exc:  # a bad CRC
+                    raise ParseError(f"{path}: tensor {part!r} is unreadable "
+                                     f"({exc})") from None
+                if not np.isfinite(slot).all():
+                    raise ParseError(f"{path}: tensor {part!r} has "
+                                     f"non-finite values")
     return params

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestGenData:
             out = str(tmp_path / name)
             assert main(["gen-data", "--roc", roc_path, "--strategy", "random",
                          "--k", "2", "--seed", "3", "--out", out]) == 0
-            outs.append(open(out, encoding="utf-8").read())
+            outs.append(Path(out).read_text(encoding="utf-8"))
         assert outs[0] == outs[1]
 
     def test_duplicate_story_ids_rejected(self, tmp_path, capsys):
@@ -432,7 +433,7 @@ class TestAblate:
         assert code == 0
         printed = capsys.readouterr().out
         assert "toy:" in printed
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "embeddings,endings-only,sims-only"
         assert len(lines) == 2
 

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import clozebase
-from clozebase import embeddings
+from clozebase import embeddings, features
 from clozebase.embeddings import (EmbeddingFormat, EmbeddingTable, centroid,
-                                  cosine_normed, load_embeddings, lookup,
-                                  make_table, vector_norm)
+                                  load_embeddings, lookup, make_table)
 from clozebase.errors import ParseError
 
 
@@ -480,7 +479,10 @@ class TestCentroid:
 
 
 def cosine(a, b):
-    return cosine_normed(a, vector_norm(a), b, vector_norm(b))
+    """The cosine of two vectors, as the feature code takes it."""
+    a, b = a[None, :], b[None, :]
+    return float(features._cosines(a, features._norms(a),
+                                   b, features._norms(b))[0, 0])
 
 
 class TestCosine:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 
@@ -9,8 +10,8 @@ import pytest
 import clozebase.features as features_module
 from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
 from clozebase.corpus import ClozeInstance, swap_endings
-from clozebase.embeddings import (centroid, cosine_normed, lookup, make_table,
-                                  mean_vector, vector_norm)
+from clozebase.embeddings import (EmbeddingTable, centroid, lookup,
+                                  make_table, mean_vector)
 from clozebase.errors import ParseError
 from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
                                 Block, FeatureConfig, FeatureVector, Scaler,
@@ -782,6 +783,21 @@ class TestPersistence:
 # ---------------------------------------------------------------------------
 
 
+def vector_norm(v):
+    """Euclidean norm as `np.linalg.norm` computes it: sqrt(v·v)."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
+def cosine_normed(a, norm_a, b, norm_b):
+    """Cosine similarity of two float64 vectors whose norms are already
+    known; 0.0 when either norm is zero. `a.dot(b)` is `np.dot(a, b)`
+    without the function dispatch: the same product, to the bit."""
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(a.dot(b) / (norm_a * norm_b))
+
+
 def pp_resolver(table):
     memo = {}
 
@@ -956,3 +972,18 @@ class TestPerPairOracle:
             assert got.tobytes() == np.array(
                 [[cosine_normed(u, vector_norm(u), v, vector_norm(v))
                   for v in b] for u in a]).tobytes(), dim
+
+    @pytest.mark.parametrize("dim", [1, 16, 300])
+    def test_float32_table_equals_its_float64_widening(self, dim):
+        """The feature code reads a table's vectors as stored: float32
+        vectors give the bits of the float64 table of the same values."""
+        rng = np.random.default_rng(dim)
+        narrow = {w: rng.standard_normal(dim).astype(np.float32)
+                  for w in (*VOCAB, "Dog")}
+        instances = make_instances(12, seed=dim) + edge_instances()
+        # every config at once: the matrix holds every block's columns
+        got, want = (extract_matrix(instances, table, heuristic_tag,
+                                    list(FeatureConfig))[0]
+                     for table in (EmbeddingTable(dim, narrow),
+                                   make_table(narrow, dim)))
+        assert got.tobytes() == want.tobytes()

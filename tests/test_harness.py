@@ -547,9 +547,9 @@ class TestAblationOracle:
         calls = collections.Counter()
         real = features_module._extract_blocks
 
-        def counting(instance, resolve, dim, annotator, blocks):
-            calls[instance.id, dim] += 1
-            return real(instance, resolve, dim, annotator, blocks)
+        def counting(instance, table, annotator, blocks):
+            calls[instance.id, table.dim] += 1
+            return real(instance, table, annotator, blocks)
 
         monkeypatch.setattr(features_module, "_extract_blocks", counting)
         got = run_ablation(dev, test, tables, **args)

@@ -716,6 +716,50 @@ class TestModelPersistence:
                            f"{line}: bad {what} '{value}'$"):
             load_model(path)
 
+    @pytest.mark.parametrize("record, what, value", [
+        ("grad_inf\tnan", "grad_inf", "nan"),
+        ("grad_inf\tinf", "grad_inf", "inf"),
+        ("grad_inf\t-inf", "grad_inf", "-inf"),
+        ("grad_inf\t-1e-9", "grad_inf", "-1e-9"),
+        ("iterations\t-7", "iterations", "-7"),
+        ("iterations\t2.5", "iterations", "2.5"),
+    ])
+    def test_impossible_diagnostic_names_the_line(self, tmp_path, record,
+                                                  what, value):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        f"c\t0.5\nintercept\t0.0\n{record}\n"
+                        "e1_centroid_0\t1.0\t0.0\t2.0\n"
+                        "e2_centroid_0\t1.0\t0.0\t2.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
+                           f"5: bad {what} '{value}'$"):
+            load_model(path)
+
+    def test_zero_diagnostics_load(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        "c\t0.5\nintercept\t0.0\niterations\t0\n"
+                        "grad_inf\t0.0\ne1_centroid_0\t1.0\t0.0\t2.0\n"
+                        "e2_centroid_0\t1.0\t0.0\t2.0\n")
+        model = load_model(path)
+        assert model.iterations == 0 and model.grad_inf == 0.0
+
+    @pytest.mark.parametrize("record", [
+        "config\tendings-only", "c\t0.25", "intercept\t0.0",
+        "iterations\t3", "converged\ttrue", "grad_inf\t0.5",
+    ])
+    def test_repeated_metadata_names_the_line(self, tmp_path, record):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        "c\t0.5\nintercept\t0.0\niterations\t3\n"
+                        "converged\ttrue\ngrad_inf\t0.5\n"
+                        f"{record}\ne1_centroid_0\t1.0\t0.0\t2.0\n"
+                        "e2_centroid_0\t1.0\t0.0\t2.0\n")
+        key = record.split("\t")[0]
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
+                           f"8: repeated '{key}' line$"):
+            load_model(path)
+
     def test_three_field_line_is_unrecognized(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("clozebase linear model v2\nconfig\tendings-only\n"

@@ -1099,3 +1099,16 @@ class TestCheckpoint:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ParseError, match="checkpoint"):
             load_checkpoint(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cut", [None, 200, 1000])
+    def test_unreadable_archive_closes_the_file(self, tmp_path, cut):
+        path = tmp_path / "model.npz"
+        if cut is None:
+            path.write_bytes(b"PK\x03\x04 not really a zip")
+        else:
+            save_checkpoint(path, init_params(41, 4, 5, Variant.RAW))
+            path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not "
+                           r"an LSTM checkpoint \(no .npz archive\)$"):
+            load_checkpoint(path)
