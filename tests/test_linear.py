@@ -15,8 +15,9 @@ from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 min_max_scale)
 from clozebase.linear import (DEFAULT_C_GRID, FLAT_ITERS, FLAT_RTOL,
                               GRAD_TOL, LBFGS_MEMORY, MAX_ITER, LinearModel, SolveResult,
-                              cv_tune_c, load_model, logreg_objective,
-                              minimize_lbfgs, predict, predict_rows,
+                              _newton_step, cv_tune_c, load_model,
+                              logreg_objective, minimize_lbfgs,
+                              minimize_newton, predict, predict_rows,
                               save_model, train_logreg)
 
 
@@ -183,6 +184,75 @@ class TestSolver:
         # the bound is relative to ||g0||_inf = 3
         assert result.grad_inf <= 1e-9 * 3.0
         assert result.grad_inf == float(np.abs(result.theta - target).max())
+
+
+def min_max_problem(seed, n, d):
+    """Features in [0, 1], as min-max scaling leaves them, and +-1 labels."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    y_pm = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    y_pm[:2] = -1.0, 1.0
+    return x, y_pm
+
+
+class TestNewton:
+    @pytest.mark.parametrize("n, d, c", [(12, 30, 0.01), (12, 30, 1.0),
+                                         (12, 30, 100.0), (30, 30, 5.0),
+                                         (20, 50, 100.0), (40, 6, 1.0)])
+    def test_step_is_the_dense_hessian_solve(self, n, d, c):
+        x, y_pm = min_max_problem(n + d, n, d)
+        theta = 2.0 * np.random.default_rng(d).standard_normal(d + 1)
+        margins = y_pm * (x @ theta[:-1] + theta[-1])
+        _, grad = logreg_objective(theta, x, y_pm, c)
+        # the full (d+1) x (d+1) Hessian, written out
+        curvature = 1.0 / ((1.0 + np.exp(-margins)) * (1.0 + np.exp(margins)))
+        xb = np.hstack([x, np.ones((n, 1))])
+        hessian = c * xb.T @ np.diag(curvature) @ xb + np.diag([1.0] * d + [0.0])
+        want = np.linalg.solve(hessian, -grad)
+        if n <= d:
+            woodbury = _newton_step(x, x @ x.T, margins, grad, c)
+            assert np.linalg.norm(woodbury - want) <= 1e-9 * np.linalg.norm(want)
+        dense = _newton_step(x, None, margins, grad, c)
+        assert np.linalg.norm(dense - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n, d", [(15, 40), (60, 5), (200, 10)])
+    @pytest.mark.parametrize("c", [0.05, 1.0, 100.0])
+    def test_reaches_the_lbfgs_minimizer(self, n, d, c):
+        x, y_pm = min_max_problem(n * d, n, d)
+        newton = minimize_newton(x, y_pm, c)
+        lbfgs = minimize_lbfgs(lambda t: logreg_objective(t, x, y_pm, c),
+                               np.zeros(d + 1))
+        assert newton.converged and newton.stop == "gradient"
+        assert lbfgs.converged
+        # L-BFGS's flat stop leaves it ~1e-6 (relative) short of the minimizer
+        assert rel_err(newton.theta, lbfgs.theta) < 1e-5
+        assert newton.value <= lbfgs.value + 1e-12 * abs(lbfgs.value)
+        assert newton.iterations < lbfgs.iterations
+
+    def test_separable_wide_problem_converges_by_the_gradient(self):
+        # n < d: the two classes are separable, so the unregularized loss
+        # would have no minimizer and margins grow with C
+        x, y_pm = min_max_problem(17, 20, 60)
+        result = minimize_newton(x, y_pm, 100.0)
+        margins = y_pm * (x @ result.theta[:-1] + result.theta[-1])
+        assert margins.min() > 0.0
+        assert result.converged and result.stop == "gradient"
+        _, grad0 = logreg_objective(np.zeros(61), x, y_pm, 100.0)
+        assert result.grad_inf <= GRAD_TOL * float(np.abs(grad0).max())
+        assert result.grad_inf == float(np.abs(
+            logreg_objective(result.theta, x, y_pm, 100.0)[1]).max())
+        assert np.all(np.diff(result.history) <= 0.0)
+        assert len(result.history) == result.iterations + 1
+
+
+    def test_ascent_direction_ends_the_solve_unconverged(self, monkeypatch):
+        x, y_pm = min_max_problem(18, 30, 4)
+        monkeypatch.setattr(linear_module, "_newton_step",
+                            lambda x, gram, margins, grad, c: grad)
+        result = minimize_newton(x, y_pm, 1.0)
+        assert (result.stop, result.converged, result.iterations) == (
+            "line_search", False, 1)
+        assert not result.theta.any()
 
 
 class TestStoppingRule:
@@ -601,6 +671,7 @@ class TestCvTuneC:
         def no_solve(*args, **kwargs):
             raise AssertionError("a fold was solved")
         monkeypatch.setattr(linear_module, "minimize_lbfgs", no_solve)
+        monkeypatch.setattr(linear_module, "minimize_newton", no_solve)
         x, y = random_problem(np.random.default_rng(16), n=12)
         with pytest.raises(ValueError, match=f"C must be a finite positive "
                                              f"number, got {bad}$"):
@@ -714,6 +785,17 @@ class TestModelPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
                            f"{line}: bad {what} '{value}'$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+    def test_non_positive_c_names_the_line(self, tmp_path, value):
+        path = tmp_path / "model.txt"
+        path.write_text("clozebase linear model v2\nconfig\tendings-only\n"
+                        f"c\t{value}\nintercept\t0.0\n"
+                        "e1_centroid_0\t1.0\t0.0\t2.0\n"
+                        "e2_centroid_0\t1.0\t0.0\t2.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line "
+                           f"3: bad c '{value}'$"):
             load_model(path)
 
     @pytest.mark.parametrize("record, what, value", [
