@@ -194,25 +194,18 @@ def _aligned_sim(story: _Text, ending: _Text, sims: np.ndarray) -> float:
     return float(sum(best) / len(best))
 
 
-@functools.lru_cache(maxsize=256)
-def _pos_slot(pos: str) -> int | None:
-    """The index in POS_CLASSES of the tag's coarse class, None if absent;
-    keyed by the tag string, so that no token hashes an Enum member."""
-    cls = coarse_class(pos)
-    return POS_CLASSES.index(cls) if cls in POS_CLASSES else None
-
-
 def _class_centers(annotated: Sequence[AnnotatedToken], table: EmbeddingTable
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
     their norms."""
-    members: list[list[np.ndarray]] = [[] for _ in POS_CLASSES]
+    members: dict[CoarseClass, list[np.ndarray]] = {cls: [] for cls in POS_CLASSES}
     for tok in annotated:
-        slot = _pos_slot(tok.pos)
-        vec = None if slot is None else lookup(table, tok.surface)
+        vectors = members.get(coarse_class(tok.pos))
+        vec = None if vectors is None else lookup(table, tok.surface)
         if vec is not None:
-            members[slot].append(vec)
-    centers = np.array([mean_vector(vectors, table.dim) for vectors in members])
+            vectors.append(vec)
+    centers = np.array([mean_vector(members[cls], table.dim)
+                        for cls in POS_CLASSES])
     return centers, _norms(centers)
 
 

@@ -14,11 +14,11 @@ reach at large C.
 
 C is tuned by seeded k-fold cross-validation, whose fold fits use Newton's
 method (`minimize_newton`) with the same line search, gradient test and
-iteration cap. A Newton step solves the smaller of an n x n and a
-(d+1) x (d+1) system, so a fold fit takes a few steps where L-BFGS takes
-hundreds, and it reaches the gradient test where L-BFGS often stops flat.
-The final fit stays on L-BFGS: the saved weights, and the benchmark's
-references, are that solver's endpoint.
+iteration cap. A Newton step solves an n x n system (n training rows), so
+a fold fit takes a few steps where L-BFGS takes hundreds, and it reaches
+the gradient test where L-BFGS often stops flat. The final fit stays on
+L-BFGS: the saved weights, and the benchmark's references, are that
+solver's endpoint.
 """
 from __future__ import annotations
 
@@ -101,6 +101,29 @@ class SolveResult:
     stop: str                   # "gradient", "flat", "line_search" or "max_iter"
 
 
+def _line_search(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                 x: np.ndarray, value: float, direction: np.ndarray,
+                 slope: float
+                 ) -> tuple[float, np.ndarray, float, np.ndarray] | None:
+    """Armijo backtracking from x along a descent direction with
+    slope = grad . direction: the step halves from 1 until
+    f(x + step * direction) <= value + 1e-4 * step * slope. Returns the step
+    and the accepted point's (point, value, gradient), or None when 60
+    halvings find no decrease or the accepted point rounds to x."""
+    step = 1.0
+    for _ in range(60):
+        candidate = x + step * direction
+        new_value, new_grad = fun_grad(candidate)
+        if new_value <= value + 1e-4 * step * slope:
+            break
+        step *= 0.5
+    else:
+        return None
+    if not (candidate != x).any():
+        return None
+    return step, candidate, new_value, new_grad
+
+
 def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                    x0: np.ndarray) -> SolveResult:
     """Limited-memory BFGS with Armijo backtracking (halving) line search.
@@ -146,20 +169,11 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
             direction = -grad
             slope = -float(grad @ grad)
             pairs.clear()
-        step = 1.0
-        armijo = 1e-4
-        new_value, new_grad = None, None
-        for _ in range(60):
-            s = step * direction
-            candidate = x + s
-            new_value, new_grad = fun_grad(candidate)
-            if new_value <= value + armijo * step * slope:
-                break
-            step *= 0.5
-        else:
+        accepted = _line_search(fun_grad, x, value, direction, slope)
+        if accepted is None:
             return result(iterations, "line_search")
-        if not (candidate != x).any():      # the step rounded away: no move
-            return result(iterations, "line_search")
+        step, candidate, new_value, new_grad = accepted
+        s = step * direction
         y = new_grad - grad
         sy = float(s @ y)
         if sy > 1e-12:
@@ -203,7 +217,7 @@ def _training_set(x: np.ndarray, y: Sequence[int],
     return x, y_pm
 
 
-def _newton_step(x: np.ndarray, gram: np.ndarray | None, margins: np.ndarray,
+def _newton_step(x: np.ndarray, gram: np.ndarray, margins: np.ndarray,
                  grad: np.ndarray, c: float) -> np.ndarray:
     """-H^-1 grad, for the Hessian of `logreg_objective` at the point with
     these margins:
@@ -212,18 +226,13 @@ def _newton_step(x: np.ndarray, gram: np.ndarray | None, margins: np.ndarray,
         D = diag(sigma(m) sigma(-m)).
 
     D is that product, not sigma(m) (1 - sigma(m)), which rounds to 0 once
-    sigma(m) rounds to 1. With gram = X X^T (for n <= d) the step solves
-    n x n: Woodbury on the w block, A^-1 = I - C X^T T M^-1 T X with
-    T = D^(1/2) and M = I + C T X X^T T, and the intercept's Schur
-    complement C 1^T D 1 - u^T A^-1 u, which reduces to C t^T M^-1 t with
-    t = T 1, a positive number computed without cancellation. Without a
-    Gram matrix it solves the dense (d+1) x (d+1) system."""
+    sigma(m) rounds to 1. With gram = X X^T the step solves n x n: Woodbury
+    on the w block, A^-1 = I - C X^T T M^-1 T X with T = D^(1/2) and
+    M = I + C T X X^T T, which is positive definite for every n and d, and
+    the intercept's Schur complement C 1^T D 1 - u^T A^-1 u, which reduces
+    to C t^T M^-1 t with t = T 1, a positive number computed without
+    cancellation."""
     t = np.sqrt(sigmoid(margins) * sigmoid(-margins))
-    if gram is None:
-        root = t[:, None] * np.hstack([x, np.ones((x.shape[0], 1))])
-        hessian = c * (root.T @ root)
-        hessian.flat[:-1:hessian.shape[0] + 1] += 1.0     # I on the w block
-        return np.linalg.solve(hessian, -grad)
     inner = c * (t[:, None] * gram * t)             # M
     inner.flat[::inner.shape[0] + 1] += 1.0
     a, e = np.linalg.solve(inner,
@@ -237,14 +246,17 @@ def _newton_step(x: np.ndarray, gram: np.ndarray | None, margins: np.ndarray,
 
 def minimize_newton(x: np.ndarray, y_pm: np.ndarray, c: float) -> SolveResult:
     """Newton's method on `logreg_objective` from theta = 0, each step by
-    `_newton_step`, with minimize_lbfgs's Armijo halving line search,
+    `_newton_step`, with minimize_lbfgs's line search (`_line_search`),
     relative gradient test and MAX_ITER cap. Converged means the gradient
-    test held; a step that is not a descent direction, a line search that
-    finds no decrease or whose point rounds to theta, or MAX_ITER steps end
-    the solve unconverged."""
-    gram = x @ x.T if x.shape[0] <= x.shape[1] else None
+    test held; a step that is not a descent direction, a failed line
+    search, or MAX_ITER steps end the solve unconverged."""
+    gram = x @ x.T
+
+    def fun_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return logreg_objective(theta, x, y_pm, c)
+
     theta = np.zeros(x.shape[1] + 1)
-    value, grad = logreg_objective(theta, x, y_pm, c)
+    value, grad = fun_grad(theta)
     history = [value]
     grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
 
@@ -258,20 +270,11 @@ def minimize_newton(x: np.ndarray, y_pm: np.ndarray, c: float) -> SolveResult:
         margins = y_pm * (x @ theta[:-1] + theta[-1])
         direction = _newton_step(x, gram, margins, grad, c)
         slope = float(grad @ direction)
-        if not slope < 0.0:
+        accepted = (_line_search(fun_grad, theta, value, direction, slope)
+                    if slope < 0.0 else None)
+        if accepted is None:
             return result(iterations, "line_search")
-        step = 1.0
-        for _ in range(60):
-            candidate = theta + step * direction
-            new_value, new_grad = logreg_objective(candidate, x, y_pm, c)
-            if new_value <= value + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            return result(iterations, "line_search")
-        if not (candidate != theta).any():
-            return result(iterations, "line_search")
-        theta, value, grad = candidate, new_value, new_grad
+        _, theta, value, grad = accepted
         history.append(value)
     if float(np.abs(grad).max()) <= grad_bound:
         return result(MAX_ITER, "gradient")

@@ -209,11 +209,8 @@ class TestNewton:
         xb = np.hstack([x, np.ones((n, 1))])
         hessian = c * xb.T @ np.diag(curvature) @ xb + np.diag([1.0] * d + [0.0])
         want = np.linalg.solve(hessian, -grad)
-        if n <= d:
-            woodbury = _newton_step(x, x @ x.T, margins, grad, c)
-            assert np.linalg.norm(woodbury - want) <= 1e-9 * np.linalg.norm(want)
-        dense = _newton_step(x, None, margins, grad, c)
-        assert np.linalg.norm(dense - want) <= 1e-9 * np.linalg.norm(want)
+        step = _newton_step(x, x @ x.T, margins, grad, c)
+        assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n, d", [(15, 40), (60, 5), (200, 10)])
     @pytest.mark.parametrize("c", [0.05, 1.0, 100.0])
@@ -650,6 +647,30 @@ class TestCvTuneC:
                 correct = sum(predict(model, x[j])[0] == y[j] for j in held)
                 manual.append(correct / len(held))
             assert row[2] == tuple(manual)
+
+    @pytest.mark.parametrize("c", [0.05, 100.0])
+    def test_fold_scores_match_newton_fold_fits(self, c):
+        # n <= d: each fold trains on 20 rows of 40 features
+        x, y = random_problem(np.random.default_rng(21), n=25, d=40)
+        folds, seed = 5, 6
+        report = cv_tune_c(x, y, folds=folds, grid=[c], seed=seed)
+
+        order = list(range(25))
+        random.Random(seed).shuffle(order)
+        manual, solves = [], []
+        for i in range(folds):
+            held = order[5 * i:5 * i + 5]
+            train_idx = [j for j in order if j not in held]
+            fit = minimize_newton(x[train_idx],
+                                  np.where(y[train_idx] == 2, 1.0, -1.0), c)
+            model = LinearModel(weights=fit.theta[:-1],
+                                intercept=float(fit.theta[-1]), c=c,
+                                names=tuple(f"x{k}" for k in range(40)))
+            manual.append(sum(predict(model, x[j])[0] == y[j] for j in held) / 5)
+            solves.append((fit.iterations, fit.converged))
+        assert report.grid[0][2] == tuple(manual)
+        assert report.solves[0] == tuple(solves)
+        assert all(converged for _, converged in solves)
 
     def test_report_records_each_fold_solve(self):
         rng = np.random.default_rng(14)
