@@ -14,16 +14,17 @@ reach at large C.
 
 C is tuned by seeded k-fold cross-validation, whose fold fits use Newton's
 method (`minimize_newton`) with the same line search, gradient test and
-iteration cap. A Newton step solves an n x n system (n training rows), so
-a fold fit takes a few steps where L-BFGS takes hundreds, and it reaches
-the gradient test where L-BFGS often stops flat. The final fit stays on
-L-BFGS: the saved weights, and the benchmark's references, are that
-solver's endpoint.
+iteration cap; each step solves in the training matrix's row space, at size
+min(n, d) + 1. A fold fit takes a few steps where L-BFGS takes hundreds,
+and it reaches the gradient test where L-BFGS often stops flat. The final
+fit stays on L-BFGS: the saved weights, and the benchmark's references, are
+that solver's endpoint.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -217,68 +218,66 @@ def _training_set(x: np.ndarray, y: Sequence[int],
     return x, y_pm
 
 
-def _newton_step(x: np.ndarray, gram: np.ndarray, margins: np.ndarray,
+def _newton_step(basis: np.ndarray, design: np.ndarray, margins: np.ndarray,
                  grad: np.ndarray, c: float) -> np.ndarray:
     """-H^-1 grad, for the Hessian of `logreg_objective` at the point with
     these margins:
 
         H = [[I + C X^T D X, C X^T D 1], [C 1^T D X, C 1^T D 1]],
-        D = diag(sigma(m) sigma(-m)).
+        D = diag(sigma(m) sigma(-m)),
 
-    D is that product, not sigma(m) (1 - sigma(m)), which rounds to 0 once
-    sigma(m) rounds to 1. With gram = X X^T the step solves n x n: Woodbury
-    on the w block, A^-1 = I - C X^T T M^-1 T X with T = D^(1/2) and
-    M = I + C T X X^T T, which is positive definite for every n and d, and
-    the intercept's Schur complement C 1^T D 1 - u^T A^-1 u, which reduces
-    to C t^T M^-1 t with t = T 1, a positive number computed without
-    cancellation."""
-    t = np.sqrt(sigmoid(margins) * sigmoid(-margins))
-    inner = c * (t[:, None] * gram * t)             # M
-    inner.flat[::inner.shape[0] + 1] += 1.0
-    a, e = np.linalg.solve(inner,
-                           np.column_stack([t * (x @ -grad[:-1]), t])).T
-    step_b = (-grad[-1] - c * float(t @ a)) / (c * float(t @ e))
-    step = np.empty_like(grad)
-    step[:-1] = -grad[:-1] - c * (x.T @ (t * (a + step_b * e)))
-    step[-1] = step_b
-    return step
+    not sigma(m) (1 - sigma(m)), which rounds to 0 once sigma(m) rounds to 1.
+    With X^T = basis R a reduced QR and design = [R^T, 1], H maps
+    span(basis) x R into itself, and grad lies there at every iterate from
+    theta = 0. So the step solves C design^T D design + diag(1, ..., 1, 0),
+    positive definite and min(n, d) + 1 square, for [basis^T g_w, g_b]."""
+    curvature = sigmoid(margins) * sigmoid(-margins)
+    hessian = c * (design.T * curvature) @ design
+    hessian.flat[:-1:hessian.shape[0] + 1] += 1.0    # the w block's identity
+    z = np.linalg.solve(hessian, np.append(basis.T @ grad[:-1], grad[-1]))
+    return -np.append(basis @ z[:-1], z[-1])
 
 
-def minimize_newton(x: np.ndarray, y_pm: np.ndarray, c: float) -> SolveResult:
-    """Newton's method on `logreg_objective` from theta = 0, each step by
-    `_newton_step`, with minimize_lbfgs's line search (`_line_search`),
-    relative gradient test and MAX_ITER cap. Converged means the gradient
-    test held; a step that is not a descent direction, a failed line
-    search, or MAX_ITER steps end the solve unconverged."""
-    gram = x @ x.T
+def minimize_newton(x: np.ndarray, y_pm: np.ndarray,
+                    grid: Sequence[float]) -> tuple[SolveResult, ...]:
+    """Newton's method on `logreg_objective` from theta = 0, one solve per
+    C of the grid, all in one QR of x^T (`_newton_step`), with
+    minimize_lbfgs's line search, relative gradient test and MAX_ITER cap.
+    Converged means the gradient test held; a step that is not a descent
+    direction, a failed line search, or MAX_ITER steps end a solve
+    unconverged."""
+    basis, triangle = np.linalg.qr(x.T)
+    design = np.column_stack([triangle.T, np.ones(x.shape[0])])
 
-    def fun_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return logreg_objective(theta, x, y_pm, c)
+    def solve(c: float) -> SolveResult:
+        fun_grad = partial(logreg_objective, x=x, y_pm=y_pm, c=c)
+        theta = np.zeros(x.shape[1] + 1)
+        value, grad = fun_grad(theta)
+        history = [value]
+        grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
 
-    theta = np.zeros(x.shape[1] + 1)
-    value, grad = fun_grad(theta)
-    history = [value]
-    grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
+        def result(iterations: int, stop: str) -> SolveResult:
+            return SolveResult(theta, value, tuple(history), iterations,
+                               stop == "gradient", float(np.abs(grad).max()),
+                               stop)
 
-    def result(iterations: int, stop: str) -> SolveResult:
-        return SolveResult(theta, value, tuple(history), iterations,
-                           stop == "gradient", float(np.abs(grad).max()), stop)
-
-    for iterations in range(1, MAX_ITER + 1):
+        for iterations in range(1, MAX_ITER + 1):
+            if float(np.abs(grad).max()) <= grad_bound:
+                return result(iterations - 1, "gradient")
+            margins = y_pm * (x @ theta[:-1] + theta[-1])
+            direction = _newton_step(basis, design, margins, grad, c)
+            slope = float(grad @ direction)
+            accepted = (_line_search(fun_grad, theta, value, direction, slope)
+                        if slope < 0.0 else None)
+            if accepted is None:
+                return result(iterations, "line_search")
+            _, theta, value, grad = accepted
+            history.append(value)
         if float(np.abs(grad).max()) <= grad_bound:
-            return result(iterations - 1, "gradient")
-        margins = y_pm * (x @ theta[:-1] + theta[-1])
-        direction = _newton_step(x, gram, margins, grad, c)
-        slope = float(grad @ direction)
-        accepted = (_line_search(fun_grad, theta, value, direction, slope)
-                    if slope < 0.0 else None)
-        if accepted is None:
-            return result(iterations, "line_search")
-        _, theta, value, grad = accepted
-        history.append(value)
-    if float(np.abs(grad).max()) <= grad_bound:
-        return result(MAX_ITER, "gradient")
-    return result(MAX_ITER, "max_iter")
+            return result(MAX_ITER, "gradient")
+        return result(MAX_ITER, "max_iter")
+
+    return tuple(solve(c) for c in grid)
 
 
 def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
@@ -332,24 +331,26 @@ def predict_rows(model: LinearModel, x: np.ndarray) -> np.ndarray:
 class CvReport:
     grid: tuple[tuple[float, float, tuple[float, ...]], ...]
     best_c: float
-    # (iterations, converged) of each fold's Newton solve (`minimize_newton`),
-    # one tuple per grid C; the final fit is train_logreg's L-BFGS solve
+    # (iterations, converged) of each fold's Newton solve (steps of size
+    # min(n, d) + 1 in the fold's row space), one tuple per grid C; the
+    # final fit is train_logreg's L-BFGS solve
     solves: tuple[tuple[tuple[int, bool], ...], ...]
 
 
 def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
               grid: Sequence[float], seed: int) -> CvReport:
     """Seeded shuffle, contiguous folds; mean held-out accuracy per C.
-    A fold is fitted by `minimize_newton` after train_logreg's input checks,
-    and scored by `predict_rows`; fold models carry no scaler. Only the
-    fold accuracies use these fits, so the exact minimizer Newton reaches
-    stands in for train_logreg's L-BFGS endpoint."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
+    The whole set, then each fold's, passes train_logreg's input checks.
+    One `minimize_newton` call fits a fold at every C, each step solving in
+    the fold's row space at size min(n, d) + 1; `predict_rows` scores the
+    fits, which carry no scaler. Only the fold accuracies use them, so the
+    exact minimizer stands in for train_logreg's L-BFGS endpoint."""
     if not grid:
         raise ValueError("empty C grid")
     for c in grid:
         _check_c(c)
+    x = _training_set(x, y, grid[0])[0]
+    y = np.asarray(y)
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     n = x.shape[0]
@@ -361,27 +362,26 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
     fold_indices = [order[bounds[i]:bounds[i + 1]] for i in range(folds)]
 
     names = tuple(f"x{i}" for i in range(x.shape[1]))
-    rows = []
-    solves = []
-    for c in grid:
-        fold_accs = []
-        fold_solves = []
-        for held_out in fold_indices:
-            held = set(held_out)
-            train_idx = [i for i in order if i not in held]
-            result = minimize_newton(*_training_set(x[train_idx],
-                                                    y[train_idx], c), c)
+    accs: list[list[float]] = [[] for _ in grid]
+    solves: list[list[tuple[int, bool]]] = [[] for _ in grid]
+    for held_out in fold_indices:
+        held = set(held_out)
+        train_idx = [i for i in order if i not in held]
+        fit = minimize_newton(*_training_set(x[train_idx], y[train_idx],
+                                             grid[0]), grid)
+        for c, result, c_accs, c_solves in zip(grid, fit, accs, solves):
             model = LinearModel(weights=result.theta[:-1],
                                 intercept=float(result.theta[-1]), c=float(c),
                                 names=names)
             labels = predict_rows(model, x[held_out])
-            fold_accs.append(int(np.count_nonzero(labels == y[held_out]))
-                             / len(held_out))
-            fold_solves.append((result.iterations, result.converged))
-        rows.append((float(c), float(np.mean(fold_accs)), tuple(fold_accs)))
-        solves.append(tuple(fold_solves))
+            c_accs.append(int(np.count_nonzero(labels == y[held_out]))
+                          / len(held_out))
+            c_solves.append((result.iterations, result.converged))
+    rows = [(float(c), float(np.mean(c_accs)), tuple(c_accs))
+            for c, c_accs in zip(grid, accs)]
     best = max(rows, key=lambda row: (row[1], -row[0]))
-    return CvReport(grid=tuple(rows), best_c=best[0], solves=tuple(solves))
+    return CvReport(grid=tuple(rows), best_c=best[0],
+                    solves=tuple(map(tuple, solves)))
 
 
 _MODEL_MAGIC = "clozebase linear model v2"

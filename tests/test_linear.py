@@ -202,6 +202,9 @@ class TestNewton:
     def test_step_is_the_dense_hessian_solve(self, n, d, c):
         x, y_pm = min_max_problem(n + d, n, d)
         theta = 2.0 * np.random.default_rng(d).standard_normal(d + 1)
+        # from theta = 0 Newton visits only points whose w = X^T a lies in X's
+        # row space; this moves w there when n < d and keeps it when n >= d
+        theta[:-1] = x.T @ np.linalg.lstsq(x.T, theta[:-1], rcond=None)[0]
         margins = y_pm * (x @ theta[:-1] + theta[-1])
         _, grad = logreg_objective(theta, x, y_pm, c)
         # the full (d+1) x (d+1) Hessian, written out
@@ -209,14 +212,45 @@ class TestNewton:
         xb = np.hstack([x, np.ones((n, 1))])
         hessian = c * xb.T @ np.diag(curvature) @ xb + np.diag([1.0] * d + [0.0])
         want = np.linalg.solve(hessian, -grad)
-        step = _newton_step(x, x @ x.T, margins, grad, c)
+        basis, triangle = np.linalg.qr(x.T)
+        design = np.column_stack([triangle.T, np.ones(n)])
+        step = _newton_step(basis, design, margins, grad, c)
         assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n, d", [(12, 30), (40, 6)])
+    def test_each_step_solves_a_system_of_size_min_n_d_plus_one(
+            self, n, d, monkeypatch):
+        solve, shapes = np.linalg.solve, []
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x, y_pm = min_max_problem(n * d, n, d)
+        (result,) = minimize_newton(x, y_pm, [1.0])
+        assert result.converged and result.iterations > 0
+        assert shapes == [(min(n, d) + 1, min(n, d) + 1)] * result.iterations
+
+    # min-max scaling turns a constant feature into a zero column, and the
+    # swap-augmented rows can repeat: every row twice, at 2n < d and 2n > d
+    @pytest.mark.parametrize("n, d", [(10, 30), (60, 6)])
+    @pytest.mark.parametrize("c", [0.05, 100.0])
+    def test_rank_deficient_problem_reaches_the_lbfgs_minimizer(self, n, d, c):
+        x, y_pm = min_max_problem(n + 2 * d, n, d)
+        x[:, d // 2] = 0.0
+        x, y_pm = np.vstack([x, x]), np.concatenate([y_pm, y_pm])
+        (newton,) = minimize_newton(x, y_pm, [c])
+        lbfgs = minimize_lbfgs(lambda t: logreg_objective(t, x, y_pm, c),
+                               np.zeros(d + 1))
+        assert newton.converged and newton.stop == "gradient"
+        assert rel_err(newton.theta, lbfgs.theta) < 1e-6
 
     @pytest.mark.parametrize("n, d", [(15, 40), (60, 5), (200, 10)])
     @pytest.mark.parametrize("c", [0.05, 1.0, 100.0])
     def test_reaches_the_lbfgs_minimizer(self, n, d, c):
         x, y_pm = min_max_problem(n * d, n, d)
-        newton = minimize_newton(x, y_pm, c)
+        (newton,) = minimize_newton(x, y_pm, [c])
         lbfgs = minimize_lbfgs(lambda t: logreg_objective(t, x, y_pm, c),
                                np.zeros(d + 1))
         assert newton.converged and newton.stop == "gradient"
@@ -230,7 +264,7 @@ class TestNewton:
         # n < d: the two classes are separable, so the unregularized loss
         # would have no minimizer and margins grow with C
         x, y_pm = min_max_problem(17, 20, 60)
-        result = minimize_newton(x, y_pm, 100.0)
+        (result,) = minimize_newton(x, y_pm, [100.0])
         margins = y_pm * (x @ result.theta[:-1] + result.theta[-1])
         assert margins.min() > 0.0
         assert result.converged and result.stop == "gradient"
@@ -245,8 +279,8 @@ class TestNewton:
     def test_ascent_direction_ends_the_solve_unconverged(self, monkeypatch):
         x, y_pm = min_max_problem(18, 30, 4)
         monkeypatch.setattr(linear_module, "_newton_step",
-                            lambda x, gram, margins, grad, c: grad)
-        result = minimize_newton(x, y_pm, 1.0)
+                            lambda basis, design, margins, grad, c: grad)
+        (result,) = minimize_newton(x, y_pm, [1.0])
         assert (result.stop, result.converged, result.iterations) == (
             "line_search", False, 1)
         assert not result.theta.any()
@@ -661,8 +695,9 @@ class TestCvTuneC:
         for i in range(folds):
             held = order[5 * i:5 * i + 5]
             train_idx = [j for j in order if j not in held]
-            fit = minimize_newton(x[train_idx],
-                                  np.where(y[train_idx] == 2, 1.0, -1.0), c)
+            (fit,) = minimize_newton(x[train_idx],
+                                     np.where(y[train_idx] == 2, 1.0, -1.0),
+                                     [c])
             model = LinearModel(weights=fit.theta[:-1],
                                 intercept=float(fit.theta[-1]), c=c,
                                 names=tuple(f"x{k}" for k in range(40)))
@@ -671,6 +706,19 @@ class TestCvTuneC:
         assert report.grid[0][2] == tuple(manual)
         assert report.solves[0] == tuple(solves)
         assert all(converged for _, converged in solves)
+
+    def test_one_qr_per_fold_for_the_whole_grid(self, monkeypatch):
+        qr, shapes = np.linalg.qr, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        x, y = random_problem(np.random.default_rng(22), n=30, d=8)
+        report = cv_tune_c(x, y, folds=5, grid=[0.1, 1.0, 10.0], seed=0)
+        assert shapes == [(8, 24)] * 5
+        assert [len(per_fold) for per_fold in report.solves] == [5, 5, 5]
 
     def test_report_records_each_fold_solve(self):
         rng = np.random.default_rng(14)
@@ -697,6 +745,19 @@ class TestCvTuneC:
         with pytest.raises(ValueError, match=f"C must be a finite positive "
                                              f"number, got {bad}$"):
             cv_tune_c(x, y, folds=2, grid=[1.0, bad], seed=0)
+
+    @pytest.mark.parametrize("shape, labels", [((10, 3), 8), ((10, 3), 12),
+                                               ((10,), 10)])
+    def test_mismatched_labels_rejected_before_any_solve(self, shape, labels,
+                                                         monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a fold was solved")
+        monkeypatch.setattr(linear_module, "minimize_newton", no_solve)
+        x = np.random.default_rng(23).uniform(size=shape)
+        message = re.escape(f"feature matrix {shape} does not match "
+                            f"{labels} labels")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cv_tune_c(x, [1, 2] * (labels // 2), folds=2, grid=[1.0], seed=0)
 
     @pytest.mark.parametrize("n, folds, message", [
         (4, 1, "need at least 2 folds, got 1"),
