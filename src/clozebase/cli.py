@@ -145,9 +145,9 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     gold_labels(instances)
     if args.swap_augment:
         instances = augment_swap(instances)
+    annotator = _annotator_arg(args.annotations)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     config = _CONFIGS[args.config]
-    annotator = _annotator_arg(args.annotations)
     matrix, columns = extract_matrix(instances, table, annotator, [config])
     names = feature_names(config, table.dim)
     vectors = [FeatureVector(names, row) for row in matrix[:, columns[config]]]
@@ -176,9 +176,9 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
     gold = gold_labels(instances)
+    annotator = _annotator_arg(args.annotations)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    predict = load_predictor(args.model, table,
-                             _annotator_arg(args.annotations))
+    predict = load_predictor(args.model, table, annotator)
     result = accuracy(predict(instances), gold)
     print(f"accuracy {result.accuracy:.4f} on {result.n} instances")
 
@@ -203,12 +203,16 @@ def _cmd_train_lstm(args: argparse.Namespace) -> None:
         print(f"checkpoint saved to {args.model_out}")
 
 
-def _parse_embedding_specs(specs: Sequence[str]):
+def _parse_embedding_specs(specs: Sequence[str]
+                           ) -> dict[str, tuple[str, EmbeddingFormat]]:
+    """The (path, format) of each NAME=PATH:FORMAT spec, by name."""
     sources = {}
     for spec in specs:
         if "=" not in spec:
             raise ValueError(f"embedding spec {spec!r} is not NAME=PATH:FORMAT")
         name, rest = spec.split("=", 1)
+        if not name:
+            raise ValueError(f"embedding spec {spec!r} has an empty name")
         path, sep, fmt = rest.rpartition(":")
         if not sep or fmt not in _FORMATS:
             raise ValueError(f"embedding spec {spec!r} needs a format suffix "
@@ -216,14 +220,21 @@ def _parse_embedding_specs(specs: Sequence[str]):
         if name in sources:
             raise ValueError(f"embedding name {name!r} is given twice")
         sources[name] = (path, _FORMATS[fmt])
-    return {name: load_embeddings(*source) for name, source in sources.items()}
+    return sources
 
 
 def _cmd_ablate(args: argparse.Namespace) -> None:
     dev = parse_cloze_csv(args.dev)
     test = parse_cloze_csv(args.test)
-    tables = _parse_embedding_specs(args.embeddings)
+    gold_labels(dev)
+    gold_labels(test)
+    for i, config in enumerate(args.configs):
+        if config in args.configs[:i]:
+            raise ValueError(f"config {config!r} is given twice")
+    sources = _parse_embedding_specs(args.embeddings)
     annotator = _annotator_arg(args.annotations)
+    tables = {name: load_embeddings(*source)
+              for name, source in sources.items()}
     configs = [_CONFIGS[c] for c in args.configs]
     report = run_ablation(dev, test, tables, configs=configs,
                           annotator=annotator, folds=args.cv_folds,
@@ -237,8 +248,9 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
 
 def _cmd_filter(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
-    table = load_embeddings(args.embeddings, _FORMATS[args.format])
+    gold_labels(instances)
     annotator = _annotator_arg(args.annotations)
+    table = load_embeddings(args.embeddings, _FORMATS[args.format])
     predictors = [load_predictor(p, table, annotator) for p in args.models]
     kept = consensus_filter(instances, predictors)
     write_cloze_csv(args.out, kept)

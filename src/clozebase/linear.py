@@ -4,21 +4,25 @@ Objective (label 2 is the positive class, mapped to +1):
 
     f(w, b) = 1/2 ||w||^2 + C * sum_i log(1 + exp(-y_i (w.x_i + b)))
 
-The intercept is unregularized. `train_logreg` solves by limited-memory
-BFGS with an Armijo backtracking line search. It stops, converged, when the
-gradient infinity-norm falls to GRAD_TOL times its value at the start (or
-times 1 if that was smaller), or when FLAT_ITERS accepted steps in a row
-each lower the objective by no more than FLAT_RTOL relative to its size:
-the objective grows with C * n, so an absolute gradient bound is out of
-reach at large C.
+The intercept is unregularized. Both solvers run `_descend`, one loop with
+an Armijo backtracking line search, and differ only in the search
+direction. A solve stops:
+- "gradient", converged, when the gradient infinity-norm is at most
+  GRAD_TOL times its start value (or times 1 if that was smaller), tested
+  at every iterate, the last one included;
+- "line_search", unconverged, when the direction does not descend or the
+  line search fails (`_line_search`); the failed step counts;
+- "max_iter", unconverged, after MAX_ITER steps;
+- "flat", converged, for L-BFGS only, after FLAT_ITERS accepted steps in a
+  row that each lower f by at most FLAT_RTOL relative to its size: f grows
+  with C * n, and at large C L-BFGS crawls for hundreds of steps short of
+  the gradient test. Newton reaches that test in a few, and the flat test
+  would cut it short (at ||g||_inf 8.7e-7 on a rank-deficient C = 100 fit).
 
-C is tuned by seeded k-fold cross-validation, whose fold fits use Newton's
-method (`minimize_newton`) with the same line search, gradient test and
-iteration cap; each step solves in the training matrix's row space, at size
-min(n, d) + 1. A fold fit takes a few steps where L-BFGS takes hundreds,
-and it reaches the gradient test where L-BFGS often stops flat. The final
-fit stays on L-BFGS: the saved weights, and the benchmark's references, are
-that solver's endpoint.
+The cross-validation fold fits use Newton's method (`minimize_newton`),
+each step solving in the training matrix's row space at size
+min(n, d) + 1. The final fit (`train_logreg`) stays on L-BFGS: the saved
+weights, and the benchmark's references, are that solver's endpoint.
 """
 from __future__ import annotations
 
@@ -125,34 +129,58 @@ def _line_search(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return step, candidate, new_value, new_grad
 
 
-def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                   x0: np.ndarray) -> SolveResult:
-    """Limited-memory BFGS with Armijo backtracking (halving) line search.
-
-    Converged means the relative gradient test or the flat-objective test
-    held (module docstring); a line search that finds no decrease or whose
-    accepted point rounds to x, or MAX_ITER steps, end the solve
-    unconverged.
-    """
+def _descend(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+             x0: np.ndarray,
+             direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             after_step: Callable[[float, np.ndarray, float, np.ndarray,
+                                   float, np.ndarray], bool]) -> SolveResult:
+    """Descend from x0 under the module docstring's stop rules along
+    `direction(x, grad)`; `after_step(step, direction, value, grad,
+    new_value, new_grad)` sees each accepted step, and True ends it flat."""
     x = np.asarray(x0, dtype=np.float64).copy()
     value, grad = fun_grad(x)
     history = [value]
     grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
+    iterations = 0
+    while True:
+        if float(np.abs(grad).max()) <= grad_bound:
+            stop = "gradient"
+            break
+        if iterations == MAX_ITER:
+            stop = "max_iter"
+            break
+        iterations += 1
+        search = direction(x, grad)
+        slope = float(grad @ search)
+        accepted = (_line_search(fun_grad, x, value, search, slope)
+                    if slope < 0.0 else None)
+        if accepted is None:
+            stop = "line_search"
+            break
+        step, x, new_value, new_grad = accepted
+        flat = after_step(step, search, value, grad, new_value, new_grad)
+        value, grad = new_value, new_grad
+        history.append(value)
+        if flat:
+            stop = "flat"
+            break
+    return SolveResult(x, value, tuple(history), iterations,
+                       stop in ("gradient", "flat"),
+                       float(np.abs(grad).max()), stop)
+
+
+def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                   x0: np.ndarray) -> SolveResult:
+    """Limited-memory BFGS: `_descend` along the two-loop recursion's
+    direction, reset to steepest descent when that does not descend, with
+    the flat-objective test after each step."""
     # the (s, y, rho = 1/(s.y)) pairs, oldest first, and gamma = (s.y)/(y.y)
     # of the newest pair: each product is taken once, when its pair is stored
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     gamma = 1.0
     flat = 0
 
-    def result(iterations: int, stop: str) -> SolveResult:
-        return SolveResult(x, value, tuple(history), iterations,
-                           stop in ("gradient", "flat"),
-                           float(np.abs(grad).max()), stop)
-
-    for iterations in range(1, MAX_ITER + 1):
-        if float(np.abs(grad).max()) <= grad_bound:
-            return result(iterations - 1, "gradient")
-        # two-loop recursion for the search direction
+    def two_loop(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
         q = grad.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -165,15 +193,15 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
             beta = rho * float(y @ q)
             q += (a - beta) * s
         direction = -q
-        slope = float(grad @ direction)
-        if slope >= 0.0:            # not a descent direction: reset to steepest
-            direction = -grad
-            slope = -float(grad @ grad)
+        if float(grad @ direction) >= 0.0:  # not a descent direction: reset
             pairs.clear()
-        accepted = _line_search(fun_grad, x, value, direction, slope)
-        if accepted is None:
-            return result(iterations, "line_search")
-        step, candidate, new_value, new_grad = accepted
+            return -grad
+        return direction
+
+    def store_pair(step: float, direction: np.ndarray, value: float,
+                   grad: np.ndarray, new_value: float,
+                   new_grad: np.ndarray) -> bool:
+        nonlocal gamma, flat
         s = step * direction
         y = new_grad - grad
         sy = float(s @ y)
@@ -184,14 +212,9 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                 pairs.pop(0)
         scale = max(abs(value), abs(new_value), 1.0)
         flat = flat + 1 if value - new_value <= FLAT_RTOL * scale else 0
-        x = candidate
-        value, grad = new_value, new_grad
-        history.append(value)
-        if flat == FLAT_ITERS:
-            return result(iterations, "flat")
-    if float(np.abs(grad).max()) <= grad_bound:
-        return result(MAX_ITER, "gradient")
-    return result(MAX_ITER, "max_iter")
+        return flat == FLAT_ITERS
+
+    return _descend(fun_grad, x0, two_loop, store_pair)
 
 
 def _check_c(c: float) -> None:
@@ -241,43 +264,19 @@ def _newton_step(basis: np.ndarray, design: np.ndarray, margins: np.ndarray,
 def minimize_newton(x: np.ndarray, y_pm: np.ndarray,
                     grid: Sequence[float]) -> tuple[SolveResult, ...]:
     """Newton's method on `logreg_objective` from theta = 0, one solve per
-    C of the grid, all in one QR of x^T (`_newton_step`), with
-    minimize_lbfgs's line search, relative gradient test and MAX_ITER cap.
-    Converged means the gradient test held; a step that is not a descent
-    direction, a failed line search, or MAX_ITER steps end a solve
-    unconverged."""
+    C of the grid, all in one QR of x^T: `_descend` along `_newton_step`,
+    without the flat test."""
     basis, triangle = np.linalg.qr(x.T)
     design = np.column_stack([triangle.T, np.ones(x.shape[0])])
 
-    def solve(c: float) -> SolveResult:
-        fun_grad = partial(logreg_objective, x=x, y_pm=y_pm, c=c)
-        theta = np.zeros(x.shape[1] + 1)
-        value, grad = fun_grad(theta)
-        history = [value]
-        grad_bound = GRAD_TOL * max(1.0, float(np.abs(grad).max()))
+    def direction(c: float, theta: np.ndarray,
+                  grad: np.ndarray) -> np.ndarray:
+        margins = y_pm * (x @ theta[:-1] + theta[-1])
+        return _newton_step(basis, design, margins, grad, c)
 
-        def result(iterations: int, stop: str) -> SolveResult:
-            return SolveResult(theta, value, tuple(history), iterations,
-                               stop == "gradient", float(np.abs(grad).max()),
-                               stop)
-
-        for iterations in range(1, MAX_ITER + 1):
-            if float(np.abs(grad).max()) <= grad_bound:
-                return result(iterations - 1, "gradient")
-            margins = y_pm * (x @ theta[:-1] + theta[-1])
-            direction = _newton_step(basis, design, margins, grad, c)
-            slope = float(grad @ direction)
-            accepted = (_line_search(fun_grad, theta, value, direction, slope)
-                        if slope < 0.0 else None)
-            if accepted is None:
-                return result(iterations, "line_search")
-            _, theta, value, grad = accepted
-            history.append(value)
-        if float(np.abs(grad).max()) <= grad_bound:
-            return result(MAX_ITER, "gradient")
-        return result(MAX_ITER, "max_iter")
-
-    return tuple(solve(c) for c in grid)
+    return tuple(_descend(partial(logreg_objective, x=x, y_pm=y_pm, c=c),
+                          np.zeros(x.shape[1] + 1), partial(direction, c),
+                          lambda *_: False) for c in grid)
 
 
 def train_logreg(x: np.ndarray, y: Sequence[int], c: float,

@@ -481,6 +481,80 @@ class TestAblate:
         assert not (tmp_path / "o.csv").exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--configs", "sims-only", "sims-only"],
+         "config 'sims-only' is given twice"),
+        (["--embeddings", "=g.txt:glove-txt", "--configs", "sims-only"],
+         "embedding spec '=g.txt:glove-txt' has an empty name"),
+    ], ids=["repeated-config", "empty-name"])
+    def test_bad_grid_rejected_before_any_table_loads(
+            self, argv, message, tmp_path, glove_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda *args: loaded.append(args))
+        dev = tmp_path / "dev.csv"
+        write_cloze_csv(dev, make_instances(4, seed=86))
+        code = main(["ablate", "--dev", str(dev), "--test", str(dev),
+                     "--embeddings", f"toy={glove_path}:glove-txt", *argv,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert loaded == []
+        assert not (tmp_path / "o.csv").exists()
+
+
+def table_command(command, data, labeled, glove_path, tmp_path):
+    """argv for a command that loads an embedding table, reading `data`
+    (ablate reads it as --test, with `labeled` as --dev)."""
+    table = ["--embeddings", glove_path, "--format", "glove-txt"]
+    model, out = str(tmp_path / "model.txt"), str(tmp_path / "out.csv")
+    return {
+        "extract": ["extract", "--data", data, *table, "--out", out],
+        "eval": ["eval", "--model", model, "--data", data, *table],
+        "filter": ["filter", "--data", data, "--models", model, *table,
+                   "--out", out],
+        "ablate": ["ablate", "--dev", labeled, "--test", data, "--embeddings",
+                   f"toy={glove_path}:glove-txt", "--configs", "sims-only",
+                   "--out", out],
+        "train-lstm": ["train-lstm", "--dev", data, *table],
+    }[command]
+
+
+class TestInputsCheckedBeforeTables:
+    """Every command reads its CSVs and checks their labels, then reads its
+    annotations, before it loads an embedding table."""
+
+    @pytest.fixture()
+    def loaded(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("command",
+                             ["extract", "eval", "filter", "ablate",
+                              "train-lstm"])
+    def test_unlabeled_data(self, command, loaded, data_path, glove_path,
+                            tmp_path, capsys):
+        unlabeled = tmp_path / "unlabeled.csv"
+        write_cloze_csv(unlabeled, make_instances(4, seed=88, labeled=False))
+        argv = table_command(command, str(unlabeled), data_path, glove_path,
+                             tmp_path)
+        assert main(argv) == 1
+        assert "is unlabeled" in capsys.readouterr().err
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["extract", "eval", "filter", "ablate"])
+    def test_missing_sidecar(self, command, loaded, data_path, glove_path,
+                             tmp_path, capsys):
+        sidecar = tmp_path / "missing.sidecar"
+        argv = table_command(command, data_path, data_path, glove_path,
+                             tmp_path)
+        assert main([*argv, "--annotations", str(sidecar)]) == 1
+        assert str(sidecar) in capsys.readouterr().err
+        assert loaded == []
+
+
 class TestFilterConsensus:
     def test_multiple_models_intersect(self, data_path, glove_path, tmp_path,
                                        capsys):

@@ -349,6 +349,61 @@ class TestStoppingRule:
         assert abs(ours.value - theirs.fun) <= 1e-10 * max(1.0, abs(theirs.fun))
 
 
+SOLVERS = {
+    "lbfgs": lambda x, y_pm, c: minimize_lbfgs(
+        lambda t: logreg_objective(t, x, y_pm, c), np.zeros(x.shape[1] + 1)),
+    "newton": lambda x, y_pm, c: minimize_newton(x, y_pm, [c])[0],
+}
+
+
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=list(SOLVERS))
+class TestStopRulesOfBothSolvers:
+    """The stop rules both solvers share, on a problem each ends by the
+    gradient test: L-BFGS in 15 steps, Newton in 3."""
+
+    @staticmethod
+    def problem():
+        return (*min_max_problem(3, 30, 5), 1.0)
+
+    def test_cap_ends_the_solve_unconverged(self, solve, monkeypatch):
+        x, y_pm, c = self.problem()
+        steps = solve(x, y_pm, c).iterations
+        monkeypatch.setattr(linear_module, "MAX_ITER", steps - 1)
+        result = solve(x, y_pm, c)
+        assert (result.stop, result.converged, result.iterations) == (
+            "max_iter", False, steps - 1)
+        assert len(result.history) == steps
+        assert result.grad_inf == float(np.abs(
+            logreg_objective(result.theta, x, y_pm, c)[1]).max())
+
+    def test_gradient_test_holds_on_the_last_allowed_step(self, solve,
+                                                          monkeypatch):
+        x, y_pm, c = self.problem()
+        uncapped = solve(x, y_pm, c)
+        assert uncapped.stop == "gradient"
+        monkeypatch.setattr(linear_module, "MAX_ITER", uncapped.iterations)
+        result = solve(x, y_pm, c)
+        assert (result.stop, result.converged, result.iterations) == (
+            "gradient", True, uncapped.iterations)
+        assert result.theta.tobytes() == uncapped.theta.tobytes()
+
+    def test_failed_line_search_counts_the_failed_step(self, solve,
+                                                       monkeypatch):
+        line_search, calls = linear_module._line_search, []
+
+        def fail_third(*args):
+            calls.append(args)
+            return None if len(calls) == 3 else line_search(*args)
+
+        monkeypatch.setattr(linear_module, "_line_search", fail_third)
+        x, y_pm, c = self.problem()
+        result = solve(x, y_pm, c)
+        assert (result.stop, result.converged, result.iterations) == (
+            "line_search", False, 3)
+        assert len(result.history) == 3     # the start and two accepted steps
+        assert result.theta.tobytes() == calls[2][1].tobytes()
+
+
 def per_iteration_lbfgs(fun_grad, x0):
     """`minimize_lbfgs` as it was before it cached each pair's products: it
     takes every stored pair's y.s and gamma's two dot products again on
