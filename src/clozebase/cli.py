@@ -23,8 +23,8 @@ from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        extract_matrix, feature_names, load_features,
                        save_features)
-from .harness import (accuracy, fit_linear, load_predictor, run_ablation,
-                      save_ablation_report, train_lstm_cell)
+from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
+                      run_ablation, save_ablation_report, train_lstm_cell)
 from .linear import DEFAULT_C_GRID, save_model
 from .neural import TrainConfig, Variant, save_checkpoint
 
@@ -177,8 +177,9 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
     gold = gold_labels(instances)
     annotator = _annotator_arg(args.annotations)
+    model = load_saved_model(args.model)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    predict = load_predictor(args.model, table, annotator)
+    predict = bind_predictor(model, table, annotator)
     result = accuracy(predict(instances), gold)
     print(f"accuracy {result.accuracy:.4f} on {result.n} instances")
 
@@ -250,8 +251,9 @@ def _cmd_filter(args: argparse.Namespace) -> None:
     instances = parse_cloze_csv(args.data)
     gold_labels(instances)
     annotator = _annotator_arg(args.annotations)
+    models = [load_saved_model(p) for p in args.models]
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    predictors = [load_predictor(p, table, annotator) for p in args.models]
+    predictors = [bind_predictor(m, table, annotator) for m in models]
     kept = consensus_filter(instances, predictors)
     write_cloze_csv(args.out, kept)
     print(f"kept {len(kept)} of {len(instances)} instances -> {args.out}")

@@ -1,8 +1,12 @@
 """Pre-trained word embedding tables and the vector arithmetic built on them.
 
 Supports the two common distribution formats (word2vec binary, GloVe text).
-All vectors are widened to float64 on load; downstream feature code assumes
-64-bit precision.
+Rows are kept at the file's precision: a word2vec table holds its file's
+float32 rows, half the bytes of their float64 widening, and a GloVe or
+`make_table` table holds float64 rows, since decimal text is not
+float32-exact. Every computation widens a row to float64 where it reads it,
+which is exact, so its results do not depend on the stored precision;
+`lookup` returns float64.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ class EmbeddingFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> float64 vector map.
+    """Immutable token -> vector map.
 
-    Every vector is read-only; a word2vec table's vectors are the rows of one
-    vocab x dim matrix. Safe for concurrent read-only access once constructed.
+    Every vector is read-only and kept at its file's precision: a word2vec
+    table's vectors are the float32 rows of one vocab x dim matrix, a GloVe
+    or `make_table` table's are float64. `lookup` returns float64 either way.
+    Safe for concurrent read-only access once constructed.
     """
 
     dim: int
@@ -76,8 +82,8 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
     #
     # The file is read in _CHUNK_BYTES blocks. `buf` holds the unparsed bytes
     # from absolute offset `base` on; each pass over it parses the complete
-    # records, then copies their vectors into the preallocated matrix in one
-    # widening assignment. A record cut by the block's end waits for the next.
+    # records, then copies their vectors into the preallocated float32 matrix
+    # in one assignment. A record cut by the block's end waits for the next.
     with open(path, "rb") as handle:
         buf = b""
         while (newline := buf.find(b"\n")) < 0:
@@ -104,7 +110,7 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
         info = os.fstat(handle.fileno())
         if stat.S_ISREG(info.st_mode):
             rows = min(rows, (info.st_size - newline - 1) // (record_bytes + 1))
-        matrix = np.empty((rows, dim), dtype=np.float64)
+        matrix = np.empty((rows, dim), dtype=np.float32)
         tokens: list[str] = []
         base, pos = 0, newline + 1
         eof = False
@@ -195,11 +201,23 @@ def _load_glove_text(path: Path) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, entries=entries)
 
 
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
-    """Exact-match lookup with a lowercase fallback; None when both miss."""
+def _stored_row(table: EmbeddingTable, token: str) -> np.ndarray | None:
+    """The token's row as stored, else its lowercase form's; None when both
+    miss. Repeated reads of one token give the same array object."""
     vec = table.entries.get(token)
     if vec is None:
         vec = table.entries.get(token.lower())
+    return vec
+
+
+def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
+    """Exact-match lookup with a lowercase fallback, as a read-only float64
+    vector; None when both miss."""
+    vec = _stored_row(table, token)
+    if vec is None:
+        return None
+    vec = np.asarray(vec, dtype=np.float64)     # a float64 row is itself
+    vec.flags.writeable = False
     return vec
 
 
@@ -209,15 +227,26 @@ def centroid(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
     Tokens without a vector are skipped; the zero vector is returned when
     nothing resolves, so all-OOV fragments still yield a usable value.
     """
-    vectors = [vec for vec in (lookup(table, t) for t in tokens) if vec is not None]
+    vectors = [vec for vec in (_stored_row(table, t) for t in tokens)
+               if vec is not None]
     return mean_vector(vectors, table.dim)
 
 
 def mean_vector(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Mean of the vectors, added in order; the zero vector when there are none."""
-    total = np.zeros(dim, dtype=np.float64)
-    for vec in vectors:
-        total += vec
+    """Mean of the vectors in float64, added in order from +0.0; the zero
+    vector when there are none."""
     if not vectors:
-        return total
-    return total / len(vectors)
+        return np.zeros(dim)
+    return sum_rows(np.array(vectors, dtype=np.float64)) / len(vectors)
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a float64 matrix added in order from +0.0, to the bit as
+    a loop of `+=` adds them. numpy reduces axis 0 of two or more columns a
+    row at a time, but sums a single column pairwise, so that one is looped."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, initial=0.0)
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total

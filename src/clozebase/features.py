@@ -35,7 +35,7 @@ import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import EmbeddingTable, lookup, mean_vector
+from .embeddings import EmbeddingTable, _stored_row, sum_rows
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -159,12 +159,21 @@ def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
 
 
 def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
-    words = [vec for vec in (lookup(table, tok) for tok in tokens)
+    words = [vec for vec in (_stored_row(table, tok) for tok in tokens)
              if vec is not None]
     distinct = {id(vec): vec for vec in words}
     row = {key: i for i, key in enumerate(distinct, start=1)}
-    rows = np.array([mean_vector(words, table.dim), *distinct.values()])
-    return _Text(rows, _norms(rows), [row[id(vec)] for vec in words])
+    slots = [row[id(vec)] for vec in words]
+    # The distinct vectors, widened in one cast. The centroid adds every
+    # word's row in order, as `mean_vector` does; with no word repeated,
+    # those rows are rows[1:] as they stand.
+    rows = np.empty((len(distinct) + 1, table.dim))
+    rows[0] = 0.0
+    if words:
+        rows[1:] = np.array(list(distinct.values()))
+        in_order = rows[slots] if len(words) > len(distinct) else rows[1:]
+        np.divide(sum_rows(in_order), len(words), out=rows[0])
+    return _Text(rows, _norms(rows), slots)
 
 
 def _sims(story: _Text, ending: _Text) -> np.ndarray:
@@ -194,18 +203,33 @@ def _aligned_sim(story: _Text, ending: _Text, sims: np.ndarray) -> float:
     return float(sum(best) / len(best))
 
 
+@functools.lru_cache(maxsize=256)
+def _class_row(pos: str) -> int | None:
+    """The index in POS_CLASSES of the tag's coarse class; None outside them.
+    Cached by tag, so a token costs no `Enum.__hash__`."""
+    cls = coarse_class(pos)
+    return POS_CLASSES.index(cls) if cls in POS_CLASSES else None
+
+
 def _class_centers(annotated: Sequence[AnnotatedToken], table: EmbeddingTable
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
-    their norms."""
-    members: dict[CoarseClass, list[np.ndarray]] = {cls: [] for cls in POS_CLASSES}
+    their norms. The members are widened in one cast, then each class's
+    added in order from +0.0, as `mean_vector` adds them."""
+    members, classes = [], []
     for tok in annotated:
-        vectors = members.get(coarse_class(tok.pos))
-        vec = None if vectors is None else lookup(table, tok.surface)
+        cls = _class_row(tok.pos)
+        vec = None if cls is None else _stored_row(table, tok.surface)
         if vec is not None:
-            vectors.append(vec)
-    centers = np.array([mean_vector(members[cls], table.dim)
-                        for cls in POS_CLASSES])
+            members.append(vec)
+            classes.append(cls)
+    centers = np.zeros((len(POS_CLASSES), table.dim))
+    totals = list(centers)
+    for cls, vec in zip(classes, np.array(members).astype(np.float64)):
+        totals[cls] += vec
+    for cls, total in enumerate(totals):
+        if count := classes.count(cls):
+            total /= count
     return centers, _norms(centers)
 
 

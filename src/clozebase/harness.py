@@ -6,7 +6,8 @@ retrain on everything, score the test set. `run_neural_comparison` does the
 analogous sweep over LSTM training configs with a train/validation/test
 split, each config trained by `train_lstm_cell` (embed, swap-augment, keep
 the best of `config.restarts` runs). A predictor labels a sequence of
-instances; `load_predictor` makes one from a saved model of either kind.
+instances; `load_saved_model` reads a saved model of either kind, and
+`bind_predictor` makes its predictor over a table.
 """
 from __future__ import annotations
 
@@ -201,8 +202,7 @@ def neural_predictor(params: ModelParams, table: EmbeddingTable) -> Predictor:
         (embed_instance(inst, table) for inst in instances), params)
 
 
-def load_predictor(path: str | Path, table: EmbeddingTable,
-                   annotator: Annotator | None = None) -> Predictor:
+def load_saved_model(path: str | Path) -> LinearModel | ModelParams:
     """A linear model file (told by its header line) or an LSTM checkpoint."""
     try:
         with open(path, encoding="utf-8", errors="replace") as handle:
@@ -210,8 +210,16 @@ def load_predictor(path: str | Path, table: EmbeddingTable,
     except OSError as exc:
         raise ValueError(f"cannot read model {path}: {exc}") from None
     if header in MODEL_HEADERS:
-        return linear_predictor(load_model(path), table, annotator)
+        return load_model(path)
     try:
-        return neural_predictor(load_checkpoint(path), table)
+        return load_checkpoint(path)
     except ParseError as exc:
         raise ParseError(f"{exc}; nor is it a linear model file") from None
+
+
+def bind_predictor(model: LinearModel | ModelParams, table: EmbeddingTable,
+                   annotator: Annotator | None = None) -> Predictor:
+    """The predictor of a saved model of either kind over `table`."""
+    if isinstance(model, LinearModel):
+        return linear_predictor(model, table, annotator)
+    return neural_predictor(model, table)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .annotate import tokenize
 from .corpus import ClozeInstance, gold_labels
-from .embeddings import EmbeddingTable, lookup
+from .embeddings import EmbeddingTable, _stored_row
 from .errors import ParseError
 from .linear import sigmoid
 
@@ -303,14 +303,15 @@ class EmbeddedInstance:
 
 
 def embed_tokens(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
-    """A row per token, at most MAX_SEQUENCE_TOKENS; none reads as one OOV row."""
+    """A float64 row per token, at most MAX_SEQUENCE_TOKENS, widened from the
+    table's rows; none reads as one OOV row."""
     rows = []
     for token in tokens[:MAX_SEQUENCE_TOKENS]:
-        vec = lookup(table, token)
+        vec = _stored_row(table, token)
         rows.append(np.zeros(table.dim) if vec is None else vec)
     if not rows:
         return np.zeros((1, table.dim))
-    return np.stack(rows)
+    return np.stack(rows, dtype=np.float64)
 
 
 def embed_instance(instance: ClozeInstance,

@@ -18,7 +18,8 @@ from clozebase.features import (FeatureConfig, extract, feature_names,
                                 save_features)
 from clozebase.harness import train_lstm_cell
 from clozebase.linear import load_model
-from clozebase.neural import TrainConfig, Variant, load_checkpoint, tensors
+from clozebase.neural import (TrainConfig, Variant, init_params,
+                              load_checkpoint, save_checkpoint, tensors)
 
 from conftest import (EMBED_DIM, VOCAB, make_instances, make_stories,
                       write_sidecar)
@@ -141,6 +142,28 @@ class TestLinearPipeline:
         expected = tmp_path / "expected.csv"
         save_features(expected, vectors, gold_labels(instances))
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("config", ["all", "sims-only"])
+    def test_extract_from_word2vec_equals_glove_of_its_values(
+            self, config, data_path, tmp_path):
+        """A word2vec table keeps float32 rows, a GloVe table float64 ones:
+        the same float32-exact values give byte-identical feature files."""
+        rng = np.random.default_rng(91)
+        vectors = {w: rng.standard_normal(EMBED_DIM).astype("<f4")
+                   for w in VOCAB}
+        w2v, glove = tmp_path / "vectors.bin", tmp_path / "vectors.txt"
+        w2v.write_bytes(f"{len(vectors)} {EMBED_DIM}\n".encode() + b"".join(
+            w.encode() + b" " + v.tobytes() + b"\n" for w, v in vectors.items()))
+        glove.write_text("".join(
+            w + " " + " ".join(repr(float(x)) for x in v) + "\n"
+            for w, v in vectors.items()), encoding="utf-8")
+        outs = []
+        for path, fmt in ((w2v, "w2v-bin"), (glove, "glove-txt")):
+            outs.append(tmp_path / f"features-{fmt}.csv")
+            assert main(["extract", "--data", data_path, "--embeddings",
+                         str(path), "--format", fmt, "--config", config,
+                         "--swap-augment", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def write_sidecar_for(self, path, instances):
         """Every sentence of `instances`, nouns tagged JJ so that the
@@ -552,6 +575,23 @@ class TestInputsCheckedBeforeTables:
                              tmp_path)
         assert main([*argv, "--annotations", str(sidecar)]) == 1
         assert str(sidecar) in capsys.readouterr().err
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["eval", "filter"])
+    @pytest.mark.parametrize("model, message", [
+        ("missing", "error: cannot read model"),
+        ("corrupt checkpoint", "not an LSTM checkpoint")])
+    def test_bad_model(self, command, model, message, loaded, data_path,
+                       glove_path, tmp_path, capsys):
+        argv = table_command(command, data_path, data_path, glove_path,
+                             tmp_path)
+        if model == "corrupt checkpoint":
+            path = tmp_path / "model.txt"
+            save_checkpoint(path, init_params(0, EMBED_DIM, 3, Variant.RAW))
+            content = path.read_bytes()
+            path.write_bytes(content[:len(content) // 2])
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
         assert loaded == []
 
 

@@ -19,8 +19,9 @@ from clozebase.errors import ParseError
 
 # ---------------------------------------------------------------------------
 # Oracle: the loader that read the whole file into one bytes object and kept
-# one float64 array per record, word for word. The streaming loader must give
-# the same vectors to the bit, the same key order and the same errors.
+# one float64 array per record, word for word. The streaming loader keeps the
+# file's float32 rows instead: their float64 widening must be the oracle's
+# vectors to the bit, with the same key order and the same errors.
 # ---------------------------------------------------------------------------
 
 def _oracle_load_word2vec_binary(path: Path) -> EmbeddingTable:
@@ -104,8 +105,9 @@ class TestWord2VecBinary:
         path.write_bytes(w2v_bytes([("tok", raw)], dim=3))
         table = load_embeddings(path, "w2v-bin")
         expected = np.asarray(raw, dtype="<f4").astype(np.float64)
-        np.testing.assert_array_equal(table.entries["tok"], expected)
-        assert table.entries["tok"].dtype == np.float64
+        got = lookup(table, "tok")
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
     def test_no_newline_after_vectors(self, tmp_path):
         path = tmp_path / "vecs.bin"
@@ -171,18 +173,26 @@ def newline_flags(rng, vocab: int, mode: str) -> list[bool]:
     return [mode == "always"] * vocab
 
 
+F4 = np.dtype(np.float32).str
+
+
 def both_loads(path: Path) -> tuple[object, object]:
-    """The oracle's and `load_embeddings`' outcome: (token, dtype, vector
-    bytes) in key order, or the ParseError text."""
+    """The oracle's and `load_embeddings`' outcome: (token, stored dtype,
+    float64 widening's bytes) in key order, or the ParseError text. The
+    oracle widens each record as it loads; the loader keeps the file's
+    float32 row, which must widen to the oracle's bytes."""
     def outcome(load):
         try:
             table = load(path)
         except ParseError as exc:
             return str(exc)
-        return [(token, vec.dtype.str, vec.tobytes())
+        return [(token, vec.dtype.str, vec.astype(np.float64).tobytes())
                 for token, vec in table.entries.items()]
-    return (outcome(_oracle_load_word2vec_binary),
-            outcome(lambda p: load_embeddings(p, EmbeddingFormat.WORD2VEC_BINARY)))
+    oracle = outcome(_oracle_load_word2vec_binary)
+    if isinstance(oracle, list):
+        assert {dtype for _, dtype, _ in oracle} <= {np.dtype(np.float64).str}
+        oracle = [(token, F4, widened) for token, _, widened in oracle]
+    return oracle, outcome(lambda p: load_embeddings(p, EmbeddingFormat.WORD2VEC_BINARY))
 
 
 @pytest.fixture(params=[1, 7, "record", "default"])
@@ -302,7 +312,8 @@ class TestStreamingMatchesOracle:
         oracle = _oracle_load_word2vec_binary(path)
         assert list(table.entries) == list(oracle.entries)
         for token, vec in oracle.entries.items():
-            assert table.entries[token].tobytes() == vec.tobytes()
+            assert table.entries[token].dtype.str == F4
+            assert table.entries[token].astype(np.float64).tobytes() == vec.tobytes()
 
     def test_rows_of_one_read_only_matrix(self, tmp_path):
         path = tmp_path / "vecs.bin"
@@ -312,7 +323,11 @@ class TestStreamingMatchesOracle:
         np.testing.assert_array_equal(table.entries["a"], [5.0, 6.0])
         bases = {id(vec.base) for vec in table.entries.values()}
         assert len(bases) == 1
-        assert lookup(table, "A") is table.entries["a"]
+        base = table.entries["a"].base
+        assert base.dtype.str == F4 and not base.flags.writeable
+        got = lookup(table, "A")
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == table.entries["a"].astype(np.float64).tobytes()
 
 
 class TestReadOnlyVectors:
@@ -376,8 +391,9 @@ def test_load_peak_is_close_to_the_matrix(tmp_path):
     done = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     growth = int(done.stdout)
-    matrix_bytes = 8 * vocab * dim
-    assert 0 < growth <= 1.3 * matrix_bytes, growth / matrix_bytes
+    # the float32 matrix, plus each token's string, dict slot and row view
+    bound = 4 * vocab * dim + 512 * vocab
+    assert 0 < growth <= bound, growth / bound
 
 
 class TestGloveText:

@@ -17,9 +17,10 @@ from clozebase.corpus import augment_swap
 from clozebase.features import (FeatureConfig, apply_scaler, extract,
                                 feature_names, fit_scaler)
 from clozebase.harness import (AblationReport, NeuralComparisonRow, accuracy,
-                               evaluate_linear, fit_linear, linear_predictor,
-                               load_predictor, majority_baseline,
-                               neural_predictor, run_ablation,
+                               bind_predictor, evaluate_linear, fit_linear,
+                               linear_predictor, load_saved_model,
+                               majority_baseline, neural_predictor,
+                               run_ablation,
                                run_neural_comparison, save_ablation_report,
                                train_linear_cell, train_lstm_cell)
 from clozebase.linear import (DEFAULT_C_GRID, cv_tune_c, predict, save_model,
@@ -488,7 +489,7 @@ class TestLoadPredictor:
             lines[0] = "clozebase linear model v1"
             path.write_text("\r\n".join(lines) + "\r\n")
         test = make_instances(9, seed=81)
-        got = load_predictor(path, table, heuristic_tag)(test)
+        got = bind_predictor(load_saved_model(path), table, heuristic_tag)(test)
         assert got == one_at_a_time(linear, test, table)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -501,12 +502,12 @@ class TestLoadPredictor:
         else:
             save_checkpoint(path, params)
         test = make_instances(20, seed=82)
-        assert (load_predictor(path, table)(test)
+        assert (bind_predictor(load_saved_model(path), table)(test)
                 == neural_predictor(params, table)(test))
 
     def test_unreadable_file(self, table, tmp_path):
         with pytest.raises(ValueError, match="cannot read model"):
-            load_predictor(tmp_path / "missing", table)
+            load_saved_model(tmp_path / "missing")
 
     @pytest.mark.parametrize("content", [b"", b"clozebase linear model v3\n",
                                          b"PK\x03\x04 not really a zip"])
@@ -515,7 +516,7 @@ class TestLoadPredictor:
         path = tmp_path / "mystery"
         path.write_bytes(content)
         with pytest.raises(ParseError, match="LSTM checkpoint.*linear model"):
-            load_predictor(path, table)
+            load_saved_model(path)
 
 
 class TestAblationOracle:

@@ -12,6 +12,7 @@ import pytest
 
 from clozebase import neural
 from clozebase.corpus import ClozeInstance
+from clozebase.embeddings import load_embeddings, make_table
 from clozebase.errors import ParseError
 from clozebase.neural import (ADAM_EPS, CHECKPOINT_VERSION, GATES,
                               AttentionParams, EmbeddedInstance, LstmParams,
@@ -22,6 +23,8 @@ from clozebase.neural import (ADAM_EPS, CHECKPOINT_VERSION, GATES,
                               encode, evaluate_model, forward, forward_batch,
                               init_params, load_checkpoint, predict_neural,
                               save_checkpoint, tensors, train_model)
+
+from conftest import EMBED_DIM, VOCAB, make_instances
 
 
 def sigmoid(z):
@@ -802,6 +805,39 @@ class TestEmbedInstance:
             ending1="pizza.", ending2="house.", gold=1)
         embedded = embed_instance(inst, table)
         assert embedded.story.shape == (128, table.dim)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_table_equals_its_float64_widening(self, tmp_path,
+                                                       variant):
+        """A word2vec table keeps its file's float32 rows and embedding
+        widens them, so the LSTM reads the bits of the float64 table of the
+        same values."""
+        rng = np.random.default_rng(33)
+        narrow = {w: rng.standard_normal(EMBED_DIM).astype("<f4")
+                  for w in (*VOCAB, "Dog")}
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(f"{len(narrow)} {EMBED_DIM}\n".encode() + b"".join(
+            w.encode() + b" " + v.tobytes() + b"\n" for w, v in narrow.items()))
+        w2v = load_embeddings(path, "w2v-bin")
+        assert w2v.entries["dog"].dtype == np.float32
+        wide = make_table({w: v.astype(np.float64) for w, v in narrow.items()},
+                          EMBED_DIM)
+        instances = make_instances(12, seed=34)
+        batches = [[embed_instance(inst, table) for inst in instances]
+                   for table in (w2v, wide)]
+        for got, want in zip(*batches):
+            for seq in ("story", "ending1", "ending2"):
+                a, b = getattr(got, seq), getattr(want, seq)
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes()
+        params = init_params(35, EMBED_DIM, 6, variant)
+        (p32, c32), (p64, c64) = (forward_batch(b, params) for b in batches)
+        assert p32.tobytes() == p64.tobytes()
+        golds = [inst.gold for inst in instances]
+        g32, g64 = backward_batch(c32, golds), backward_batch(c64, golds)
+        assert g32.keys() == g64.keys()
+        for name in g32:
+            assert g32[name].tobytes() == g64[name].tobytes(), name
 
     def test_prediction_and_evaluation(self):
         data = make_synthetic(10, 6, seed=700)
