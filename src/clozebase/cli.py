@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .annotate import Annotator, SidecarAnnotations, heuristic_tag
-from .corpus import (augment_swap, gold_labels, parse_cloze_csv,
+from .corpus import (ClozeInstance, augment_swap, gold_labels, parse_cloze_csv,
                      parse_roc_csv, split_dev, write_cloze_csv)
-from .datagen import (build_ending_index, consensus_filter, gen_random,
-                      gen_random_coherent, gen_shared_args)
+from .datagen import (build_ending_index, check_generation, consensus_filter,
+                      gen_random, gen_random_coherent, gen_shared_args)
 from .embeddings import EmbeddingFormat, load_embeddings
 from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, config_for_layout,
@@ -25,14 +25,12 @@ from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        save_features)
 from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
                       run_ablation, save_ablation_report, train_lstm_cell)
-from .linear import DEFAULT_C_GRID, save_model
-from .neural import TrainConfig, Variant, save_checkpoint
+from .linear import DEFAULT_C_GRID, check_folds, save_model
+from .neural import TrainConfig, Variant, check_split, save_checkpoint
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
 _CONFIGS = {c.value: c for c in FeatureConfig}
 _VARIANTS = {v.value: v for v in Variant}
-_ANNOTATIONS = dict(default="heuristic",
-                    help="'heuristic' or a sidecar annotation file")
 
 
 def _annotator_arg(value: str) -> Annotator:
@@ -41,14 +39,31 @@ def _annotator_arg(value: str) -> Annotator:
     return SidecarAnnotations.load(value)
 
 
+def _labeled(path: str) -> list[ClozeInstance]:
+    """The instances of a cloze CSV, refused if any has no gold label."""
+    instances = parse_cloze_csv(path)
+    gold_labels(instances)
+    return instances
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--embeddings", required=True)
+    table.add_argument("--format", required=True, choices=sorted(_FORMATS))
+    annotations = argparse.ArgumentParser(add_help=False)
+    annotations.add_argument("--annotations", default="heuristic",
+                             help="'heuristic' or a sidecar annotation file")
     parser = argparse.ArgumentParser(
-        prog="clozebase",
-        description="Two-ending story classification baselines.",
-    )
+        prog="clozebase", description="Two-ending story classification baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate labeled instances from stories")
+    def command(name, run, help, *parents):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("gen-data", _cmd_gen_data,
+                "generate labeled instances from stories", annotations)
     p.add_argument("--roc", required=True, help="five-sentence story CSV")
     p.add_argument("--strategy", required=True,
                    choices=["random", "shared", "coherent"])
@@ -57,20 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=int, default=500,
                    help="candidate pool for the coherent strategy (default 500)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("extract", help="compute feature vectors for instances")
+    p = command("extract", _cmd_extract,
+                "compute feature vectors for instances", table, annotations)
     p.add_argument("--data", required=True, help="labeled instance CSV")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--format", required=True, choices=sorted(_FORMATS))
     p.add_argument("--config", default="all", choices=sorted(_CONFIGS))
-    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--swap-augment", action="store_true",
                    help="add ending-swapped copies before extraction")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-linear", help="train the linear classifier")
+    p = command("train-linear", _cmd_train_linear, "train the linear classifier")
     p.add_argument("--features", required=True, help="feature CSV from extract")
     p.add_argument("--cv-folds", type=int, default=5)
     p.add_argument("--c-grid", default=",".join(str(c) for c in DEFAULT_C_GRID),
@@ -78,18 +90,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a saved model on labeled data")
+    p = command("eval", _cmd_eval, "evaluate a saved model on labeled data",
+                table, annotations)
     p.add_argument("--model", required=True,
                    help="linear model file or LSTM checkpoint")
     p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--format", required=True, choices=sorted(_FORMATS))
-    p.add_argument("--annotations", **_ANNOTATIONS)
 
-    p = sub.add_parser("train-lstm", help="train an LSTM ending classifier")
+    p = command("train-lstm", _cmd_train_lstm,
+                "train an LSTM ending classifier", table)
     p.add_argument("--dev", required=True, help="labeled instance CSV")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--format", required=True, choices=sorted(_FORMATS))
     p.add_argument("--variant", default="raw", choices=sorted(_VARIANTS))
     p.add_argument("--hidden", type=int, default=384)
     p.add_argument("--batch", type=int, default=500)
@@ -101,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fraction of --dev used for training (default 0.9)")
     p.add_argument("--model-out", help="checkpoint path for the best model")
 
-    p = sub.add_parser("ablate", help="accuracy grid over embeddings x configs")
+    p = command("ablate", _cmd_ablate,
+                "accuracy grid over embeddings x configs", annotations)
     p.add_argument("--dev", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--embeddings", required=True, nargs="+",
@@ -109,17 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="e.g. word2vec=vecs.bin:w2v-bin glove=glove.txt:glove-txt")
     p.add_argument("--configs", nargs="+", choices=sorted(_CONFIGS),
                    default=sorted(_CONFIGS))
-    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--cv-folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("filter", help="keep instances all models get right")
+    p = command("filter", _cmd_filter, "keep instances all models get right",
+                table, annotations)
     p.add_argument("--data", required=True)
     p.add_argument("--models", required=True, nargs="+")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--format", required=True, choices=sorted(_FORMATS))
-    p.add_argument("--annotations", **_ANNOTATIONS)
     p.add_argument("--out", required=True)
     return parser
 
@@ -129,6 +136,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
     if args.strategy == "random":
         instances = gen_random(stories, k=args.k, seed=args.seed)
     else:
+        check_generation(stories, args.k,
+                         args.pool if args.strategy == "coherent" else None)
         annotator = _annotator_arg(args.annotations)
         index = build_ending_index(stories, annotator)
         if args.strategy == "shared":
@@ -141,8 +150,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 
 
 def _cmd_extract(args: argparse.Namespace) -> None:
-    instances = parse_cloze_csv(args.data)
-    gold_labels(instances)
+    instances = _labeled(args.data)
     if args.swap_augment:
         instances = augment_swap(instances)
     annotator = _annotator_arg(args.annotations)
@@ -174,7 +182,7 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
-    instances = parse_cloze_csv(args.data)
+    instances = _labeled(args.data)
     gold = gold_labels(instances)
     annotator = _annotator_arg(args.annotations)
     model = load_saved_model(args.model)
@@ -189,9 +197,9 @@ def _cmd_train_lstm(args: argparse.Namespace) -> None:
                          epochs=args.epochs, learning_rate=args.lr,
                          seed=args.seed, variant=_VARIANTS[args.variant],
                          restarts=args.restarts)
-    instances = parse_cloze_csv(args.dev)
-    gold_labels(instances)
+    instances = _labeled(args.dev)
     split = split_dev(instances, ratio=args.split_ratio, seed=args.seed)
+    check_split(split.dev_train, split.dev_dev)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     best, runs = train_lstm_cell(split.dev_train, split.dev_dev, table, config)
     for restart, result in enumerate(runs):
@@ -225,13 +233,12 @@ def _parse_embedding_specs(specs: Sequence[str]
 
 
 def _cmd_ablate(args: argparse.Namespace) -> None:
-    dev = parse_cloze_csv(args.dev)
-    test = parse_cloze_csv(args.test)
-    gold_labels(dev)
-    gold_labels(test)
+    dev = _labeled(args.dev)
+    test = _labeled(args.test)
     for i, config in enumerate(args.configs):
         if config in args.configs[:i]:
             raise ValueError(f"config {config!r} is given twice")
+    check_folds(args.cv_folds)
     sources = _parse_embedding_specs(args.embeddings)
     annotator = _annotator_arg(args.annotations)
     tables = {name: load_embeddings(*source)
@@ -248,8 +255,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
 
 
 def _cmd_filter(args: argparse.Namespace) -> None:
-    instances = parse_cloze_csv(args.data)
-    gold_labels(instances)
+    instances = _labeled(args.data)
     annotator = _annotator_arg(args.annotations)
     models = [load_saved_model(p) for p in args.models]
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
@@ -259,22 +265,10 @@ def _cmd_filter(args: argparse.Namespace) -> None:
     print(f"kept {len(kept)} of {len(instances)} instances -> {args.out}")
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "extract": _cmd_extract,
-    "train-linear": _cmd_train_linear,
-    "eval": _cmd_eval,
-    "train-lstm": _cmd_train_lstm,
-    "ablate": _cmd_ablate,
-    "filter": _cmd_filter,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -79,6 +79,18 @@ def build_ending_index(stories: Sequence[RocStory], annotator: Annotator) -> End
     )
 
 
+def check_generation(stories: Sequence[RocStory], k: int,
+                     pool: int | None = None) -> None:
+    """The ValueError that refuses to generate k wrong endings per story
+    (from a `pool` of candidates, when one is given)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if pool is not None and pool < k:
+        raise ValueError(f"pool ({pool}) must be at least k ({k})")
+    if len(stories) < 2:
+        raise ValueError("need at least 2 stories to pick wrong endings")
+
+
 def _generate(stories: Sequence[RocStory], strategy: str, rng_key: str,
               wrong: Callable[[int, RocStory, random.Random], list[str]],
               k: int, pool: int | None = None) -> list[ClozeInstance]:
@@ -88,12 +100,7 @@ def _generate(stories: Sequence[RocStory], strategy: str, rng_key: str,
     `wrong(position, story, rng)` draws on it first; then one coin flip per
     wrong ending, in order, picks which slot the real ending takes.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if pool is not None and pool < k:
-        raise ValueError(f"pool ({pool}) must be at least k ({k})")
-    if len(stories) < 2:
-        raise ValueError("need at least 2 stories to pick wrong endings")
+    check_generation(stories, k, pool)
     _positions(stories)
     instances = []
     for p, story in enumerate(stories):

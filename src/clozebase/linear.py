@@ -222,6 +222,11 @@ def _check_c(c: float) -> None:
         raise ValueError(f"C must be a finite positive number, got {c}")
 
 
+def check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+
+
 def _training_set(x: np.ndarray, y: Sequence[int],
                   c: float) -> tuple[np.ndarray, np.ndarray]:
     """x as float64 and the labels as +-1, or the ValueError that refuses
@@ -350,8 +355,7 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
         _check_c(c)
     x = _training_set(x, y, grid[0])[0]
     y = np.asarray(y)
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
+    check_folds(folds)
     n = x.shape[0]
     if n < folds:
         raise ValueError(f"{n} examples cannot fill {folds} folds")

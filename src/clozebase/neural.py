@@ -622,6 +622,11 @@ def evaluate_model(instances: Sequence[EmbeddedInstance],
     return sum(p == g for p, g in pairs) / len(instances)
 
 
+def check_split(train: Sequence, dev: Sequence) -> None:
+    if not train or not dev:
+        raise ValueError("train and dev sets must be nonempty")
+
+
 def train_model(train: Sequence[EmbeddedInstance],
                 dev: Sequence[EmbeddedInstance],
                 config: TrainConfig) -> TrainResult:
@@ -630,8 +635,7 @@ def train_model(train: Sequence[EmbeddedInstance],
     Each minibatch is one `forward_batch`/`backward_batch` pass; a loss or
     gradient that is not finite stops the run with a ValueError.
     """
-    if not train or not dev:
-        raise ValueError("train and dev sets must be nonempty")
+    check_split(train, dev)
     golds = gold_labels(train)
     d = train[0].story.shape[1]
     params = init_params(config.seed, d, config.hidden_size, config.variant)

@@ -545,7 +545,8 @@ def table_command(command, data, labeled, glove_path, tmp_path):
 
 class TestInputsCheckedBeforeTables:
     """Every command reads its CSVs and checks their labels, then reads its
-    annotations, before it loads an embedding table."""
+    annotations, before it loads an embedding table; gen-data checks its
+    arguments before it builds an ending index."""
 
     @pytest.fixture()
     def loaded(self, monkeypatch):
@@ -593,6 +594,42 @@ class TestInputsCheckedBeforeTables:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert loaded == []
+
+    # 5 instances: ratio 0.9 cuts at 5, ratio 0.05 at 0
+    @pytest.mark.parametrize("command, argument, message", [
+        ("ablate", ["--cv-folds", "1"], "need at least 2 folds, got 1"),
+        ("train-lstm", ["--split-ratio", "0.9"],
+         "train and dev sets must be nonempty"),
+        ("train-lstm", ["--split-ratio", "0.05"],
+         "train and dev sets must be nonempty"),
+    ], ids=["one-fold", "empty-validation", "empty-training"])
+    def test_bad_numeric_argument(self, command, argument, message, loaded,
+                                  glove_path, tmp_path, capsys):
+        data = str(tmp_path / "five.csv")
+        write_cloze_csv(data, make_instances(5, seed=89))
+        argv = table_command(command, data, data, glove_path, tmp_path)
+        assert main([*argv, *argument]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loaded == []
+
+    @pytest.mark.parametrize("strategy, argument, stories, message", [
+        ("shared", ["--k", "0"], 12, "k must be >= 1, got 0"),
+        ("coherent", ["--k", "5", "--pool", "3"], 12,
+         "pool (3) must be at least k (5)"),
+        ("shared", [], 1, "need at least 2 stories to pick wrong endings"),
+    ], ids=["k-zero", "pool-below-k", "one-story"])
+    def test_bad_generation_argument(self, strategy, argument, stories,
+                                     message, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_ending_index",
+                            lambda *args: built.append(args))
+        roc, out = tmp_path / "stories.csv", tmp_path / "out.csv"
+        write_roc_csv(roc, make_stories(stories, seed=80))
+        assert main(["gen-data", "--roc", str(roc), "--strategy", strategy,
+                     *argument, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+        assert not out.exists()
 
 
 class TestFilterConsensus:
