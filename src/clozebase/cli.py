@@ -23,9 +23,10 @@ from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        extract_matrix, feature_names, load_features,
                        save_features)
-from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
-                      run_ablation, save_ablation_report, train_lstm_cell)
-from .linear import DEFAULT_C_GRID, check_folds, save_model
+from .harness import (accuracy, bind_predictor, check_fit, fit_linear,
+                      load_saved_model, run_ablation, save_ablation_report,
+                      train_lstm_cell)
+from .linear import DEFAULT_C_GRID, save_model
 from .neural import TrainConfig, Variant, check_split, save_checkpoint
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
@@ -238,7 +239,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
     for i, config in enumerate(args.configs):
         if config in args.configs[:i]:
             raise ValueError(f"config {config!r} is given twice")
-    check_folds(args.cv_folds)
+    check_fit(len(augment_swap(dev)), args.cv_folds)
     sources = _parse_embedding_specs(args.embeddings)
     annotator = _annotator_arg(args.annotations)
     tables = {name: load_embeddings(*source)

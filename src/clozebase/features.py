@@ -35,7 +35,7 @@ import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import EmbeddingTable, _stored_row, sum_rows
+from .embeddings import EmbeddingTable, _row, sum_rows
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -125,10 +125,10 @@ class FeatureVector:
 class _Text(NamedTuple):
     """A token sequence looked up once.
 
-    `rows` is the centroid followed by each distinct in-vocabulary vector
-    once, in order of first use, and `norms` their norms; `slots[i]` is the
-    row of the i-th in-vocabulary token, so a per-word score is computed
-    once per distinct vector.
+    `rows` is the centroid followed by each distinct table row the tokens
+    reach, once, in order of first use, and `norms` their norms; `slots[i]`
+    is the row of the i-th in-vocabulary token, so a per-word score is
+    computed once per distinct table row.
     """
     rows: np.ndarray
     norms: np.ndarray
@@ -159,18 +159,17 @@ def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
 
 
 def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
-    words = [vec for vec in (_stored_row(table, tok) for tok in tokens)
-             if vec is not None]
-    distinct = {id(vec): vec for vec in words}
-    row = {key: i for i, key in enumerate(distinct, start=1)}
-    slots = [row[id(vec)] for vec in words]
-    # The distinct vectors, widened in one cast. The centroid adds every
-    # word's row in order, as `mean_vector` does; with no word repeated,
-    # those rows are rows[1:] as they stand.
+    words = [row for row in (_row(table, tok) for tok in tokens)
+             if row is not None]
+    distinct = {row: i for i, row in enumerate(dict.fromkeys(words), start=1)}
+    slots = [distinct[row] for row in words]
+    # The distinct rows, gathered and widened in one step. The centroid adds
+    # every word's row in order, as `mean_vector` does; with no word
+    # repeated, those rows are rows[1:] as they stand.
     rows = np.empty((len(distinct) + 1, table.dim))
     rows[0] = 0.0
     if words:
-        rows[1:] = np.array(list(distinct.values()))
+        rows[1:] = table.rows[list(distinct)]
         in_order = rows[slots] if len(words) > len(distinct) else rows[1:]
         np.divide(sum_rows(in_order), len(words), out=rows[0])
     return _Text(rows, _norms(rows), slots)
@@ -214,18 +213,18 @@ def _class_row(pos: str) -> int | None:
 def _class_centers(annotated: Sequence[AnnotatedToken], table: EmbeddingTable
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
-    their norms. The members are widened in one cast, then each class's
-    added in order from +0.0, as `mean_vector` adds them."""
+    their norms. The members are gathered and widened at once, then each
+    class's added in order from +0.0, as `mean_vector` adds them."""
     members, classes = [], []
     for tok in annotated:
         cls = _class_row(tok.pos)
-        vec = None if cls is None else _stored_row(table, tok.surface)
-        if vec is not None:
-            members.append(vec)
+        row = None if cls is None else _row(table, tok.surface)
+        if row is not None:
+            members.append(row)
             classes.append(cls)
     centers = np.zeros((len(POS_CLASSES), table.dim))
     totals = list(centers)
-    for cls, vec in zip(classes, np.array(members).astype(np.float64)):
+    for cls, vec in zip(classes, table.rows[members].astype(np.float64)):
         totals[cls] += vec
     for cls, total in enumerate(totals):
         if count := classes.count(cls):

@@ -26,7 +26,8 @@ from .errors import ParseError
 from .features import (FeatureConfig, Scaler, config_for_layout,
                        extract_matrix, feature_names, min_max_scale)
 from .linear import (DEFAULT_C_GRID, MODEL_HEADERS, CvReport, LinearModel,
-                     cv_tune_c, load_model, predict_rows, train_logreg)
+                     check_folds, cv_tune_c, load_model, predict_rows,
+                     train_logreg)
 from .neural import (ModelParams, TrainConfig, TrainResult, chunked_labels,
                      embed_instance, load_checkpoint, predict_labels, train_model)
 
@@ -73,13 +74,20 @@ def save_ablation_report(path: str | Path, report: AblationReport) -> None:
             writer.writerow([name] + [repr(row[c]) for c in report.configs])
 
 
+def check_fit(n: int, folds: int) -> None:
+    """`fit_linear`'s refusals that need only its row and fold counts, so
+    that a caller can make them before it loads a table or extracts."""
+    if n == 0:
+        raise ValueError("cannot fit a linear model on an empty training set")
+    check_folds(folds, n)
+
+
 def fit_linear(x: np.ndarray, names: Sequence[str], labels: Sequence[int],
                config: FeatureConfig, folds: int = 5,
                c_grid: Sequence[float] = DEFAULT_C_GRID,
                seed: int = 0) -> tuple[LinearModel, CvReport]:
     """Min-max scale raw `x`, tune C by cross-validation, retrain on all."""
-    if len(x) == 0:
-        raise ValueError("cannot fit a linear model on an empty training set")
+    check_fit(len(x), folds)
     scaler = Scaler(tuple(names), x.min(axis=0), x.max(axis=0))
     x = min_max_scale(scaler, x)
     report = cv_tune_c(x, labels, folds=folds, grid=c_grid, seed=seed)
@@ -116,6 +124,7 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
     """Each cell equals `train_linear_cell` + `evaluate_linear` to the bit,
     but every instance is extracted once per table, for all configs."""
     train = augment_swap(dev)
+    check_fit(len(train), folds)
     labels, gold = gold_labels(train), gold_labels(test)
     rows: dict[str, dict[FeatureConfig, float]] = {}
     for name, table in tables.items():

@@ -222,9 +222,12 @@ def _check_c(c: float) -> None:
         raise ValueError(f"C must be a finite positive number, got {c}")
 
 
-def check_folds(folds: int) -> None:
+def check_folds(folds: int, n: int) -> None:
+    """Refuse fewer than 2 folds, or more folds than n rows fill."""
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
+    if n < folds:
+        raise ValueError(f"{n} examples cannot fill {folds} folds")
 
 
 def _training_set(x: np.ndarray, y: Sequence[int],
@@ -355,10 +358,8 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
         _check_c(c)
     x = _training_set(x, y, grid[0])[0]
     y = np.asarray(y)
-    check_folds(folds)
     n = x.shape[0]
-    if n < folds:
-        raise ValueError(f"{n} examples cannot fill {folds} folds")
+    check_folds(folds, n)
     order = list(range(n))
     random.Random(seed).shuffle(order)
     bounds = [round(i * n / folds) for i in range(folds + 1)]

@@ -44,7 +44,7 @@ import numpy as np
 
 from .annotate import tokenize
 from .corpus import ClozeInstance, gold_labels
-from .embeddings import EmbeddingTable, _stored_row
+from .embeddings import EmbeddingTable, _row
 from .errors import ParseError
 from .linear import sigmoid
 
@@ -305,13 +305,14 @@ class EmbeddedInstance:
 def embed_tokens(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """A float64 row per token, at most MAX_SEQUENCE_TOKENS, widened from the
     table's rows; none reads as one OOV row."""
-    rows = []
-    for token in tokens[:MAX_SEQUENCE_TOKENS]:
-        vec = _stored_row(table, token)
-        rows.append(np.zeros(table.dim) if vec is None else vec)
-    if not rows:
-        return np.zeros((1, table.dim))
-    return np.stack(rows, dtype=np.float64)
+    tokens = tokens[:MAX_SEQUENCE_TOKENS]
+    rows = np.zeros((max(len(tokens), 1), table.dim))
+    found = [(at, row) for at, row in enumerate(_row(table, t) for t in tokens)
+             if row is not None]
+    if found:
+        at, stored = zip(*found)
+        rows[list(at)] = table.rows[list(stored)]
+    return rows
 
 
 def embed_instance(instance: ClozeInstance,

@@ -612,6 +612,20 @@ class TestInputsCheckedBeforeTables:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert loaded == []
 
+    @pytest.mark.parametrize("dev_size, message", [
+        (0, "cannot fit a linear model on an empty training set"),
+        (2, "4 examples cannot fill 5 folds"),
+    ], ids=["empty-dev", "dev-below-folds"])
+    def test_dev_too_small_for_ablation(self, dev_size, message, loaded,
+                                        data_path, glove_path, tmp_path,
+                                        capsys):
+        dev = str(tmp_path / "dev.csv")
+        write_cloze_csv(dev, make_instances(dev_size, seed=90))
+        argv = table_command("ablate", data_path, dev, glove_path, tmp_path)
+        assert main([*argv, "--cv-folds", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loaded == []
+
     @pytest.mark.parametrize("strategy, argument, stories, message", [
         ("shared", ["--k", "0"], 12, "k must be >= 1, got 0"),
         ("coherent", ["--k", "5", "--pool", "3"], 12,

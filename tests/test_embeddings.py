@@ -12,9 +12,15 @@ import pytest
 
 import clozebase
 from clozebase import embeddings, features
+from clozebase.annotate import heuristic_tag, tokenize
+from clozebase.corpus import ClozeInstance
 from clozebase.embeddings import (EmbeddingFormat, EmbeddingTable, centroid,
                                   load_embeddings, lookup, make_table)
 from clozebase.errors import ParseError
+from clozebase.features import FeatureConfig, extract_matrix
+from clozebase.neural import embed_instance
+
+from conftest import VOCAB, make_instances
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,7 @@ def _oracle_load_word2vec_binary(path: Path) -> EmbeddingTable:
             offset += 1
     if data[offset:].strip():
         raise ParseError(f"{path}: unexpected trailing data at byte {offset}")
-    return EmbeddingTable(dim=dim, entries=entries)
+    return make_table(entries, dim)
 
 
 def w2v_raw(count: int, dim: int, records: list[tuple[bytes, bytes]],
@@ -330,22 +336,55 @@ class TestStreamingMatchesOracle:
         assert got.tobytes() == table.entries["a"].astype(np.float64).tobytes()
 
 
+SOURCES = ["w2v-bin", "glove-txt", "make_table"]
+
+
+def table_from(source: str, records: list[tuple[str, list[float]]], dim: int,
+               tmp_path: Path) -> EmbeddingTable:
+    """A table of float32-exact records, from a file of the source's format
+    or from `make_table`. A repeated token keeps its first position and its
+    last vector in every source."""
+    if source == "w2v-bin":
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(w2v_bytes(records, dim))
+    elif source == "glove-txt":
+        path = tmp_path / "glove.txt"
+        path.write_text("".join(
+            token + " " + " ".join(repr(float(v)) for v in values) + "\n"
+            for token, values in records), encoding="utf-8")
+    else:
+        return make_table(dict(records), dim)
+    return load_embeddings(path, source)
+
+
 class TestReadOnlyVectors:
-    @pytest.mark.parametrize("source", ["w2v-bin", "glove-txt", "make_table"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_lookup_result_cannot_be_written(self, tmp_path, source):
-        if source == "w2v-bin":
-            path = tmp_path / "vecs.bin"
-            path.write_bytes(w2v_bytes([("w", [1.0, 2.0])], dim=2))
-            table = load_embeddings(path, source)
-        elif source == "glove-txt":
-            path = tmp_path / "glove.txt"
-            path.write_text("w 1 2\n")
-            table = load_embeddings(path, source)
-        else:
-            table = make_table({"w": [1.0, 2.0]}, dim=2)
+        table = table_from(source, [("w", [1.0, 2.0])], 2, tmp_path)
         with pytest.raises(ValueError, match="read-only"):
             lookup(table, "w")[0] = 1.0
         np.testing.assert_array_equal(lookup(table, "w"), [1.0, 2.0])
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_entries_view(self, tmp_path, source):
+        table = table_from(source, [("b", [1.0, 2.0]), ("a", [3.0, 4.0]),
+                                    ("b", [5.0, 6.0])], 2, tmp_path)
+        entries = table.entries
+        assert len(entries) == len(table) == 2
+        assert list(entries) == ["b", "a"]
+        assert entries.get("B") is None and "B" not in entries
+        assert "a" in entries
+        np.testing.assert_array_equal(entries["b"], [5.0, 6.0])
+        stored = np.float32 if source == "w2v-bin" else np.float64
+        assert table.rows.dtype == stored and not table.rows.flags.writeable
+        for token, row in entries.items():
+            assert row.dtype == stored and not row.flags.writeable
+            assert np.shares_memory(row, table.rows), token
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+        with pytest.raises(TypeError):
+            entries["c"] = np.zeros(2)
+        assert lookup(table, "B") is not None      # through "b"
 
     def test_make_table_leaves_the_callers_array_writeable(self):
         values = np.array([1.0, 2.0])
@@ -355,12 +394,52 @@ class TestReadOnlyVectors:
         np.testing.assert_array_equal(table.entries["w"], [1.0, 2.0])
 
 
+class TestSourcesAgree:
+    def test_outputs_are_byte_identical(self, tmp_path):
+        """Tables of the same float32-exact values, from each source, give
+        the same bytes from every reader. "The", "Beach", "PLAYED" and "DOG"
+        reach a row through the lowercase fallback, "Dog" has its own, and
+        "dog" is given twice: each source keeps its last vector, so the
+        word2vec matrix holds a row no token maps to."""
+        dim = 16
+        rng = np.random.default_rng(21)
+        records = [(w, rng.standard_normal(dim).astype("<f4"))
+                   for w in (*VOCAB, "Dog", "dog")]
+        instances = make_instances(12, seed=22) + [ClozeInstance(
+            "case", ("The Dog walked to the Beach.", "She liked the dog.",
+                     "He PLAYED.", "dog Dog DOG dog."),
+            "She smiled at the Dog.", "The Cat ran.", 2)]
+        tokens = [tok for inst in instances
+                  for text in (*inst.context, inst.ending1, inst.ending2)
+                  for tok in tokenize(text)]
+        tables = {source: table_from(source, records, dim, tmp_path)
+                  for source in SOURCES}
+        assert len(tables["w2v-bin"].rows) == len(tables["w2v-bin"]) + 1
+        outputs = {}
+        for source, table in tables.items():
+            assert lookup(table, "DOG").tobytes() == (
+                records[-1][1].astype(np.float64).tobytes())
+            embedded = [embed_instance(inst, table) for inst in instances]
+            outputs[source] = (
+                extract_matrix(instances, table, heuristic_tag,
+                               list(FeatureConfig))[0].tobytes(),
+                b"".join(part.tobytes() for emb in embedded
+                         for part in (emb.story, emb.ending1, emb.ending2)),
+                centroid(table, tokens).tobytes(),
+                [None if (vec := lookup(table, tok)) is None else vec.tobytes()
+                 for tok in tokens])
+        assert outputs["w2v-bin"] == outputs["glove-txt"] == outputs["make_table"]
+
+
 # Run in a fresh interpreter, so that nothing this test process allocated
 # hides the loader's high-water mark. `ru_maxrss` would not do: Linux carries
 # the parent's high-water mark through fork and exec into the child's, so the
-# child reads the high-water mark of its own address space instead.
+# child reads the high-water mark of its own address space instead. With
+# "held", the probe instead prints what the loaded table keeps, as
+# tracemalloc counts it: the same bytes on every run, and no allocator
+# retention or tracing overhead in them.
 _RSS_PROBE = """
-import sys
+import sys, tracemalloc
 from clozebase.embeddings import load_embeddings
 
 def high_water():
@@ -368,31 +447,82 @@ def high_water():
         line = next(line for line in status if line.startswith("VmHWM:"))
     return int(line.split()[1]) * 1024
 
-before = high_water()
-table = load_embeddings(sys.argv[1], "w2v-bin")
-print(high_water() - before)
+if sys.argv[3] == "held":
+    tracemalloc.start()
+    table = load_embeddings(sys.argv[1], sys.argv[2])
+    print(tracemalloc.get_traced_memory()[0])
+else:
+    before = high_water()
+    table = load_embeddings(sys.argv[1], sys.argv[2])
+    print(high_water() - before)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="needs the Linux /proc high-water mark")
+def load_cost(path: Path, format: str) -> tuple[int, int]:
+    """(the load's high-water growth, the bytes the table keeps)."""
+    src = str(Path(clozebase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return tuple(int(subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(path), format, mode], env=env,
+        capture_output=True, text=True, timeout=120, check=True).stdout)
+        for mode in ("growth", "held"))
+
+
+def index_bytes(tokens: list[str]) -> int:
+    """What a token -> row dict of these tokens measures: its table, and
+    each key and value object."""
+    index = {token: row for row, token in enumerate(tokens)}
+    return (sys.getsizeof(index) + sum(map(sys.getsizeof, index))
+            + sum(map(sys.getsizeof, index.values())))
+
+
+# A table keeps its matrix and its index, and each word costs what the index
+# measures, with 25 % headroom: one array object per word would break that.
+# The load's peak adds the buffers it reads through.
+INDEX_HEADROOM = 1.25
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                                reason="needs the Linux /proc high-water mark")
+
+
+@needs_proc
 def test_load_peak_is_close_to_the_matrix(tmp_path):
     vocab, dim = 20_000, 300
     rng = np.random.default_rng(5)
     payload = rng.standard_normal((vocab, dim)).astype("<f4")
+    tokens = [f"word{i}" for i in range(vocab)]
     path = tmp_path / "vecs.bin"
     with open(path, "wb") as handle:
         handle.write(f"{vocab} {dim}\n".encode("ascii"))
-        for i in range(vocab):
-            handle.write(f"word{i} ".encode("ascii") + payload[i].tobytes() + b"\n")
-    src = str(Path(clozebase.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    growth = int(done.stdout)
-    # the float32 matrix, plus each token's string, dict slot and row view
-    bound = 4 * vocab * dim + 512 * vocab
+        for token, row in zip(tokens, payload):
+            handle.write(token.encode("ascii") + b" " + row.tobytes() + b"\n")
+    growth, held = load_cost(path, "w2v-bin")
+    # the float32 matrix, plus the index
+    bound = 4 * vocab * dim + INDEX_HEADROOM * index_bytes(tokens)
+    assert 0 < held <= bound, held / bound
+    # four blocks: the unparsed bytes, the next block and their
+    # concatenation, which are live at once, and one that the allocator
+    # keeps of freed ones
+    bound += 4 * embeddings._CHUNK_BYTES
+    assert 0 < growth <= bound, growth / bound
+
+
+@needs_proc
+def test_glove_load_peak_is_close_to_the_matrix(tmp_path):
+    vocab, dim = 20_000, 8
+    rng = np.random.default_rng(6)
+    tokens = [f"word{i}" for i in range(vocab)]
+    path = tmp_path / "glove.txt"
+    with open(path, "w") as handle:
+        for token, row in zip(tokens, rng.standard_normal((vocab, dim))):
+            handle.write(token + " " + " ".join(map(repr, row.tolist())) + "\n")
+    growth, held = load_cost(path, "glove-txt")
+    # the float64 matrix, which its growing buffer over-allocates by up to
+    # 1/16, plus the index
+    bound = 8 * vocab * dim * 17 / 16 + INDEX_HEADROOM * index_bytes(tokens)
+    assert 0 < held <= bound, held / bound
+    # the file reader's buffer and one line's arrays
+    bound += 1 << 20
     assert 0 < growth <= bound, growth / bound
 
 
@@ -469,7 +599,10 @@ class TestMakeTable:
 
 class TestLookup:
     def test_exact_hit(self, table):
-        assert lookup(table, "dog") is table.entries["dog"]
+        got = lookup(table, "dog")
+        # a float64 table's row is returned as a view, not a copy
+        assert np.shares_memory(got, table.rows)
+        assert got.tobytes() == table.entries["dog"].tobytes()
 
     def test_lowercase_fallback(self, table):
         np.testing.assert_array_equal(lookup(table, "Dog"),

@@ -984,6 +984,8 @@ class TestPerPairOracle:
         # every config at once: the matrix holds every block's columns
         got, want = (extract_matrix(instances, table, heuristic_tag,
                                     list(FeatureConfig))[0]
-                     for table in (EmbeddingTable(dim, narrow),
+                     for table in (EmbeddingTable(
+                                       dim, np.stack(list(narrow.values())),
+                                       {w: i for i, w in enumerate(narrow)}),
                                    make_table(narrow, dim)))
         assert got.tobytes() == want.tobytes()
