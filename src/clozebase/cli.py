@@ -23,10 +23,9 @@ from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        extract_matrix, feature_names, load_features,
                        save_features)
-from .harness import (accuracy, bind_predictor, check_fit, fit_linear,
-                      load_saved_model, run_ablation, save_ablation_report,
-                      train_lstm_cell)
-from .linear import DEFAULT_C_GRID, save_model
+from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
+                      run_ablation, save_ablation_report, train_lstm_cell)
+from .linear import DEFAULT_C_GRID, check_c_grid, check_folds, save_model
 from .neural import TrainConfig, Variant, check_split, save_checkpoint
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
@@ -165,12 +164,13 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_linear(args: argparse.Namespace) -> None:
+    grid = [float(c) for c in args.c_grid.split(",") if c]
+    check_c_grid(grid)
     vectors, labels = load_features(args.features)
     layout = config_for_layout(vectors[0].names)
     if layout is None:
         raise ParseError(f"{args.features}: feature names are not the layout "
                          "of any configuration")
-    grid = [float(c) for c in args.c_grid.split(",") if c]
     x = np.stack([v.values for v in vectors])
     model, report = fit_linear(x, vectors[0].names, labels, layout[0],
                                folds=args.cv_folds, c_grid=grid, seed=args.seed)
@@ -239,7 +239,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
     for i, config in enumerate(args.configs):
         if config in args.configs[:i]:
             raise ValueError(f"config {config!r} is given twice")
-    check_fit(len(augment_swap(dev)), args.cv_folds)
+    check_folds(args.cv_folds, 2 * len(dev))
     sources = _parse_embedding_specs(args.embeddings)
     annotator = _annotator_arg(args.annotations)
     tables = {name: load_embeddings(*source)

@@ -74,20 +74,12 @@ def save_ablation_report(path: str | Path, report: AblationReport) -> None:
             writer.writerow([name] + [repr(row[c]) for c in report.configs])
 
 
-def check_fit(n: int, folds: int) -> None:
-    """`fit_linear`'s refusals that need only its row and fold counts, so
-    that a caller can make them before it loads a table or extracts."""
-    if n == 0:
-        raise ValueError("cannot fit a linear model on an empty training set")
-    check_folds(folds, n)
-
-
 def fit_linear(x: np.ndarray, names: Sequence[str], labels: Sequence[int],
                config: FeatureConfig, folds: int = 5,
                c_grid: Sequence[float] = DEFAULT_C_GRID,
                seed: int = 0) -> tuple[LinearModel, CvReport]:
     """Min-max scale raw `x`, tune C by cross-validation, retrain on all."""
-    check_fit(len(x), folds)
+    check_folds(folds, len(x))
     scaler = Scaler(tuple(names), x.min(axis=0), x.max(axis=0))
     x = min_max_scale(scaler, x)
     report = cv_tune_c(x, labels, folds=folds, grid=c_grid, seed=seed)
@@ -124,7 +116,7 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
     """Each cell equals `train_linear_cell` + `evaluate_linear` to the bit,
     but every instance is extracted once per table, for all configs."""
     train = augment_swap(dev)
-    check_fit(len(train), folds)
+    check_folds(folds, len(train))
     labels, gold = gold_labels(train), gold_labels(test)
     rows: dict[str, dict[FeatureConfig, float]] = {}
     for name, table in tables.items():
@@ -207,6 +199,10 @@ def linear_predictor(model: LinearModel, table: EmbeddingTable,
 
 def neural_predictor(params: ModelParams, table: EmbeddingTable) -> Predictor:
     """Label instances in chunks, embedding one chunk at a time."""
+    if params.lstm.input_size != table.dim:
+        raise ValueError(f"LSTM model (variant {params.variant.value}) "
+                         f"expects {params.lstm.input_size}-d embeddings; "
+                         f"the table is {table.dim}-d")
     return lambda instances: predict_labels(
         (embed_instance(inst, table) for inst in instances), params)
 

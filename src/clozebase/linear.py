@@ -217,13 +217,20 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return _descend(fun_grad, x0, two_loop, store_pair)
 
 
-def _check_c(c: float) -> None:
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"C must be a finite positive number, got {c}")
+def check_c_grid(grid: Sequence[float]) -> None:
+    """Refuse an empty C grid, or any C that is not finite and positive."""
+    if not grid:
+        raise ValueError("empty C grid")
+    for c in grid:
+        if not (np.isfinite(c) and c > 0):
+            raise ValueError(f"C must be a finite positive number, got {c}")
 
 
 def check_folds(folds: int, n: int) -> None:
-    """Refuse fewer than 2 folds, or more folds than n rows fill."""
+    """Refuse an empty set, fewer than 2 folds or more folds than n rows
+    fill, in that order: callers check these counts before any extraction."""
+    if n == 0:
+        raise ValueError("cannot fit a linear model on an empty training set")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if n < folds:
@@ -242,7 +249,7 @@ def _training_set(x: np.ndarray, y: Sequence[int],
                          f"{y.shape[0]} labels")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix contains non-finite values")
-    _check_c(c)
+    check_c_grid([c])
     y_pm = _labels_to_pm(y)
     if len(np.unique(y_pm)) < 2:
         raise ValueError("training data contains a single class")
@@ -346,16 +353,14 @@ class CvReport:
 
 def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
               grid: Sequence[float], seed: int) -> CvReport:
-    """Seeded shuffle, contiguous folds; mean held-out accuracy per C.
+    """Mean held-out accuracy per C. Each fold is a contiguous slice of one
+    seeded shuffle and trains on the rest of it, in shuffled order.
     The whole set, then each fold's, passes train_logreg's input checks.
     One `minimize_newton` call fits a fold at every C, each step solving in
     the fold's row space at size min(n, d) + 1; `predict_rows` scores the
     fits, which carry no scaler. Only the fold accuracies use them, so the
     exact minimizer stands in for train_logreg's L-BFGS endpoint."""
-    if not grid:
-        raise ValueError("empty C grid")
-    for c in grid:
-        _check_c(c)
+    check_c_grid(grid)
     x = _training_set(x, y, grid[0])[0]
     y = np.asarray(y)
     n = x.shape[0]
@@ -363,14 +368,12 @@ def cv_tune_c(x: np.ndarray, y: Sequence[int], folds: int,
     order = list(range(n))
     random.Random(seed).shuffle(order)
     bounds = [round(i * n / folds) for i in range(folds + 1)]
-    fold_indices = [order[bounds[i]:bounds[i + 1]] for i in range(folds)]
 
     names = tuple(f"x{i}" for i in range(x.shape[1]))
     accs: list[list[float]] = [[] for _ in grid]
     solves: list[list[tuple[int, bool]]] = [[] for _ in grid]
-    for held_out in fold_indices:
-        held = set(held_out)
-        train_idx = [i for i in order if i not in held]
+    for lo, hi in zip(bounds, bounds[1:]):
+        held_out, train_idx = order[lo:hi], order[:lo] + order[hi:]
         fit = minimize_newton(*_training_set(x[train_idx], y[train_idx],
                                              grid[0]), grid)
         for c, result, c_accs, c_solves in zip(grid, fit, accs, solves):
@@ -404,9 +407,9 @@ def _finite(text: str) -> float:
 
 
 def _c_value(text: str) -> float:
-    """A C that `_check_c` accepts: finite and positive."""
+    """A C that `check_c_grid` accepts: finite and positive."""
     value = float(text)
-    _check_c(value)
+    check_c_grid([value])
     return value
 
 

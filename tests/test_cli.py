@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clozebase import cli
+from clozebase import cli, harness
 from clozebase.cli import main
 from clozebase.annotate import (AnnotatedToken, SidecarAnnotations,
                                 heuristic_tag, tokenize)
@@ -270,6 +270,26 @@ class TestLinearPipeline:
                 in capsys.readouterr().err)
         assert not model.exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        (",", "empty C grid"),
+        ("nan", "C must be a finite positive number, got nan"),
+        ("0", "C must be a finite positive number, got 0.0"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_c_grid_checked_before_features_are_read(self, grid, message,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "load_features",
+                            lambda *args: read.append(args))
+        model = tmp_path / "m.txt"
+        code = main(["train-linear", "--features", str(tmp_path / "f.csv"),
+                     "--c-grid", grid, "--model-out", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read == []
+        assert not model.exists()
+
     def test_header_only_feature_file_rejected(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         features.write_text("plain_sim_e1,plain_sim_e2\n", encoding="utf-8")
@@ -368,24 +388,51 @@ class TestLstmPipeline:
             assert ("error: restarts must be positive"
                     in capsys.readouterr().err)
 
-    def test_eval_with_table_of_another_width(self, data_path, glove_path,
-                                              tmp_path, capsys):
+    @staticmethod
+    def narrow_table(tmp_path):
+        narrow = tmp_path / "narrow.txt"
+        narrow.write_text("".join(f"{w} 0.5 -0.5 0.25\n" for w in VOCAB),
+                          encoding="utf-8")
+        return str(narrow)
+
+    @pytest.mark.parametrize("command", ["eval", "filter"])
+    def test_lstm_width_checked_before_any_prediction(self, command, data_path,
+                                                      glove_path, tmp_path,
+                                                      capsys, monkeypatch):
+        # filter binds a linear model that fits any width first: the LSTM's
+        # width is refused before that model extracts any instance
         checkpoint = str(tmp_path / "lstm.npz")
         assert main(["train-lstm", "--dev", data_path,
                      "--embeddings", glove_path, "--format", "glove-txt",
                      "--hidden", "4", "--batch", "8", "--epochs", "1",
                      "--model-out", checkpoint]) == 0
-        narrow = tmp_path / "narrow.txt"
-        narrow.write_text("".join(f"{w} 0.5 -0.5 0.25\n" for w in VOCAB),
-                          encoding="utf-8")
+        argv = ["eval", "--model", checkpoint]
+        if command == "filter":
+            features = str(tmp_path / "features.csv")
+            linear = str(tmp_path / "model.txt")
+            assert main(["extract", "--data", data_path,
+                         "--embeddings", glove_path, "--format", "glove-txt",
+                         "--config", "sims-only", "--out", features]) == 0
+            assert main(["train-linear", "--features", features,
+                         "--cv-folds", "2", "--c-grid", "1.0",
+                         "--model-out", linear]) == 0
+            argv = ["filter", "--models", linear, checkpoint,
+                    "--out", str(tmp_path / "kept.csv")]
+        calls = []
+        for name in ("extract_matrix", "embed_instance"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, name=name: calls.append(name))
         capsys.readouterr()
-        code = main(["eval", "--model", checkpoint, "--data", data_path,
-                     "--embeddings", str(narrow), "--format", "glove-txt"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "instance inst-000" in err
-        assert f"input width 3 does not match the model's input_size {EMBED_DIM}" in err
+        assert main([*argv, "--data", data_path, "--format", "glove-txt",
+                     "--embeddings", self.narrow_table(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: LSTM model (variant raw) expects {EMBED_DIM}-d "
+            "embeddings; the table is 3-d\n")
+        assert calls == []
 
+    def test_eval_with_table_of_another_width(self, data_path, glove_path,
+                                              tmp_path, capsys):
+        narrow = self.narrow_table(tmp_path)
         features = str(tmp_path / "features.csv")
         linear = str(tmp_path / "model.txt")
         assert main(["extract", "--data", data_path, "--embeddings", glove_path,
@@ -397,7 +444,7 @@ class TestLstmPipeline:
                         ["filter", "--models", linear, "--data", data_path,
                          "--out", str(tmp_path / "kept.csv")]):
             capsys.readouterr()
-            code = main(command + ["--embeddings", str(narrow),
+            code = main(command + ["--embeddings", narrow,
                                    "--format", "glove-txt"])
             assert code == 1
             err = capsys.readouterr().err

@@ -443,6 +443,13 @@ class TestPredictors:
                            r"16-d embeddings; the table is 3-d"):
             linear_predictor(model, narrow)
 
+    def test_neural_predictor_checks_the_table_width(self, table):
+        params = init_params(0, table.dim, 6, Variant.ATTENTION)
+        narrow = build_table(dim=3)
+        with pytest.raises(ValueError, match=r"^LSTM model \(variant att\) "
+                           r"expects 16-d embeddings; the table is 3-d$"):
+            neural_predictor(params, narrow)
+
     def test_centroid_free_model_fits_any_width(self, table):
         model = train_linear_cell(make_instances(12, seed=75), table,
                                   FeatureConfig.SIMS_ONLY, heuristic_tag,

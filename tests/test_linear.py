@@ -15,7 +15,7 @@ from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 min_max_scale)
 from clozebase.linear import (DEFAULT_C_GRID, FLAT_ITERS, FLAT_RTOL,
                               GRAD_TOL, LBFGS_MEMORY, MAX_ITER, LinearModel, SolveResult,
-                              _newton_step, cv_tune_c, load_model,
+                              _newton_step, check_folds, cv_tune_c, load_model,
                               logreg_objective, minimize_lbfgs,
                               minimize_newton, predict, predict_rows,
                               save_model, train_logreg)
@@ -814,14 +814,21 @@ class TestCvTuneC:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cv_tune_c(x, [1, 2] * (labels // 2), folds=2, grid=[1.0], seed=0)
 
+    # the empty set is refused first, then too few folds, then too few rows
     @pytest.mark.parametrize("n, folds, message", [
         (4, 1, "need at least 2 folds, got 1"),
         (3, 4, "3 examples cannot fill 4 folds"),
+        (0, 1, "cannot fit a linear model on an empty training set"),
+        (0, 5, "cannot fit a linear model on an empty training set"),
+        (1, 1, "need at least 2 folds, got 1"),
     ])
     def test_bad_fold_count_rejected(self, n, folds, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cv_tune_c(np.zeros((n, 1)), [1, 2, 1, 2][:n], folds=folds,
-                      grid=[1.0], seed=0)
+            check_folds(folds, n)
+        if n >= 2:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cv_tune_c(np.zeros((n, 1)), [1, 2, 1, 2][:n], folds=folds,
+                          grid=[1.0], seed=0)
 
     def test_default_grid_shape(self):
         assert DEFAULT_C_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
