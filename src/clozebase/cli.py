@@ -25,7 +25,8 @@ from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        save_features)
 from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
                       run_ablation, save_ablation_report, train_lstm_cell)
-from .linear import DEFAULT_C_GRID, check_c_grid, check_folds, save_model
+from .linear import (DEFAULT_C_GRID, check_c_grid, check_fold_count,
+                     check_folds, save_model)
 from .neural import TrainConfig, Variant, check_split, save_checkpoint
 
 _FORMATS = {f.value: f for f in EmbeddingFormat}
@@ -166,6 +167,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 def _cmd_train_linear(args: argparse.Namespace) -> None:
     grid = [float(c) for c in args.c_grid.split(",") if c]
     check_c_grid(grid)
+    check_fold_count(args.cv_folds)
     vectors, labels = load_features(args.features)
     layout = config_for_layout(vectors[0].names)
     if layout is None:

@@ -15,7 +15,7 @@ ENDING2 = 2
 _Labeled = TypeVar("_Labeled")    # a ClozeInstance or a neural.EmbeddedInstance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClozeInstance:
     """One classification instance: four context sentences and two candidate endings.
 

@@ -105,13 +105,14 @@ def _generate(stories: Sequence[RocStory], strategy: str, rng_key: str,
     instances = []
     for p, story in enumerate(stories):
         rng = random.Random(f"{rng_key}:{story.id}")
+        context = story.context     # one tuple, shared by the story's instances
         for j, ending in enumerate(wrong(p, story, rng), start=1):
             if rng.random() < 0.5:
                 ending1, ending2, gold = story.ending, ending, ENDING1
             else:
                 ending1, ending2, gold = ending, story.ending, ENDING2
             instances.append(ClozeInstance(
-                id=f"{story.id}-{strategy}-{j}", context=story.context,
+                id=f"{story.id}-{strategy}-{j}", context=context,
                 ending1=ending1, ending2=ending2, gold=gold))
     return instances
 

@@ -1,23 +1,29 @@
 """Pre-trained word embedding tables and the vector arithmetic built on them.
 
 Supports the two common distribution formats (word2vec binary, GloVe text).
-A table is one read-only matrix of rows and one token -> row index. Rows are
-kept at the file's precision: a word2vec table holds its file's float32
-rows, half the bytes of their float64 widening, and a GloVe or `make_table`
-table holds float64 rows, since decimal text is not float32-exact. Every
-computation widens a row to float64 where it reads it, which is exact, so
-its results do not depend on the stored precision; `lookup` returns float64.
+A table is a token -> record index plus the records' vectors, and `gather`
+is the one way to read them. A word2vec table loaded from a regular file
+checks every record at load but keeps no vector: `gather` reads a record's
+vector from the file the first time it is asked for and keeps it, so a
+process holds only the rows its inputs reach. Every other table holds all
+its rows from the load on. Rows are kept at the file's precision: a
+word2vec table keeps its file's float32 rows, half the bytes of their
+float64 widening, and a GloVe or `make_table` table float64 rows, since
+decimal text is not float32-exact. Every computation widens a row to float64
+where it reads it, which is exact, so its results do not depend on the
+stored precision; `lookup` returns float64.
 """
 from __future__ import annotations
 
 import enum
 import os
 import stat
+import threading
+import weakref
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,29 +39,78 @@ class EmbeddingFormat(enum.Enum):
     GLOVE_TEXT = "glove-txt"
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Immutable token -> vector map: row `index[token]` of `rows`.
+class _VectorFile(NamedTuple):
+    """A word2vec file's own descriptor, and its size and modification time
+    when it was loaded."""
+    path: Path
+    fd: int
+    size: int
+    mtime_ns: int
 
-    `rows` is one (records x dim) matrix at its file's precision: float32
-    for a word2vec table, float64 for a GloVe or `make_table` one. The table
-    marks it read-only. A token repeated in a file keeps its first position
-    in `index` and its last record's row, so a row may have no token.
-    `lookup` returns float64 either way. Safe for concurrent read-only
-    access once constructed.
+    def read(self, offsets: np.ndarray, dim: int) -> np.ndarray:
+        """The float32 vectors at these byte offsets, as a (len x dim)
+        matrix. The file must still be the one that was loaded and checked:
+        a changed size or modification time, a short read or a non-finite
+        value is refused."""
+        width = 4 * dim
+        data = b"".join(os.pread(self.fd, width, at) for at in offsets.tolist())
+        info = os.fstat(self.fd)
+        if (len(data) == width * len(offsets)
+                and (info.st_size, info.st_mtime_ns) == (self.size, self.mtime_ns)):
+            rows = np.frombuffer(data, dtype="<f4").reshape(len(offsets), dim)
+            if np.isfinite(rows).all():
+                return rows
+        raise ParseError(f"{self.path}: file changed after it was loaded")
+
+
+class EmbeddingTable:
+    """Immutable token -> vector map: the vector of record `index[token]`,
+    read with `gather`.
+
+    The rows read so far sit in one store at the file's precision: float32
+    for a word2vec table, float64 for a GloVe or `make_table` one. One int64
+    code per record holds the file offset of its vector until the record is
+    read, and from then on the complement (~) of its row in the store. A
+    table built from rows, or loaded from a GloVe file or a pipe, holds every
+    row from the start. A word2vec table loaded from a regular file reads a
+    row the first time it is asked for, through a descriptor of its own that
+    is closed when the table is collected.
+
+    A token repeated in a file keeps its first position in `index` and its
+    last record, so a record may have no token. Safe for concurrent reads:
+    reads of rows already held take no lock, and fills run under one lock
+    and publish a row's code only after the row is in the store.
     """
 
-    dim: int
-    rows: np.ndarray
-    index: Mapping[str, int]
+    __slots__ = ("dim", "index", "_store", "_codes", "_filled", "_file",
+                 "_lock", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {self.dim}")
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.dim:
-            raise ValueError(f"rows of shape {self.rows.shape} are not "
-                             f"{self.dim}-d")
-        self.rows.flags.writeable = False
+    def __init__(self, dim: int, rows: np.ndarray,
+                 index: Mapping[str, int]) -> None:
+        """A table that holds `rows`, record i's vector in row i; the table
+        marks them read-only."""
+        if dim <= 0:
+            raise ValueError(f"embedding dim must be positive, got {dim}")
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise ValueError(f"rows of shape {rows.shape} are not {dim}-d")
+        rows.flags.writeable = False
+        self.dim = dim
+        self.index = index
+        self._store = rows
+        self._codes = ~np.arange(len(rows))
+        self._filled = len(rows)
+        self._file: _VectorFile | None = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def _on_file(cls, dim: int, index: Mapping[str, int], offsets: np.ndarray,
+                 file: _VectorFile) -> EmbeddingTable:
+        """A table that holds no row yet: record i's vector is read from
+        `file` at `offsets[i]` on first use."""
+        table = cls(dim, np.empty((0, dim), dtype="<f4"), index)
+        table._codes, table._file = offsets, file
+        weakref.finalize(table, os.close, file.fd)
+        return table
 
     def __len__(self) -> int:
         return len(self.index)
@@ -65,6 +120,37 @@ class EmbeddingTable:
         """A read-only token -> row view, in the index's order."""
         return _Entries(self)
 
+    def _fill(self, records: np.ndarray) -> np.ndarray:
+        """Read the records not yet held into the store; all their codes."""
+        with self._lock:
+            codes = self._codes[records]
+            missing = np.unique(records[codes >= 0])
+            if len(missing):
+                rows = self._file.read(self._codes[missing], self.dim)
+                start = self._filled
+                end = start + len(missing)
+                if end > len(self._store):
+                    grown = np.empty((max(end, 2 * len(self._store)), self.dim),
+                                     dtype=self._store.dtype)
+                    grown[:start] = self._store[:start]
+                    self._store = grown
+                self._store[start:end] = rows
+                self._codes[missing] = ~np.arange(start, end)
+                self._filled = end
+                codes = self._codes[records]
+            return codes
+
+
+def gather(table: EmbeddingTable, records: Sequence[int]) -> np.ndarray:
+    """The vectors of these records, in order, as a new (len(records) x dim)
+    matrix at the table's stored precision. A record not read yet is read
+    from the table's file first."""
+    records = np.asarray(records, dtype=np.intp)
+    codes = table._codes[records]
+    if (codes >= 0).any():
+        codes = table._fill(records)
+    return table._store[~codes]
+
 
 class _Entries(Mapping[str, np.ndarray]):
     __slots__ = ("_table",)
@@ -73,7 +159,9 @@ class _Entries(Mapping[str, np.ndarray]):
         self._table = table
 
     def __getitem__(self, token: str) -> np.ndarray:
-        return self._table.rows[self._table.index[token]]
+        vec = gather(self._table, [self._table.index[token]])[0]
+        vec.flags.writeable = False
+        return vec
 
     def __contains__(self, token: object) -> bool:
         return token in self._table.index
@@ -116,10 +204,14 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
     #
     # The file is read in _CHUNK_BYTES blocks. `buf` holds the unparsed bytes
     # from absolute offset `base` on; each pass over it parses the complete
-    # records, then copies their vectors' bytes straight into the
-    # preallocated float32 matrix: a joined copy of the block, once freed,
-    # would stay resident as a hole in the heap. A record cut by the block's
-    # end waits for the next.
+    # records, then copies their vectors' bytes into the float32 `block` and
+    # checks that they are finite. A record cut by the block's end waits for
+    # the next. From a regular file the table keeps each vector's offset and
+    # a descriptor of its own, and reads the vector again on first use, so
+    # `block` is one spare array that every pass reuses. A pipe cannot be
+    # read twice: there `block` is the pass's rows of the table's
+    # preallocated matrix, which a joined copy of the block, once freed,
+    # would leave resident as a hole in the heap.
     with open(path, "rb") as handle:
         buf = b""
         while (newline := buf.find(b"\n")) < 0:
@@ -146,7 +238,12 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
         info = os.fstat(handle.fileno())
         if stat.S_ISREG(info.st_mode):
             rows = min(rows, (info.st_size - newline - 1) // (record_bytes + 1))
-        matrix = np.empty((rows, dim), dtype="<f4")
+        on_file = stat.S_ISREG(info.st_mode) and hasattr(os, "pread")
+        if on_file:
+            offsets = np.empty(rows, dtype=np.int64)
+            spare = np.empty((0, dim), dtype="<f4")
+        else:
+            matrix = np.empty((rows, dim), dtype="<f4")
         index: dict[str, int] = {}
         record, base, pos = 0, 0, newline + 1
         eof = False
@@ -179,12 +276,19 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
                 pos = vec_end + (buf[vec_end:vec_end + 1] == b"\n")
             # the rows parsed so far come before the failure in the file
             if starts:
-                src, dst = memoryview(buf), memoryview(matrix).cast("B")
-                at = first * record_bytes
+                if on_file:
+                    np.add(starts, base, out=offsets[first:record])
+                    if len(spare) < len(starts):
+                        spare = np.empty((len(starts), dim), dtype="<f4")
+                    block = spare[:len(starts)]
+                else:
+                    block = matrix[first:record]
+                src, dst = memoryview(buf), memoryview(block).cast("B")
+                at = 0
                 for start in starts:
                     dst[at:at + record_bytes] = src[start:start + record_bytes]
                     at += record_bytes
-                finite = np.isfinite(matrix[first:record]).all(axis=1)
+                finite = np.isfinite(block).all(axis=1)
                 if not finite.all():
                     bad = int(finite.argmin())
                     raise ParseError(f"{path}: record {first + bad} ({tokens[bad]!r}) "
@@ -203,7 +307,11 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
             rest = handle.read(_CHUNK_BYTES)
             if not rest:
                 break
-    return EmbeddingTable(dim, matrix, index)
+        if not on_file:
+            return EmbeddingTable(dim, matrix, index)
+        file = _VectorFile(path, os.dup(handle.fileno()), info.st_size,
+                           info.st_mtime_ns)
+    return EmbeddingTable._on_file(dim, index, offsets, file)
 
 
 def _load_glove_text(path: Path) -> EmbeddingTable:
@@ -241,7 +349,7 @@ def _load_glove_text(path: Path) -> EmbeddingTable:
 
 
 def _row(table: EmbeddingTable, token: str) -> int | None:
-    """The token's row index, else its lowercase form's; None when both miss."""
+    """The token's record, else its lowercase form's; None when both miss."""
     row = table.index.get(token)
     if row is None:
         row = table.index.get(token.lower())
@@ -254,7 +362,7 @@ def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
     row = _row(table, token)
     if row is None:
         return None
-    vec = np.asarray(table.rows[row], dtype=np.float64)     # a float64 row is a view
+    vec = np.asarray(gather(table, [row])[0], dtype=np.float64)
     vec.flags.writeable = False
     return vec
 
@@ -266,7 +374,7 @@ def centroid(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
     nothing resolves, so all-OOV fragments still yield a usable value.
     """
     found = [row for row in (_row(table, t) for t in tokens) if row is not None]
-    return mean_vector(table.rows[found], table.dim)
+    return mean_vector(gather(table, found), table.dim)
 
 
 def mean_vector(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:

@@ -15,9 +15,10 @@ a mask over that layout, the set of blocks it keeps, so its names and values
 are a subsequence of `all`'s. Scaling maps every feature into [0, 1] with
 train-set min/max.
 
-Each text is looked up once into one matrix: its centroid, then its distinct
-in-vocabulary vectors. One batched call per ending gives the plain, max-sim
-and aligned cosines, and one 5 x 5 call the POS similarities. The batch is
+An instance's three texts are looked up once, into one matrix with one
+table read: each text's centroid, then its distinct in-vocabulary vectors.
+One batched call gives the story's plain, max-sim and aligned cosines with
+both endings, and one 5 x 10 call the POS similarities. The batch is
 a stacked `np.matmul` of (1 x d)(d x 1) cores, not a GEMM, so every cosine,
 centroid and mean equals the per-pair definition (`ndarray.dot` over the
 two norms, rows added in order) bit for bit; that definition is kept in the
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -35,7 +38,7 @@ import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import EmbeddingTable, _row, sum_rows
+from .embeddings import EmbeddingTable, _row, gather, sum_rows
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -128,11 +131,13 @@ class _Text(NamedTuple):
     `rows` is the centroid followed by each distinct table row the tokens
     reach, once, in order of first use, and `norms` their norms; `slots[i]`
     is the row of the i-th in-vocabulary token, so a per-word score is
-    computed once per distinct table row.
+    computed once per distinct table row, and `found` maps each record the
+    tokens reach to its row.
     """
     rows: np.ndarray
     norms: np.ndarray
     slots: list[int]
+    found: dict[int, int]
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -158,28 +163,40 @@ def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
                      where=np.logical_and.outer(norm_a != 0.0, norm_b != 0.0))
 
 
-def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
-    words = [row for row in (_row(table, tok) for tok in tokens)
-             if row is not None]
-    distinct = {row: i for i, row in enumerate(dict.fromkeys(words), start=1)}
-    slots = [distinct[row] for row in words]
-    # The distinct rows, gathered and widened in one step. The centroid adds
+def _lookup(token_lists: Sequence[Sequence[str]], table: EmbeddingTable
+            ) -> tuple[np.ndarray, np.ndarray, list[_Text]]:
+    """Each token sequence looked up, as views of one matrix that holds the
+    texts' rows one after another, and that matrix and its norms: one table
+    read and one `_norms` call for all the texts."""
+    words = [[row for row in (_row(table, tok) for tok in tokens)
+              if row is not None] for tokens in token_lists]
+    found = [{row: i for i, row in enumerate(dict.fromkeys(w), start=1)}
+             for w in words]
+    slots = [[f[row] for row in w] for w, f in zip(words, found)]
+    bounds = list(itertools.accumulate((len(f) + 1 for f in found), initial=0))
+    # The distinct rows, gathered and widened in one step. A centroid adds
     # every word's row in order, as `mean_vector` does; with no word
-    # repeated, those rows are rows[1:] as they stand.
-    rows = np.empty((len(distinct) + 1, table.dim))
-    rows[0] = 0.0
-    if words:
-        rows[1:] = table.rows[list(distinct)]
-        in_order = rows[slots] if len(words) > len(distinct) else rows[1:]
-        np.divide(sum_rows(in_order), len(words), out=rows[0])
-    return _Text(rows, _norms(rows), slots)
+    # repeated, those rows are its text's rows[1:] as they stand.
+    rows = np.empty((bounds[-1], table.dim))
+    is_word = np.ones(len(rows), dtype=bool)
+    is_word[bounds[:-1]] = False
+    rows[is_word] = gather(table, [row for f in found for row in f])
+    rows[bounds[:-1]] = 0.0
+    for start, end, at in zip(bounds, bounds[1:], slots):
+        if at:
+            text = rows[start:end]
+            in_order = text[at] if len(at) > end - start - 1 else text[1:]
+            np.divide(sum_rows(in_order), len(at), out=text[0])
+    norms = _norms(rows)
+    return rows, norms, [_Text(rows[a:b], norms[a:b], at, f) for a, b, at, f
+                         in zip(bounds, bounds[1:], slots, found)]
 
 
-def _sims(story: _Text, ending: _Text) -> np.ndarray:
-    """The cosines of the story's rows with the ending's: [0, 0] is the
+def _sims(story: _Text, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The cosines of the story's rows with an ending's rows: [0, 0] is the
     plain similarity, column 0 holds each story word's with the ending
     centroid, and [1:, 1:] each pair of words'."""
-    return _cosines(story.rows, story.norms, ending.rows, ending.norms)
+    return _cosines(story.rows, story.norms, rows, norms)
 
 
 def _max_sims(story: _Text, sims: np.ndarray,
@@ -210,36 +227,46 @@ def _class_row(pos: str) -> int | None:
     return POS_CLASSES.index(cls) if cls in POS_CLASSES else None
 
 
-def _class_centers(annotated: Sequence[AnnotatedToken], table: EmbeddingTable
+def _class_centers(annotated: Sequence[Sequence[AnnotatedToken]],
+                   texts: Sequence[_Text], table: EmbeddingTable
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The centroid of each class in POS_CLASSES, as a (5 x d) matrix, and
-    their norms. The members are gathered and widened at once, then each
-    class's added in order from +0.0, as `mean_vector` adds them."""
-    members, classes = [], []
-    for tok in annotated:
-        cls = _class_row(tok.pos)
-        row = None if cls is None else _row(table, tok.surface)
-        if row is not None:
-            members.append(row)
-            classes.append(cls)
-    centers = np.zeros((len(POS_CLASSES), table.dim))
-    totals = list(centers)
-    for cls, vec in zip(classes, table.rows[members].astype(np.float64)):
-        totals[cls] += vec
-    for cls, total in enumerate(totals):
-        if count := classes.count(cls):
-            total /= count
+    """The centroid of each class in POS_CLASSES for each annotated text, as
+    one (5 x d) block per text, and their norms. A member's row is its
+    looked-up text's where the text reached it, else one gather reads it;
+    each class's rows are added in order from +0.0, as `mean_vector` adds
+    them."""
+    members = [[(cls, row) for tok in tokens
+                if (cls := _class_row(tok.pos)) is not None
+                and (row := _row(table, tok.surface)) is not None]
+               for tokens in annotated]
+    missing = list(dict.fromkeys(row for text, pairs in zip(texts, members)
+                                 for _, row in pairs if row not in text.found))
+    extra = dict(zip(missing, gather(table, missing).astype(np.float64))
+                 if missing else ())
+    n = len(POS_CLASSES)
+    centers = np.zeros((n * len(annotated), table.dim))
+    for k, (text, pairs) in enumerate(zip(texts, members)):
+        totals = centers[n * k:n * (k + 1)]
+        for cls, row in pairs:
+            at = text.found.get(row)
+            totals[cls] += extra[row] if at is None else text.rows[at]
+        for cls, count in Counter(cls for cls, _ in pairs).items():
+            totals[cls] /= count
     return centers, _norms(centers)
 
 
-def _pos_sims(story_centers: tuple[np.ndarray, np.ndarray],
-              ending_centers: tuple[np.ndarray, np.ndarray]) -> list[float]:
-    return _cosines(*story_centers, *ending_centers).ravel().tolist()
+def _pos_cosines(annotated: Sequence[Sequence[AnnotatedToken]],
+                 texts: Sequence[_Text], table: EmbeddingTable) -> np.ndarray:
+    """The cosines of the first text's class centroids with each later
+    text's, side by side: a 5 x (5 per later text) matrix."""
+    centers, norms = _class_centers(annotated, texts, table)
+    n = len(POS_CLASSES)
+    return _cosines(centers[:n], norms[:n], centers[n:], norms[n:])
 
 
 def sim_story_ending(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                      table: EmbeddingTable) -> float:
-    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
+    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
     return float(_cosines(story.rows[:1], story.norms[:1],
                           ending.rows[:1], ending.norms[:1])[0, 0])
 
@@ -249,24 +276,25 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     """Mean of the n best per-story-word cosines with the ending centroid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
-    column = _cosines(story.rows, story.norms, ending.rows[:1], ending.norms[:1])
+    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
+    column = _sims(story, ending.rows[:1], ending.norms[:1])
     return _max_sims(story, column, (n,))[0]
 
 
 def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
-    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
-    return _aligned_sim(story, ending, _sims(story, ending))
+    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
+    return _aligned_sim(story, ending, _sims(story, ending.rows, ending.norms))
 
 
 def pos_sims(story_annotated: Sequence[AnnotatedToken],
              ending_annotated: Sequence[AnnotatedToken],
              table: EmbeddingTable) -> list[float]:
     """Cosine for each ordered (story class, ending class) pair; 25 values."""
-    return _pos_sims(_class_centers(story_annotated, table),
-                     _class_centers(ending_annotated, table))
+    annotated = (story_annotated, ending_annotated)
+    _, _, texts = _lookup([[tok.surface for tok in a] for a in annotated], table)
+    return _pos_cosines(annotated, texts, table).ravel().tolist()
 
 
 _PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
@@ -275,29 +303,34 @@ _PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
 def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
                     annotator: Annotator | None,
                     blocks: frozenset[Block]) -> np.ndarray:
-    """The values of `blocks` in `all`'s order, the story side built once
-    for both endings and each ending's cosines taken in one call; bit-equal
-    to the block functions'."""
+    """The values of `blocks` in `all`'s order, the three texts looked up
+    in one matrix, and the story's cosines with both endings taken in one
+    call; bit-equal to the block functions'."""
     if Block.POS_SIM in blocks and annotator is None:
         raise ValueError("part-of-speech similarities need annotations, but "
                          "no annotator was given")
     story_sentences = [tokenize(s) for s in instance.context]
     ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
-    texts = [_text(tokens, table) for tokens in
-             ([tok for sent in story_sentences for tok in sent], *ending_tokens)]
+    rows, norms, texts = _lookup(
+        [[tok for sent in story_sentences for tok in sent], *ending_tokens],
+        table)
     if blocks & _PAIR_SIMS:
-        sims = {k: _sims(texts[0], texts[k]) for k in (1, 2)}
+        # the endings' rows follow the story's in `rows`
+        first, split = len(texts[0].rows), len(texts[1].rows)
+        both = _sims(texts[0], rows[first:], norms[first:])
+        sims = {1: both[:, :split], 2: both[:, split:]}
     if Block.POS_SIM in blocks:
-        classes = [_class_centers(annotated, table) for annotated in (
-            [tok for sent in story_sentences for tok in annotator(sent)],
-            *map(annotator, ending_tokens))]
+        n = len(POS_CLASSES)
+        classes = _pos_cosines(
+            ([tok for sent in story_sentences for tok in annotator(sent)],
+             *map(annotator, ending_tokens)), texts, table)
     values: dict[Block, Callable[[int], np.ndarray | list[float]]] = {
         Block.STORY_CENTROID: lambda k: texts[k].rows[0],
         Block.ENDING_CENTROIDS: lambda k: texts[k].rows[0],
         Block.PLAIN_SIM: lambda k: sims[k][0, :1],
         Block.MAX_SIM: lambda k: _max_sims(texts[0], sims[k], MAX_SIM_TOPNS),
         Block.ALIGNED_SIM: lambda k: [_aligned_sim(texts[0], texts[k], sims[k])],
-        Block.POS_SIM: lambda k: _pos_sims(classes[0], classes[k]),
+        Block.POS_SIM: lambda k: classes[:, n * (k - 1):n * k].ravel(),
     }
     return np.concatenate([values[block](k) for block, k in _LAYOUT
                            if block in blocks])

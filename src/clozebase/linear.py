@@ -226,13 +226,19 @@ def check_c_grid(grid: Sequence[float]) -> None:
             raise ValueError(f"C must be a finite positive number, got {c}")
 
 
+def check_fold_count(folds: int) -> None:
+    """Refuse fewer than 2 folds, which needs no data: a caller can check it
+    before it reads any."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+
+
 def check_folds(folds: int, n: int) -> None:
     """Refuse an empty set, fewer than 2 folds or more folds than n rows
     fill, in that order: callers check these counts before any extraction."""
     if n == 0:
         raise ValueError("cannot fit a linear model on an empty training set")
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
+    check_fold_count(folds)
     if n < folds:
         raise ValueError(f"{n} examples cannot fill {folds} folds")
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .annotate import tokenize
 from .corpus import ClozeInstance, gold_labels
-from .embeddings import EmbeddingTable, _row
+from .embeddings import EmbeddingTable, _row, gather
 from .errors import ParseError
 from .linear import sigmoid
 
@@ -311,7 +311,7 @@ def embed_tokens(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
              if row is not None]
     if found:
         at, stored = zip(*found)
-        rows[list(at)] = table.rows[list(stored)]
+        rows[list(at)] = gather(table, stored)
     return rows
 
 

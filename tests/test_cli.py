@@ -290,6 +290,21 @@ class TestLinearPipeline:
         assert read == []
         assert not model.exists()
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fold_count_checked_before_features_are_read(self, folds, tmp_path,
+                                                         capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "load_features",
+                            lambda *args: read.append(args))
+        model = tmp_path / "m.txt"
+        code = main(["train-linear", "--features", str(tmp_path / "f.csv"),
+                     "--cv-folds", str(folds), "--model-out", str(model)])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: need at least 2 folds, got {folds}\n")
+        assert read == []
+        assert not model.exists()
+
     def test_header_only_feature_file_rejected(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         features.write_text("plain_sim_e1,plain_sim_e2\n", encoding="utf-8")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import os
 import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from clozebase import embeddings, features
 from clozebase.annotate import heuristic_tag, tokenize
 from clozebase.corpus import ClozeInstance
 from clozebase.embeddings import (EmbeddingFormat, EmbeddingTable, centroid,
-                                  load_embeddings, lookup, make_table)
+                                  gather, load_embeddings, lookup, make_table)
 from clozebase.errors import ParseError
 from clozebase.features import FeatureConfig, extract_matrix
 from clozebase.neural import embed_instance
@@ -296,7 +298,9 @@ class TestStreamingMatchesOracle:
             load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_reads_from_a_pipe(self, tmp_path):
+    def test_reads_from_a_pipe(self, tmp_path, monkeypatch):
+        """A pipe cannot be read twice: its table holds every row from the
+        load on and never reads the pipe again."""
         rng = np.random.default_rng(13)
         records = random_records(rng, 40, 5)
         content = w2v_raw(40, 5, records, newline_flags(rng, 40, "mixed"))
@@ -316,21 +320,31 @@ class TestStreamingMatchesOracle:
             writer.join(timeout=30)
         assert not writer.is_alive()
         oracle = _oracle_load_word2vec_binary(path)
+
+        def no_read(*args):
+            raise AssertionError("the table read its file again")
+        monkeypatch.setattr(os, "pread", no_read)
         assert list(table.entries) == list(oracle.entries)
         for token, vec in oracle.entries.items():
             assert table.entries[token].dtype.str == F4
             assert table.entries[token].astype(np.float64).tobytes() == vec.tobytes()
 
     def test_rows_of_one_read_only_matrix(self, tmp_path):
+        """Every record reads as the file's float32 row, the one no token
+        maps to included; an entry cannot be written, and a gathered matrix
+        is the caller's own copy."""
         path = tmp_path / "vecs.bin"
         path.write_bytes(w2v_bytes([("a", [1, 2]), ("b", [3, 4]), ("a", [5, 6])], dim=2))
         table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
         assert list(table.entries) == ["a", "b"]
         np.testing.assert_array_equal(table.entries["a"], [5.0, 6.0])
-        bases = {id(vec.base) for vec in table.entries.values()}
-        assert len(bases) == 1
-        base = table.entries["a"].base
-        assert base.dtype.str == F4 and not base.flags.writeable
+        for vec in table.entries.values():
+            assert vec.dtype.str == F4 and not vec.flags.writeable
+        rows = gather(table, [2, 0, 1, 0])
+        assert rows.dtype.str == F4
+        assert rows.tolist() == [[5, 6], [1, 2], [3, 4], [1, 2]]
+        rows[:] = 0.0
+        assert gather(table, [0]).tolist() == [[1, 2]]
         got = lookup(table, "A")
         assert got.dtype == np.float64 and not got.flags.writeable
         assert got.tobytes() == table.entries["a"].astype(np.float64).tobytes()
@@ -376,12 +390,14 @@ class TestReadOnlyVectors:
         assert "a" in entries
         np.testing.assert_array_equal(entries["b"], [5.0, 6.0])
         stored = np.float32 if source == "w2v-bin" else np.float64
-        assert table.rows.dtype == stored and not table.rows.flags.writeable
+        records = [table.index[token] for token in entries]
+        assert gather(table, records).dtype == stored
         for token, row in entries.items():
             assert row.dtype == stored and not row.flags.writeable
-            assert np.shares_memory(row, table.rows), token
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0.0
+        np.testing.assert_array_equal(gather(table, records),
+                                      [[5.0, 6.0], [3.0, 4.0]])
         with pytest.raises(TypeError):
             entries["c"] = np.zeros(2)
         assert lookup(table, "B") is not None      # through "b"
@@ -400,7 +416,7 @@ class TestSourcesAgree:
         the same bytes from every reader. "The", "Beach", "PLAYED" and "DOG"
         reach a row through the lowercase fallback, "Dog" has its own, and
         "dog" is given twice: each source keeps its last vector, so the
-        word2vec matrix holds a row no token maps to."""
+        word2vec table has a record no token maps to."""
         dim = 16
         rng = np.random.default_rng(21)
         records = [(w, rng.standard_normal(dim).astype("<f4"))
@@ -414,7 +430,7 @@ class TestSourcesAgree:
                   for tok in tokenize(text)]
         tables = {source: table_from(source, records, dim, tmp_path)
                   for source in SOURCES}
-        assert len(tables["w2v-bin"].rows) == len(tables["w2v-bin"]) + 1
+        assert max(tables["w2v-bin"].index.values()) == len(tables["w2v-bin"])
         outputs = {}
         for source, table in tables.items():
             assert lookup(table, "DOG").tobytes() == (
@@ -477,34 +493,164 @@ def index_bytes(tokens: list[str]) -> int:
             + sum(map(sys.getsizeof, index.values())))
 
 
-# A table keeps its matrix and its index, and each word costs what the index
-# measures, with 25 % headroom: one array object per word would break that.
+# A table keeps its index, and each word costs what the index measures, with
+# 25 % headroom: one array object per word would break that. A word2vec
+# table read from a file adds one int64 file offset per record and no row.
 # The load's peak adds the buffers it reads through.
 INDEX_HEADROOM = 1.25
 needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                                 reason="needs the Linux /proc high-water mark")
 
 
-@needs_proc
-def test_load_peak_is_close_to_the_matrix(tmp_path):
-    vocab, dim = 20_000, 300
+def write_table(path: Path, vocab: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """A word2vec file of `vocab` seeded float32 rows; its tokens and rows."""
     rng = np.random.default_rng(5)
     payload = rng.standard_normal((vocab, dim)).astype("<f4")
     tokens = [f"word{i}" for i in range(vocab)]
-    path = tmp_path / "vecs.bin"
     with open(path, "wb") as handle:
         handle.write(f"{vocab} {dim}\n".encode("ascii"))
         for token, row in zip(tokens, payload):
             handle.write(token.encode("ascii") + b" " + row.tobytes() + b"\n")
+    return tokens, payload
+
+
+@needs_proc
+def test_load_peak_is_close_to_the_matrix(tmp_path):
+    vocab = 20_000
+    path = tmp_path / "vecs.bin"
+    tokens, _ = write_table(path, vocab, 300)
     growth, held = load_cost(path, "w2v-bin")
-    # the float32 matrix, plus the index
-    bound = 4 * vocab * dim + INDEX_HEADROOM * index_bytes(tokens)
+    # one file offset per record, plus the index: the load keeps no row
+    bound = 8 * vocab + INDEX_HEADROOM * index_bytes(tokens)
     assert 0 < held <= bound, held / bound
-    # four blocks: the unparsed bytes, the next block and their
-    # concatenation, which are live at once, and one that the allocator
-    # keeps of freed ones
-    bound += 4 * embeddings._CHUNK_BYTES
+    # six blocks: the unparsed bytes, the next block and their
+    # concatenation, which are live at once, the copy of a block's vectors
+    # that the finiteness check reads, and two that the allocator keeps of
+    # freed ones
+    bound += 6 * embeddings._CHUNK_BYTES
     assert 0 < growth <= bound, growth / bound
+
+
+def test_reading_rows_keeps_only_those_rows(tmp_path):
+    vocab, dim = 20_000, 300
+    path = tmp_path / "vecs.bin"
+    _, payload = write_table(path, vocab, dim)
+    table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+    first, second = np.split(np.random.default_rng(7).permutation(vocab)[:1000], 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = []
+        for batch in (first, first, second):
+            assert gather(table, batch).tobytes() == payload[batch].tobytes()
+            kept.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    rows = 4 * dim * np.array([500, 500, 1000])
+    assert (rows <= kept).all() and (kept <= rows + (64 << 10)).all(), kept
+
+
+class TestReadOnFirstUse:
+    """A word2vec table loaded from a regular file reads each row from the
+    file the first time it is asked for."""
+
+    def test_rows_match_the_oracle(self, tmp_path, chunk_bytes):
+        rng = np.random.default_rng(14)
+        vocab, dim = 60, 5
+        chunk_bytes(dim)
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(w2v_raw(vocab, dim, random_records(rng, vocab, dim),
+                                 newline_flags(rng, vocab, "mixed")))
+        oracle = _oracle_load_word2vec_binary(path)
+        table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+        tokens = list(oracle.entries)
+        for _ in range(4):       # overlapping batches in any order, repeats too
+            batch = [tokens[i] for i in rng.integers(len(tokens), size=20)]
+            rows = gather(table, [table.index[token] for token in batch])
+            assert rows.dtype.str == F4
+            assert rows.astype(np.float64).tobytes() == b"".join(
+                oracle.entries[token].tobytes() for token in batch)
+
+    def test_concurrent_reads_read_each_row_once(self, tmp_path, monkeypatch):
+        vocab, dim = 400, 3
+        path = tmp_path / "vecs.bin"
+        tokens, payload = write_table(path, vocab, dim)
+        reads = []
+        pread = os.pread
+
+        def counted(fd, size, at):
+            reads.append(at)
+            return pread(fd, size, at)
+        monkeypatch.setattr(os, "pread", counted)
+        table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+        assert reads == []
+        rng = np.random.default_rng(16)
+        batches = [rng.integers(vocab, size=30) for _ in range(64)]
+        wrong = []
+
+        def work(mine):
+            for batch in mine:
+                if gather(table, batch).tobytes() != payload[batch].tobytes():
+                    wrong.append(batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(batches[i::8],))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(reads) == len(set(reads)) == len(np.unique(batches))
+
+    def test_unlinked_file_still_reads(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(w2v_bytes([("a", [1, 2]), ("b", [3, 4])], dim=2))
+        table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+        path.unlink()
+        np.testing.assert_array_equal(table.entries["b"], [3.0, 4.0])
+
+    @pytest.mark.parametrize("change", ["grown", "truncated", "touched",
+                                        "non-finite in place"])
+    def test_changed_file_is_refused(self, tmp_path, change):
+        path = tmp_path / "vecs.bin"
+        content = w2v_bytes([("a", [1, 2, 3]), ("b", [4, 5, 6])], dim=3)
+        path.write_bytes(content)
+        table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+        np.testing.assert_array_equal(table.entries["a"], [1.0, 2.0, 3.0])
+        info = os.stat(path)
+        if change == "grown":
+            with open(path, "ab") as handle:
+                handle.write(b"\n")
+        elif change == "truncated":
+            os.truncate(path, len(content) - 4)
+        elif change == "touched":
+            os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+        else:                # the same size and modification time as loaded
+            with open(path, "r+b") as handle:
+                handle.seek(content.index(b"b ") + 2)
+                handle.write(np.float32(np.nan).tobytes())
+            os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           "file changed after it was loaded$"):
+            table.entries["b"]
+        # a row read before the change still reads
+        np.testing.assert_array_equal(table.entries["a"], [1.0, 2.0, 3.0])
+
+    def test_descriptor_closed_with_the_table(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(w2v_bytes([("a", [1, 2])], dim=2))
+        table = load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
+        fd = table._file.fd
+        os.fstat(fd)
+        del table
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @needs_proc
@@ -600,8 +746,8 @@ class TestMakeTable:
 class TestLookup:
     def test_exact_hit(self, table):
         got = lookup(table, "dog")
-        # a float64 table's row is returned as a view, not a copy
-        assert np.shares_memory(got, table.rows)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == gather(table, [table.index["dog"]])[0].tobytes()
         assert got.tobytes() == table.entries["dog"].tobytes()
 
     def test_lowercase_fallback(self, table):
