@@ -1,8 +1,9 @@
 """Tokenization and part-of-speech/lemma annotation.
 
 Tags follow Penn Treebank conventions. Two annotator backends satisfy the
-same callable contract (token list in, AnnotatedToken list out): a sidecar
-file carrying externally produced tags, and a built-in heuristic tagger
+same callable contract: given a token list, return one AnnotatedToken per
+token, in order, with that token as its surface. They are a sidecar file
+carrying externally produced tags, and a built-in heuristic tagger
 (closed-class lexicon plus suffix rules). The heuristic exists so the
 pipeline runs with no external tooling; only lemma equality matters
 downstream, not linguistic correctness.
@@ -87,6 +88,7 @@ class AnnotatedToken:
     lemma: str
 
 
+# One AnnotatedToken per input token, in order, that token as its surface.
 Annotator = Callable[[Sequence[str]], "list[AnnotatedToken]"]
 
 

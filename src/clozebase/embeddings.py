@@ -206,12 +206,12 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
     # from absolute offset `base` on; each pass over it parses the complete
     # records, then copies their vectors' bytes into the float32 `block` and
     # checks that they are finite. A record cut by the block's end waits for
-    # the next. From a regular file the table keeps each vector's offset and
-    # a descriptor of its own, and reads the vector again on first use, so
-    # `block` is one spare array that every pass reuses. A pipe cannot be
-    # read twice: there `block` is the pass's rows of the table's
-    # preallocated matrix, which a joined copy of the block, once freed,
-    # would leave resident as a hole in the heap.
+    # the next. `block` is one spare array that every pass reuses. From a
+    # regular file the table keeps each vector's offset and a descriptor of
+    # its own, and reads the vector again on first use. A pipe cannot be read
+    # twice: there each block's bytes go on the end of one buffer, which
+    # becomes the table's rows without a copy, so nothing is sized from the
+    # header's count.
     with open(path, "rb") as handle:
         buf = b""
         while (newline := buf.find(b"\n")) < 0:
@@ -229,21 +229,19 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
         if vocab_size < 0 or dim <= 0:
             raise ParseError(f"{path}: malformed header counts vocab={vocab_size} dim={dim}")
 
-        # A record takes at least its space and its vector, so no more rows
-        # than this fit in a regular file: a header that claims more (or a
-        # huge dim) ends in a truncation error, not in a huge allocation. A
-        # pipe's size is unknown, so there the header's count is trusted.
+        # A record takes at least its space and its vector, so no more
+        # offsets than this fit in a regular file: a header that claims more
+        # (or a huge dim) ends in a truncation error, not in a huge
+        # allocation.
         record_bytes = 4 * dim
-        rows = vocab_size
         info = os.fstat(handle.fileno())
-        if stat.S_ISREG(info.st_mode):
-            rows = min(rows, (info.st_size - newline - 1) // (record_bytes + 1))
         on_file = stat.S_ISREG(info.st_mode) and hasattr(os, "pread")
         if on_file:
-            offsets = np.empty(rows, dtype=np.int64)
-            spare = np.empty((0, dim), dtype="<f4")
+            offsets = np.empty(min(vocab_size, (info.st_size - newline - 1)
+                                   // (record_bytes + 1)), dtype=np.int64)
         else:
-            matrix = np.empty((rows, dim), dtype="<f4")
+            data = bytearray()
+        spare = np.empty((0, dim), dtype="<f4")
         index: dict[str, int] = {}
         record, base, pos = 0, 0, newline + 1
         eof = False
@@ -278,11 +276,9 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
             if starts:
                 if on_file:
                     np.add(starts, base, out=offsets[first:record])
-                    if len(spare) < len(starts):
-                        spare = np.empty((len(starts), dim), dtype="<f4")
-                    block = spare[:len(starts)]
-                else:
-                    block = matrix[first:record]
+                if len(spare) < len(starts):
+                    spare = np.empty((len(starts), dim), dtype="<f4")
+                block = spare[:len(starts)]
                 src, dst = memoryview(buf), memoryview(block).cast("B")
                 at = 0
                 for start in starts:
@@ -293,6 +289,8 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
                     bad = int(finite.argmin())
                     raise ParseError(f"{path}: record {first + bad} ({tokens[bad]!r}) "
                                      "has non-finite components")
+                if not on_file:
+                    data += dst
             if failure is not None:
                 raise ParseError(f"{path}: {failure}")
             if record < vocab_size:
@@ -308,7 +306,8 @@ def _load_word2vec_binary(path: Path) -> EmbeddingTable:
             if not rest:
                 break
         if not on_file:
-            return EmbeddingTable(dim, matrix, index)
+            return EmbeddingTable(
+                dim, np.frombuffer(data, dtype="<f4").reshape(-1, dim), index)
         file = _VectorFile(path, os.dup(handle.fileno()), info.st_size,
                            info.st_mtime_ns)
     return EmbeddingTable._on_file(dim, index, offsets, file)

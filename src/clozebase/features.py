@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -129,15 +128,15 @@ class _Text(NamedTuple):
     """A token sequence looked up once.
 
     `rows` is the centroid followed by each distinct table row the tokens
-    reach, once, in order of first use, and `norms` their norms; `slots[i]`
-    is the row of the i-th in-vocabulary token, so a per-word score is
-    computed once per distinct table row, and `found` maps each record the
-    tokens reach to its row.
+    reach, once, in order of first use, and `norms` their norms; `at[i]` is
+    the row of the i-th token, None when it has no vector, and `slots` the
+    rows of the in-vocabulary tokens in order, so a per-word score is
+    computed once per distinct table row.
     """
     rows: np.ndarray
     norms: np.ndarray
+    at: list[int | None]
     slots: list[int]
-    found: dict[int, int]
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -168,11 +167,11 @@ def _lookup(token_lists: Sequence[Sequence[str]], table: EmbeddingTable
     """Each token sequence looked up, as views of one matrix that holds the
     texts' rows one after another, and that matrix and its norms: one table
     read and one `_norms` call for all the texts."""
-    words = [[row for row in (_row(table, tok) for tok in tokens)
-              if row is not None] for tokens in token_lists]
-    found = [{row: i for i, row in enumerate(dict.fromkeys(w), start=1)}
-             for w in words]
-    slots = [[f[row] for row in w] for w, f in zip(words, found)]
+    records = [[_row(table, tok) for tok in tokens] for tokens in token_lists]
+    found = [{row: i for i, row in enumerate(dict.fromkeys(
+        r for r in text if r is not None), start=1)} for text in records]
+    ats = [[f.get(r) for r in text] for text, f in zip(records, found)]
+    slots = [[i for i in at if i is not None] for at in ats]
     bounds = list(itertools.accumulate((len(f) + 1 for f in found), initial=0))
     # The distinct rows, gathered and widened in one step. A centroid adds
     # every word's row in order, as `mean_vector` does; with no word
@@ -182,21 +181,14 @@ def _lookup(token_lists: Sequence[Sequence[str]], table: EmbeddingTable
     is_word[bounds[:-1]] = False
     rows[is_word] = gather(table, [row for f in found for row in f])
     rows[bounds[:-1]] = 0.0
-    for start, end, at in zip(bounds, bounds[1:], slots):
-        if at:
+    for start, end, words in zip(bounds, bounds[1:], slots):
+        if words:
             text = rows[start:end]
-            in_order = text[at] if len(at) > end - start - 1 else text[1:]
-            np.divide(sum_rows(in_order), len(at), out=text[0])
+            in_order = text[words] if len(words) > end - start - 1 else text[1:]
+            np.divide(sum_rows(in_order), len(words), out=text[0])
     norms = _norms(rows)
-    return rows, norms, [_Text(rows[a:b], norms[a:b], at, f) for a, b, at, f
-                         in zip(bounds, bounds[1:], slots, found)]
-
-
-def _sims(story: _Text, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The cosines of the story's rows with an ending's rows: [0, 0] is the
-    plain similarity, column 0 holds each story word's with the ending
-    centroid, and [1:, 1:] each pair of words'."""
-    return _cosines(story.rows, story.norms, rows, norms)
+    return rows, norms, [_Text(rows[a:b], norms[a:b], at, s) for a, b, at, s
+                         in zip(bounds, bounds[1:], ats, slots)]
 
 
 def _max_sims(story: _Text, sims: np.ndarray,
@@ -231,27 +223,23 @@ def _class_centers(annotated: Sequence[Sequence[AnnotatedToken]],
                    texts: Sequence[_Text], table: EmbeddingTable
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES for each annotated text, as
-    one (5 x d) block per text, and their norms. A member's row is its
-    looked-up text's where the text reached it, else one gather reads it;
-    each class's rows are added in order from +0.0, as `mean_vector` adds
-    them."""
-    members = [[(cls, row) for tok in tokens
-                if (cls := _class_row(tok.pos)) is not None
-                and (row := _row(table, tok.surface)) is not None]
-               for tokens in annotated]
-    missing = list(dict.fromkeys(row for text, pairs in zip(texts, members)
-                                 for _, row in pairs if row not in text.found))
-    extra = dict(zip(missing, gather(table, missing).astype(np.float64))
-                 if missing else ())
+    one (5 x d) block per text, and their norms. The i-th annotated token is
+    the text's i-th token, so its row is `text.at[i]`; each class's rows are
+    added in order from +0.0, as `mean_vector` adds them."""
     n = len(POS_CLASSES)
     centers = np.zeros((n * len(annotated), table.dim))
-    for k, (text, pairs) in enumerate(zip(texts, members)):
-        totals = centers[n * k:n * (k + 1)]
-        for cls, row in pairs:
-            at = text.found.get(row)
-            totals[cls] += extra[row] if at is None else text.rows[at]
-        for cls, count in Counter(cls for cls, _ in pairs).items():
-            totals[cls] /= count
+    for k, (tokens, text) in enumerate(zip(annotated, texts)):
+        if len(tokens) != len(text.at):
+            raise ValueError(f"the annotator gave {len(tokens)} tokens for a "
+                             f"text of {len(text.at)}")
+        members: list[list[int]] = [[] for _ in POS_CLASSES]
+        for tok, at in zip(tokens, text.at):
+            if at is not None and (cls := _class_row(tok.pos)) is not None:
+                members[cls].append(at)
+        for cls, slots in enumerate(members):
+            if slots:
+                np.divide(sum_rows(text.rows[slots]), len(slots),
+                          out=centers[n * k + cls])
     return centers, _norms(centers)
 
 
@@ -277,7 +265,7 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
-    column = _sims(story, ending.rows[:1], ending.norms[:1])
+    column = _cosines(story.rows, story.norms, ending.rows[:1], ending.norms[:1])
     return _max_sims(story, column, (n,))[0]
 
 
@@ -285,7 +273,8 @@ def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
     _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
-    return _aligned_sim(story, ending, _sims(story, ending.rows, ending.norms))
+    return _aligned_sim(story, ending, _cosines(story.rows, story.norms,
+                                               ending.rows, ending.norms))
 
 
 def pos_sims(story_annotated: Sequence[AnnotatedToken],
@@ -315,9 +304,11 @@ def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
         [[tok for sent in story_sentences for tok in sent], *ending_tokens],
         table)
     if blocks & _PAIR_SIMS:
-        # the endings' rows follow the story's in `rows`
+        # The endings' rows follow the story's in `rows`. In each ending's
+        # cosines, [0, 0] is the plain similarity, column 0 holds each story
+        # word's with the ending centroid, and [1:, 1:] each pair of words'.
         first, split = len(texts[0].rows), len(texts[1].rows)
-        both = _sims(texts[0], rows[first:], norms[first:])
+        both = _cosines(texts[0].rows, texts[0].norms, rows[first:], norms[first:])
         sims = {1: both[:, :split], 2: both[:, split:]}
     if Block.POS_SIM in blocks:
         n = len(POS_CLASSES)

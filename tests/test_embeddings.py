@@ -298,9 +298,36 @@ class TestStreamingMatchesOracle:
             load_embeddings(path, EmbeddingFormat.WORD2VEC_BINARY)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_reads_from_a_pipe(self, tmp_path, monkeypatch):
+    def test_lying_header_on_a_pipe_is_a_parse_error(self, tmp_path):
+        """A pipe's size is unknown, so no row is sized from its header: a
+        claimed 10**11 records end in the truncation error, in small memory."""
+        content = w2v_bytes([("a", np.zeros(300))], dim=300)
+        content = b"100000000000 300" + content[content.index(b"\n"):]
+        fifo = tmp_path / "pipe.bin"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(content)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(fifo))}: "
+                               "record 1 truncated"):
+                load_embeddings(fifo, EmbeddingFormat.WORD2VEC_BINARY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk_bytes):
         """A pipe cannot be read twice: its table holds every row from the
         load on and never reads the pipe again."""
+        chunk_bytes(5)
         rng = np.random.default_rng(13)
         records = random_records(rng, 40, 5)
         content = w2v_raw(40, 5, records, newline_flags(rng, 40, "mixed"))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import clozebase.features as features_module
-from clozebase.annotate import CoarseClass, coarse_class, heuristic_tag, tokenize
+from clozebase.annotate import (AnnotatedToken, CoarseClass, SidecarAnnotations,
+                                coarse_class, heuristic_tag, tokenize)
 from clozebase.corpus import ClozeInstance, swap_endings
 from clozebase.embeddings import (EmbeddingTable, centroid, lookup,
                                   make_table, mean_vector)
@@ -440,6 +441,22 @@ class TestBlockBehavior:
         verb_row = slice(5, 10)                      # (VERB, *) block
         assert all(v == 0.0 for v in values[verb_row])
 
+    def test_each_token_resolved_once(self, table, instances50, monkeypatch):
+        """The POS block reads the rows the texts' one lookup found: `all`
+        resolves each token of the three texts once."""
+        calls, row = [], features_module._row
+
+        def spy(table, token):
+            calls.append(token)
+            return row(table, token)
+        monkeypatch.setattr(features_module, "_row", spy)
+        for instance in instances50[:5]:
+            calls.clear()
+            extract(instance, table, heuristic_tag, FeatureConfig.ALL)
+            assert calls == [tok for text in (*instance.context, instance.ending1,
+                                              instance.ending2)
+                             for tok in tokenize(text)]
+
 
 def ref_names(config, dim):
     """The layout as the per-config switches first spelled it out."""
@@ -622,6 +639,24 @@ class TestExtractValidation:
         vector = extract(instances50[0], table, None, FeatureConfig.REPR_PLUS_SIM)
         assert vector.values.shape[0] == len(feature_names(
             FeatureConfig.REPR_PLUS_SIM, table.dim))
+
+    def test_annotator_of_another_token_count_refused(self, table, instances50):
+        """An annotator must give one token per token; one that drops a
+        token is refused wherever the POS block is computed."""
+        def drops_one(tokens):
+            return heuristic_tag(tokens)[1:]
+        instance = instances50[0]
+        count = sum(len(tokenize(s)) for s in instance.context)
+        message = (f"^the annotator gave {count - 4} tokens for a text of "
+                   f"{count}$")
+        with pytest.raises(ValueError, match=message):
+            extract(instance, table, drops_one, FeatureConfig.ALL)
+        with pytest.raises(ValueError, match=message):
+            extract_matrix([instance], table, drops_one, [FeatureConfig.ALL])
+        vector = extract(instance, table, drops_one, FeatureConfig.ALL_WO_POS_SIM)
+        assert vector.values.tobytes() == extract(
+            instance, table, heuristic_tag,
+            FeatureConfig.ALL_WO_POS_SIM).values.tobytes()
 
     def test_vector_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="names"):
@@ -922,15 +957,30 @@ def extreme_instances():
     ]
 
 
+def remapped_sidecar(instances):
+    """Sidecar annotations of every sentence of the instances: heuristic_tag's
+    tokens with NN* tags made JJ* and VB* made RB*, so that the POS classes
+    hold other members than under heuristic_tag."""
+    swap = {"NN": "JJ", "VB": "RB"}
+    return SidecarAnnotations([
+        [AnnotatedToken(tok.surface, swap.get(tok.pos[:2], tok.pos[:2])
+                        + tok.pos[2:], tok.lemma) for tok in heuristic_tag(tokens)]
+        for inst in instances
+        for tokens in map(tokenize, (*inst.context, inst.ending1, inst.ending2))])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestPerPairOracle:
     @pytest.mark.parametrize("dim", [1, 16, 300])
     @pytest.mark.parametrize("config", list(FeatureConfig))
-    def test_matrix_equals_per_pair_code(self, dim, config):
+    @pytest.mark.parametrize("annotator", ["heuristic", "sidecar"])
+    def test_matrix_equals_per_pair_code(self, dim, config, annotator):
         table = extreme_table(dim)
         instances = make_instances(12, seed=dim) + extreme_instances()
-        got = extract_matrix(instances, table, heuristic_tag, [config])[0]
-        want = np.stack([pp_extract(inst, table, heuristic_tag, config)
+        annotator = (heuristic_tag if annotator == "heuristic"
+                     else remapped_sidecar(instances))
+        got = extract_matrix(instances, table, annotator, [config])[0]
+        want = np.stack([pp_extract(inst, table, annotator, config)
                          for inst in instances])
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
