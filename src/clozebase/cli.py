@@ -23,8 +23,9 @@ from .errors import ParseError
 from .features import (FeatureConfig, FeatureVector, config_for_layout,
                        extract_matrix, feature_names, load_features,
                        save_features)
-from .harness import (accuracy, bind_predictor, fit_linear, load_saved_model,
-                      run_ablation, save_ablation_report, train_lstm_cell)
+from .harness import (accuracy, bind_predictor, check_scorable, fit_linear,
+                      load_saved_model, lstm_restarts, run_ablation,
+                      save_ablation_report)
 from .linear import (DEFAULT_C_GRID, check_c_grid, check_fold_count,
                      check_folds, save_model)
 from .neural import TrainConfig, Variant, check_split, save_checkpoint
@@ -152,6 +153,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 
 def _cmd_extract(args: argparse.Namespace) -> None:
     instances = _labeled(args.data)
+    if not instances:
+        raise ValueError("nothing to save")
     if args.swap_augment:
         instances = augment_swap(instances)
     annotator = _annotator_arg(args.annotations)
@@ -186,6 +189,7 @@ def _cmd_train_linear(args: argparse.Namespace) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> None:
     instances = _labeled(args.data)
+    check_scorable(instances)
     gold = gold_labels(instances)
     annotator = _annotator_arg(args.annotations)
     model = load_saved_model(args.model)
@@ -204,10 +208,13 @@ def _cmd_train_lstm(args: argparse.Namespace) -> None:
     split = split_dev(instances, ratio=args.split_ratio, seed=args.seed)
     check_split(split.dev_train, split.dev_dev)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
-    best, runs = train_lstm_cell(split.dev_train, split.dev_dev, table, config)
-    for restart, result in enumerate(runs):
+    runs = []
+    for restart, result in enumerate(lstm_restarts(split.dev_train,
+                                                   split.dev_dev, table, config)):
         print(f"restart {restart}: best epoch {result.best_epoch}, "
-              f"validation accuracy {result.best_dev_accuracy:.4f}")
+              f"validation accuracy {result.best_dev_accuracy:.4f}", flush=True)
+        runs.append(result)
+    best = max(runs, key=lambda run: run.best_dev_accuracy)
     print(f"best validation accuracy {best.best_dev_accuracy:.4f} "
           f"(epoch {best.best_epoch})")
     if args.model_out:
@@ -242,6 +249,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
         if config in args.configs[:i]:
             raise ValueError(f"config {config!r} is given twice")
     check_folds(args.cv_folds, 2 * len(dev))
+    check_scorable(test)
     sources = _parse_embedding_specs(args.embeddings)
     annotator = _annotator_arg(args.annotations)
     tables = {name: load_embeddings(*source)

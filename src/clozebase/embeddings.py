@@ -88,11 +88,17 @@ class EmbeddingTable:
     def __init__(self, dim: int, rows: np.ndarray,
                  index: Mapping[str, int]) -> None:
         """A table that holds `rows`, record i's vector in row i; the table
-        marks them read-only."""
+        marks them read-only. Refuses rows that are not `dim` wide and an
+        index that maps a token to anything but one of them."""
         if dim <= 0:
             raise ValueError(f"embedding dim must be positive, got {dim}")
         if rows.ndim != 2 or rows.shape[1] != dim:
             raise ValueError(f"rows of shape {rows.shape} are not {dim}-d")
+        outside = [tok for tok, row in index.items() if not (
+            isinstance(row, (int, np.integer)) and 0 <= row < len(rows))]
+        if outside:
+            raise ValueError(f"index maps {outside[0]!r} to row "
+                             f"{index[outside[0]]} of {len(rows)} rows")
         rows.flags.writeable = False
         self.dim = dim
         self.index = index
@@ -106,9 +112,10 @@ class EmbeddingTable:
     def _on_file(cls, dim: int, index: Mapping[str, int], offsets: np.ndarray,
                  file: _VectorFile) -> EmbeddingTable:
         """A table that holds no row yet: record i's vector is read from
-        `file` at `offsets[i]` on first use."""
-        table = cls(dim, np.empty((0, dim), dtype="<f4"), index)
-        table._codes, table._file = offsets, file
+        `file` at `offsets[i]` on first use. The loader numbers `index`
+        by the records it gives offsets for."""
+        table = cls(dim, np.empty((0, dim), dtype="<f4"), {})
+        table.index, table._codes, table._file = index, offsets, file
         weakref.finalize(table, os.close, file.fd)
         return table
 

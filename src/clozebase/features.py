@@ -15,20 +15,21 @@ a mask over that layout, the set of blocks it keeps, so its names and values
 are a subsequence of `all`'s. Scaling maps every feature into [0, 1] with
 train-set min/max.
 
-An instance's three texts are looked up once, into one matrix with one
-table read: each text's centroid, then its distinct in-vocabulary vectors.
-One batched call gives the story's plain, max-sim and aligned cosines with
-both endings, and one 5 x 10 call the POS similarities. The batch is
-a stacked `np.matmul` of (1 x d)(d x 1) cores, not a GEMM, so every cosine,
-centroid and mean equals the per-pair definition (`ndarray.dot` over the
-two norms, rows added in order) bit for bit; that definition is kept in the
-tests, as the oracle the batched code is checked against.
+The story and each ending are looked up on their own, each once: its
+centroid, then its distinct in-vocabulary vectors, read from the table in
+one step. The story's side is built once per instance, and each ending is
+taken against it: one batched call gives the story's plain, max-sim and
+aligned cosines with that ending, and one 5 x 5 call the POS similarities.
+Each batch is a stacked `np.matmul` of (1 x d)(d x 1) cores, not a GEMM,
+so every cosine, centroid and mean equals the per-pair definition
+(`ndarray.dot` over the two norms, rows added in order) bit for bit; that
+definition is kept in the tests, as the oracle the batched code is checked
+against.
 """
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -162,33 +163,22 @@ def _cosines(a: np.ndarray, norm_a: np.ndarray, b: np.ndarray,
                      where=np.logical_and.outer(norm_a != 0.0, norm_b != 0.0))
 
 
-def _lookup(token_lists: Sequence[Sequence[str]], table: EmbeddingTable
-            ) -> tuple[np.ndarray, np.ndarray, list[_Text]]:
-    """Each token sequence looked up, as views of one matrix that holds the
-    texts' rows one after another, and that matrix and its norms: one table
-    read and one `_norms` call for all the texts."""
-    records = [[_row(table, tok) for tok in tokens] for tokens in token_lists]
-    found = [{row: i for i, row in enumerate(dict.fromkeys(
-        r for r in text if r is not None), start=1)} for text in records]
-    ats = [[f.get(r) for r in text] for text, f in zip(records, found)]
-    slots = [[i for i in at if i is not None] for at in ats]
-    bounds = list(itertools.accumulate((len(f) + 1 for f in found), initial=0))
-    # The distinct rows, gathered and widened in one step. A centroid adds
+def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
+    """The tokens looked up: one table read and one `_norms` call."""
+    records = [_row(table, tok) for tok in tokens]
+    found = {row: i for i, row in enumerate(dict.fromkeys(
+        r for r in records if r is not None), start=1)}
+    at = [found.get(r) for r in records]
+    slots = [i for i in at if i is not None]
+    # The distinct rows, gathered and widened in one step. The centroid adds
     # every word's row in order, as `mean_vector` does; with no word
-    # repeated, those rows are its text's rows[1:] as they stand.
-    rows = np.empty((bounds[-1], table.dim))
-    is_word = np.ones(len(rows), dtype=bool)
-    is_word[bounds[:-1]] = False
-    rows[is_word] = gather(table, [row for f in found for row in f])
-    rows[bounds[:-1]] = 0.0
-    for start, end, words in zip(bounds, bounds[1:], slots):
-        if words:
-            text = rows[start:end]
-            in_order = text[words] if len(words) > end - start - 1 else text[1:]
-            np.divide(sum_rows(in_order), len(words), out=text[0])
-    norms = _norms(rows)
-    return rows, norms, [_Text(rows[a:b], norms[a:b], at, s) for a, b, at, s
-                         in zip(bounds, bounds[1:], ats, slots)]
+    # repeated, those rows are rows[1:] as they stand.
+    rows = np.zeros((len(found) + 1, table.dim))
+    rows[1:] = gather(table, list(found))
+    if slots:
+        in_order = rows[slots] if len(slots) > len(found) else rows[1:]
+        np.divide(sum_rows(in_order), len(slots), out=rows[0])
+    return _Text(rows, _norms(rows), at, slots)
 
 
 def _max_sims(story: _Text, sims: np.ndarray,
@@ -219,42 +209,29 @@ def _class_row(pos: str) -> int | None:
     return POS_CLASSES.index(cls) if cls in POS_CLASSES else None
 
 
-def _class_centers(annotated: Sequence[Sequence[AnnotatedToken]],
-                   texts: Sequence[_Text], table: EmbeddingTable
+def _class_centers(annotated: Sequence[AnnotatedToken], text: _Text
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The centroid of each class in POS_CLASSES for each annotated text, as
-    one (5 x d) block per text, and their norms. The i-th annotated token is
-    the text's i-th token, so its row is `text.at[i]`; each class's rows are
-    added in order from +0.0, as `mean_vector` adds them."""
-    n = len(POS_CLASSES)
-    centers = np.zeros((n * len(annotated), table.dim))
-    for k, (tokens, text) in enumerate(zip(annotated, texts)):
-        if len(tokens) != len(text.at):
-            raise ValueError(f"the annotator gave {len(tokens)} tokens for a "
-                             f"text of {len(text.at)}")
-        members: list[list[int]] = [[] for _ in POS_CLASSES]
-        for tok, at in zip(tokens, text.at):
-            if at is not None and (cls := _class_row(tok.pos)) is not None:
-                members[cls].append(at)
-        for cls, slots in enumerate(members):
-            if slots:
-                np.divide(sum_rows(text.rows[slots]), len(slots),
-                          out=centers[n * k + cls])
+    """The centroid of each class in POS_CLASSES in the annotated text, one
+    row per class, and their norms. The i-th annotated token is the text's
+    i-th token, so its row is `text.at[i]`; each class's rows are added in
+    order from +0.0, as `mean_vector` adds them."""
+    if len(annotated) != len(text.at):
+        raise ValueError(f"the annotator gave {len(annotated)} tokens for a "
+                         f"text of {len(text.at)}")
+    members: list[list[int]] = [[] for _ in POS_CLASSES]
+    for tok, at in zip(annotated, text.at):
+        if at is not None and (cls := _class_row(tok.pos)) is not None:
+            members[cls].append(at)
+    centers = np.zeros((len(POS_CLASSES), text.rows.shape[1]))
+    for center, slots in zip(centers, members):
+        if slots:
+            np.divide(sum_rows(text.rows[slots]), len(slots), out=center)
     return centers, _norms(centers)
-
-
-def _pos_cosines(annotated: Sequence[Sequence[AnnotatedToken]],
-                 texts: Sequence[_Text], table: EmbeddingTable) -> np.ndarray:
-    """The cosines of the first text's class centroids with each later
-    text's, side by side: a 5 x (5 per later text) matrix."""
-    centers, norms = _class_centers(annotated, texts, table)
-    n = len(POS_CLASSES)
-    return _cosines(centers[:n], norms[:n], centers[n:], norms[n:])
 
 
 def sim_story_ending(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                      table: EmbeddingTable) -> float:
-    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     return float(_cosines(story.rows[:1], story.norms[:1],
                           ending.rows[:1], ending.norms[:1])[0, 0])
 
@@ -264,7 +241,7 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
     """Mean of the n best per-story-word cosines with the ending centroid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     column = _cosines(story.rows, story.norms, ending.rows[:1], ending.norms[:1])
     return _max_sims(story, column, (n,))[0]
 
@@ -272,7 +249,7 @@ def max_sim_topn(story_tokens: Sequence[str], ending_tokens: Sequence[str],
 def aligned_sim(story_tokens: Sequence[str], ending_tokens: Sequence[str],
                 table: EmbeddingTable) -> float:
     """Mean over story words of the best pairwise cosine with any ending word."""
-    _, _, (story, ending) = _lookup([story_tokens, ending_tokens], table)
+    story, ending = _text(story_tokens, table), _text(ending_tokens, table)
     return _aligned_sim(story, ending, _cosines(story.rows, story.norms,
                                                ending.rows, ending.norms))
 
@@ -281,9 +258,10 @@ def pos_sims(story_annotated: Sequence[AnnotatedToken],
              ending_annotated: Sequence[AnnotatedToken],
              table: EmbeddingTable) -> list[float]:
     """Cosine for each ordered (story class, ending class) pair; 25 values."""
-    annotated = (story_annotated, ending_annotated)
-    _, _, texts = _lookup([[tok.surface for tok in a] for a in annotated], table)
-    return _pos_cosines(annotated, texts, table).ravel().tolist()
+    story, ending = (
+        _class_centers(a, _text([tok.surface for tok in a], table))
+        for a in (story_annotated, ending_annotated))
+    return _cosines(*story, *ending).ravel().tolist()
 
 
 _PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
@@ -292,36 +270,34 @@ _PAIR_SIMS = frozenset({Block.PLAIN_SIM, Block.MAX_SIM, Block.ALIGNED_SIM})
 def _extract_blocks(instance: ClozeInstance, table: EmbeddingTable,
                     annotator: Annotator | None,
                     blocks: frozenset[Block]) -> np.ndarray:
-    """The values of `blocks` in `all`'s order, the three texts looked up
-    in one matrix, and the story's cosines with both endings taken in one
-    call; bit-equal to the block functions'."""
+    """The values of `blocks` in `all`'s order, the story's side built once
+    and each ending taken against it; bit-equal to the block functions'."""
     if Block.POS_SIM in blocks and annotator is None:
         raise ValueError("part-of-speech similarities need annotations, but "
                          "no annotator was given")
     story_sentences = [tokenize(s) for s in instance.context]
-    ending_tokens = (tokenize(instance.ending1), tokenize(instance.ending2))
-    rows, norms, texts = _lookup(
-        [[tok for sent in story_sentences for tok in sent], *ending_tokens],
-        table)
+    tokens = ([tok for sent in story_sentences for tok in sent],
+              tokenize(instance.ending1), tokenize(instance.ending2))
+    texts = [_text(text, table) for text in tokens]
+    story = texts[0]
     if blocks & _PAIR_SIMS:
-        # The endings' rows follow the story's in `rows`. In each ending's
-        # cosines, [0, 0] is the plain similarity, column 0 holds each story
-        # word's with the ending centroid, and [1:, 1:] each pair of words'.
-        first, split = len(texts[0].rows), len(texts[1].rows)
-        both = _cosines(texts[0].rows, texts[0].norms, rows[first:], norms[first:])
-        sims = {1: both[:, :split], 2: both[:, split:]}
+        # In ending k's cosines, [0, 0] is the plain similarity, column 0
+        # holds each story word's with the ending centroid, and [1:, 1:]
+        # each pair of words'.
+        sims = {k: _cosines(story.rows, story.norms, texts[k].rows,
+                            texts[k].norms) for k in (1, 2)}
     if Block.POS_SIM in blocks:
-        n = len(POS_CLASSES)
-        classes = _pos_cosines(
-            ([tok for sent in story_sentences for tok in annotator(sent)],
-             *map(annotator, ending_tokens)), texts, table)
+        story_classes = _class_centers(
+            [tok for sent in story_sentences for tok in annotator(sent)], story)
+        classes = {k: _cosines(*story_classes, *_class_centers(
+            annotator(tokens[k]), texts[k])) for k in (1, 2)}
     values: dict[Block, Callable[[int], np.ndarray | list[float]]] = {
         Block.STORY_CENTROID: lambda k: texts[k].rows[0],
         Block.ENDING_CENTROIDS: lambda k: texts[k].rows[0],
         Block.PLAIN_SIM: lambda k: sims[k][0, :1],
-        Block.MAX_SIM: lambda k: _max_sims(texts[0], sims[k], MAX_SIM_TOPNS),
-        Block.ALIGNED_SIM: lambda k: [_aligned_sim(texts[0], texts[k], sims[k])],
-        Block.POS_SIM: lambda k: classes[:, n * (k - 1):n * k].ravel(),
+        Block.MAX_SIM: lambda k: _max_sims(story, sims[k], MAX_SIM_TOPNS),
+        Block.ALIGNED_SIM: lambda k: [_aligned_sim(story, texts[k], sims[k])],
+        Block.POS_SIM: lambda k: classes[k].ravel(),
     }
     return np.concatenate([values[block](k) for block, k in _LAYOUT
                            if block in blocks])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,12 +39,17 @@ class EvalResult:
     predictions: tuple[int, ...]
 
 
+def check_scorable(items: Sequence[object]) -> None:
+    """Refuse an empty set to score, before any table loads or model trains."""
+    if not items:
+        raise ValueError("nothing to score")
+
+
 def accuracy(predictions: Sequence[int], gold: Sequence[int]) -> EvalResult:
     if len(predictions) != len(gold):
         raise ValueError(f"{len(predictions)} predictions for "
                          f"{len(gold)} gold labels")
-    if not predictions:
-        raise ValueError("nothing to score")
+    check_scorable(gold)
     correct = sum(p == g for p, g in zip(predictions, gold))
     return EvalResult(accuracy=correct / len(gold), n=len(gold),
                       predictions=tuple(predictions))
@@ -117,6 +122,7 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
     but every instance is extracted once per table, for all configs."""
     train = augment_swap(dev)
     check_folds(folds, len(train))
+    check_scorable(test)
     labels, gold = gold_labels(train), gold_labels(test)
     rows: dict[str, dict[FeatureConfig, float]] = {}
     for name, table in tables.items():
@@ -133,23 +139,27 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
     return AblationReport(configs=tuple(configs), rows=rows)
 
 
+def lstm_restarts(train: Sequence[ClozeInstance],
+                  valid: Sequence[ClozeInstance], table: EmbeddingTable,
+                  config: TrainConfig) -> Iterator[TrainResult]:
+    """Embed, swap-augment, then yield each of `config.restarts` runs of
+    `train_model` as it ends. Each training instance is embedded once; its
+    swapped twin shares its story and ending arrays. Run r uses seed
+    `config.seed * config.restarts + r`."""
+    emb_train = augment_swap([embed_instance(i, table) for i in train])
+    emb_valid = [embed_instance(i, table) for i in valid]
+    for r in range(config.restarts):
+        yield train_model(emb_train, emb_valid,
+                          replace(config, seed=config.seed * config.restarts + r))
+
+
 def train_lstm_cell(train: Sequence[ClozeInstance],
                     valid: Sequence[ClozeInstance], table: EmbeddingTable,
                     config: TrainConfig
                     ) -> tuple[TrainResult, tuple[TrainResult, ...]]:
-    """Embed, swap-augment, then `config.restarts` runs of `train_model`.
-
-    Each training instance is embedded once; its swapped twin shares its
-    story and ending arrays. Run r uses seed `config.seed * config.restarts
-    + r`. Returns the run with the highest validation accuracy (ties go to
-    the earlier restart) and every run in restart order.
-    """
-    emb_train = augment_swap([embed_instance(i, table) for i in train])
-    emb_valid = [embed_instance(i, table) for i in valid]
-    runs = tuple(
-        train_model(emb_train, emb_valid,
-                    replace(config, seed=config.seed * config.restarts + r))
-        for r in range(config.restarts))
+    """The run of `lstm_restarts` with the highest validation accuracy (ties
+    go to the earlier restart), and every run in restart order."""
+    runs = tuple(lstm_restarts(train, valid, table, config))
     return max(runs, key=lambda run: run.best_dev_accuracy), runs
 
 

@@ -172,8 +172,9 @@ def _descend(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
 def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                    x0: np.ndarray) -> SolveResult:
     """Limited-memory BFGS: `_descend` along the two-loop recursion's
-    direction, reset to steepest descent when that does not descend, with
-    the flat-objective test after each step."""
+    direction, with the flat-objective test after each step. A pair is
+    stored only when s·y > 1e-12, so the direction descends; one that did
+    not would stop the solve at "line_search", unconverged."""
     # the (s, y, rho = 1/(s.y)) pairs, oldest first, and gamma = (s.y)/(y.y)
     # of the newest pair: each product is taken once, when its pair is stored
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -192,11 +193,7 @@ def minimize_lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         for a, (s, y, rho) in zip(reversed(alphas), pairs):
             beta = rho * float(y @ q)
             q += (a - beta) * s
-        direction = -q
-        if float(grad @ direction) >= 0.0:  # not a descent direction: reset
-            pairs.clear()
-            return -grad
-        return direction
+        return -q
 
     def store_pair(step: float, direction: np.ndarray, value: float,
                    grad: np.ndarray, new_value: float,

@@ -393,6 +393,25 @@ class TestLstmPipeline:
         for name, arr in tensors(best.params).items():
             np.testing.assert_array_equal(saved[name], arr, err_msg=name)
 
+    def test_each_restart_printed_before_the_next_trains(
+            self, data_path, glove_path, capsys, monkeypatch):
+        printed = []
+        train_model = harness.train_model
+
+        def spy(*args):
+            printed.append(capsys.readouterr().out)
+            return train_model(*args)
+
+        monkeypatch.setattr(harness, "train_model", spy)
+        assert main(["train-lstm", "--dev", data_path,
+                     "--embeddings", glove_path, "--format", "glove-txt",
+                     "--hidden", "3", "--batch", "8", "--epochs", "1",
+                     "--restarts", "2"]) == 0
+        assert printed[0] == ""
+        assert printed[1].startswith("restart 0: best epoch")
+        assert "restart 1:" not in printed[1]
+        assert capsys.readouterr().out.startswith("restart 1: best epoch")
+
     def test_nonpositive_restarts_rejected(self, data_path, glove_path,
                                            capsys):
         for restarts in ("0", "-1"):
@@ -673,6 +692,25 @@ class TestInputsCheckedBeforeTables:
         assert main([*argv, *argument]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert loaded == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("extract", "nothing to save"),
+        ("eval", "nothing to score"),
+        ("ablate", "nothing to score"),
+    ])
+    def test_empty_data(self, command, message, loaded, data_path, glove_path,
+                        tmp_path, capsys):
+        # eval reads a valid model, so only the empty CSV can refuse it
+        save_checkpoint(tmp_path / "model.txt",
+                        init_params(0, EMBED_DIM, 3, Variant.RAW))
+        empty = tmp_path / "empty.csv"
+        write_cloze_csv(empty, [])
+        argv = table_command(command, str(empty), data_path, glove_path,
+                             tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loaded == []
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("dev_size, message", [
         (0, "cannot fit a linear model on an empty training set"),

@@ -770,6 +770,19 @@ class TestMakeTable:
             make_table({}, dim=0)
 
 
+class TestTableConstruction:
+    def test_rows_of_another_width_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"rows of shape \(2, 2\) are not 3-d"):
+            EmbeddingTable(3, np.zeros((2, 2)), {"a": 0, "b": 1})
+
+    @pytest.mark.parametrize("row", [-1, 2, 5, 1.5])
+    def test_index_outside_the_rows_refused(self, row):
+        with pytest.raises(ValueError,
+                           match=f"index maps 'b' to row {row} of 2 rows"):
+            EmbeddingTable(2, np.zeros((2, 2)), {"a": 0, "b": row})
+
+
 class TestLookup:
     def test_exact_hit(self, table):
         got = lookup(table, "dog")

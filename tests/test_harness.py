@@ -240,6 +240,17 @@ class TestRunAblation:
         assert (report.rows["a"][FeatureConfig.ENDINGS_ONLY]
                 == report.rows["b"][FeatureConfig.ENDINGS_ONLY])
 
+    def test_empty_test_set_refused_before_extraction(self, table,
+                                                      monkeypatch):
+        extracted = []
+        monkeypatch.setattr(harness_module, "extract_matrix",
+                            lambda *args: extracted.append(args))
+        with pytest.raises(ValueError, match="^nothing to score$"):
+            run_ablation(make_instances(10, seed=52), [], {"toy": table},
+                         configs=(FeatureConfig.ENDINGS_ONLY,),
+                         annotator=heuristic_tag, folds=2, c_grid=(1.0,))
+        assert extracted == []
+
 
 def lstm_config(**overrides) -> TrainConfig:
     fields = dict(hidden_size=4, batch_size=4, epochs=2, learning_rate=0.01,

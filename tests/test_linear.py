@@ -505,7 +505,7 @@ class TestCachedCurvatureOracle:
     @pytest.mark.parametrize("fun, x0", [
         (lambda t: (float(t.sum()), -np.ones_like(t)), np.zeros(2)),
         (lambda t: (0.5 * float(t @ t), -t.copy()), np.ones(2)),
-        # Rosenbrock: curvature pairs skipped and descent resets
+        # Rosenbrock: curvature pairs skipped
         (lambda t: (float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2),
                     np.array([-400.0 * t[0] * (t[1] - t[0] ** 2)
                               - 2.0 * (1.0 - t[0]),
