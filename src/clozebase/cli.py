@@ -49,12 +49,18 @@ def _labeled(path: str) -> list[ClozeInstance]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--embeddings", required=True)
+    def shared(*args, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    table = shared("--embeddings", required=True)
     table.add_argument("--format", required=True, choices=sorted(_FORMATS))
-    annotations = argparse.ArgumentParser(add_help=False)
-    annotations.add_argument("--annotations", default="heuristic",
-                             help="'heuristic' or a sidecar annotation file")
+    annotations = shared("--annotations", default="heuristic",
+                         help="'heuristic' or a sidecar annotation file")
+    seed = shared("--seed", type=int, default=0)
+    out = shared("--out", required=True)
+    cv_folds = shared("--cv-folds", type=int, default=5)
     parser = argparse.ArgumentParser(
         prog="clozebase", description="Two-ending story classification baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gen-data", _cmd_gen_data,
-                "generate labeled instances from stories", annotations)
+                "generate labeled instances from stories", annotations, seed,
+                out)
     p.add_argument("--roc", required=True, help="five-sentence story CSV")
     p.add_argument("--strategy", required=True,
                    choices=["random", "shared", "coherent"])
@@ -73,23 +80,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="wrong endings per story (default 10)")
     p.add_argument("--pool", type=int, default=500,
                    help="candidate pool for the coherent strategy (default 500)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = command("extract", _cmd_extract,
-                "compute feature vectors for instances", table, annotations)
+                "compute feature vectors for instances", table, annotations,
+                out)
     p.add_argument("--data", required=True, help="labeled instance CSV")
     p.add_argument("--config", default="all", choices=sorted(_CONFIGS))
     p.add_argument("--swap-augment", action="store_true",
                    help="add ending-swapped copies before extraction")
-    p.add_argument("--out", required=True)
 
-    p = command("train-linear", _cmd_train_linear, "train the linear classifier")
+    p = command("train-linear", _cmd_train_linear,
+                "train the linear classifier", cv_folds, seed)
     p.add_argument("--features", required=True, help="feature CSV from extract")
-    p.add_argument("--cv-folds", type=int, default=5)
     p.add_argument("--c-grid", default=",".join(str(c) for c in DEFAULT_C_GRID),
                    help="comma-separated C values")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
 
     p = command("eval", _cmd_eval, "evaluate a saved model on labeled data",
@@ -99,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     p = command("train-lstm", _cmd_train_lstm,
-                "train an LSTM ending classifier", table)
+                "train an LSTM ending classifier", table, seed)
     p.add_argument("--dev", required=True, help="labeled instance CSV")
     p.add_argument("--variant", default="raw", choices=sorted(_VARIANTS))
     p.add_argument("--hidden", type=int, default=384)
@@ -107,13 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-ratio", type=float, default=0.9,
                    help="fraction of --dev used for training (default 0.9)")
     p.add_argument("--model-out", help="checkpoint path for the best model")
 
     p = command("ablate", _cmd_ablate,
-                "accuracy grid over embeddings x configs", annotations)
+                "accuracy grid over embeddings x configs", annotations,
+                cv_folds, seed, out)
     p.add_argument("--dev", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--embeddings", required=True, nargs="+",
@@ -121,15 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="e.g. word2vec=vecs.bin:w2v-bin glove=glove.txt:glove-txt")
     p.add_argument("--configs", nargs="+", choices=sorted(_CONFIGS),
                    default=sorted(_CONFIGS))
-    p.add_argument("--cv-folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = command("filter", _cmd_filter, "keep instances all models get right",
-                table, annotations)
+                table, annotations, out)
     p.add_argument("--data", required=True)
     p.add_argument("--models", required=True, nargs="+")
-    p.add_argument("--out", required=True)
     return parser
 
 
@@ -160,9 +160,9 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     annotator = _annotator_arg(args.annotations)
     table = load_embeddings(args.embeddings, _FORMATS[args.format])
     config = _CONFIGS[args.config]
-    matrix, columns = extract_matrix(instances, table, annotator, [config])
+    matrix = extract_matrix(instances, table, annotator, [config])[0]
     names = feature_names(config, table.dim)
-    vectors = [FeatureVector(names, row) for row in matrix[:, columns[config]]]
+    vectors = [FeatureVector(names, row) for row in matrix]
     save_features(args.out, vectors, gold_labels(instances))
     print(f"wrote {len(vectors)} x {len(names)} features to {args.out}")
 
@@ -267,6 +267,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
 
 def _cmd_filter(args: argparse.Namespace) -> None:
     instances = _labeled(args.data)
+    check_scorable(instances)
     annotator = _annotator_arg(args.annotations)
     models = [load_saved_model(p) for p in args.models]
     table = load_embeddings(args.embeddings, _FORMATS[args.format])

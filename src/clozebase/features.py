@@ -350,12 +350,12 @@ def fit_scaler(train: Sequence[FeatureVector]) -> Scaler:
 
 
 def min_max_scale(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    """Scale a row, or each row of a matrix, element-wise into [0,1];
-    constant features map to 0; unseen values clamp."""
+    """Each element of a row, or of a matrix's rows, scaled into [0,1] in a
+    fresh C-ordered array; constant features map to 0, unseen values clamp."""
     span = scaler.maxs - scaler.mins
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = (values - scaler.mins) / span
-    return np.clip(np.where(span == 0, 0.0, scaled), 0.0, 1.0)
+    scaled = np.divide(values - scaler.mins, span,
+                       out=np.zeros(np.shape(values)), where=span != 0)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:

@@ -98,8 +98,9 @@ def train_linear_cell(train: Sequence[ClozeInstance], table: EmbeddingTable,
                       folds: int = 5,
                       c_grid: Sequence[float] = DEFAULT_C_GRID,
                       seed: int = 0) -> LinearModel:
-    """Swap-augment, `extract_matrix`, then `fit_linear`."""
+    """Swap-augment, check the folds, `extract_matrix`, then `fit_linear`."""
     instances = augment_swap(train)
+    check_folds(folds, len(instances))
     return fit_linear(extract_matrix(instances, table, annotator, [config])[0],
                       feature_names(config, table.dim), gold_labels(instances),
                       config, folds=folds, c_grid=c_grid, seed=seed)[0]
@@ -118,8 +119,8 @@ def run_ablation(dev: Sequence[ClozeInstance], test: Sequence[ClozeInstance],
                  annotator: Annotator | None = None, folds: int = 5,
                  c_grid: Sequence[float] = DEFAULT_C_GRID,
                  seed: int = 0) -> AblationReport:
-    """Each cell equals `train_linear_cell` + `evaluate_linear` to the bit,
-    but every instance is extracted once per table, for all configs."""
+    """Each cell's model and accuracy are those of `train_linear_cell` +
+    `evaluate_linear`, to the bit; each instance is extracted once per table."""
     train = augment_swap(dev)
     check_folds(folds, len(train))
     check_scorable(test)

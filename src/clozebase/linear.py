@@ -242,10 +242,10 @@ def check_folds(folds: int, n: int) -> None:
 
 def _training_set(x: np.ndarray, y: Sequence[int],
                   c: float) -> tuple[np.ndarray, np.ndarray]:
-    """x as float64 and the labels as +-1, or the ValueError that refuses
-    the fit: a shape mismatch, a non-finite feature, a bad C, a label not
-    in {1, 2} or a single class, checked in that order."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as C-ordered float64, so a fit's bits do not hang on its layout,
+    and the labels as +-1; or the ValueError that refuses the fit: a shape
+    mismatch, a non-finite feature, a bad C, a bad label or one class."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"feature matrix {x.shape} does not match "

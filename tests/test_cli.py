@@ -541,6 +541,35 @@ class TestAblate:
         assert lines[0] == "embeddings,endings-only,sims-only"
         assert len(lines) == 2
 
+    def test_cells_are_the_extract_train_eval_accuracies(self, tmp_path,
+                                                          glove_path, capsys):
+        # sims-only keeps the POS similarities, repr-plus-sim does not
+        configs = ["sims-only", "repr-plus-sim"]
+        dev, test = tmp_path / "dev.csv", tmp_path / "test.csv"
+        write_cloze_csv(dev, make_instances(12, seed=94))
+        write_cloze_csv(test, make_instances(10, seed=95))
+        fit = ["--cv-folds", "3", "--seed", "6"]
+        grid = tmp_path / "ablation.csv"
+        assert main(["ablate", "--dev", str(dev), "--test", str(test),
+                     "--embeddings", f"toy={glove_path}:glove-txt",
+                     "--configs", *configs, *fit, "--out", str(grid)]) == 0
+        header, row = [line.split(",") for line in
+                       grid.read_text(encoding="utf-8").splitlines()]
+        cells = dict(zip(header[1:], map(float, row[1:])))
+        table = ["--embeddings", glove_path, "--format", "glove-txt"]
+        for config in configs:
+            features = str(tmp_path / f"{config}.csv")
+            model = str(tmp_path / f"{config}.model")
+            assert main(["extract", "--data", str(dev), *table, "--config",
+                         config, "--swap-augment", "--out", features]) == 0
+            assert main(["train-linear", "--features", features, *fit,
+                         "--model-out", model]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--model", model, "--data", str(test),
+                         *table]) == 0
+            assert capsys.readouterr().out == (
+                f"accuracy {cells[config]:.4f} on 10 instances\n")
+
     @pytest.mark.parametrize("spec", ["noformat.txt", "name=path",
                                       "name=path:nope"])
     def test_malformed_embedding_spec(self, spec, tmp_path, glove_path,
@@ -697,6 +726,7 @@ class TestInputsCheckedBeforeTables:
         ("extract", "nothing to save"),
         ("eval", "nothing to score"),
         ("ablate", "nothing to score"),
+        ("filter", "nothing to score"),
     ])
     def test_empty_data(self, command, message, loaded, data_path, glove_path,
                         tmp_path, capsys):

@@ -663,6 +663,14 @@ class TestExtractValidation:
             FeatureVector(names=("a", "b"), values=np.zeros(3))
 
 
+def o_min_max_scale(scaler, values):
+    """The scaling formula before the guarded division, kept as an oracle."""
+    span = scaler.maxs - scaler.mins
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (values - scaler.mins) / span
+    return np.clip(np.where(span == 0, 0.0, scaled), 0.0, 1.0)
+
+
 class TestScaler:
     def vec(self, values, names=None):
         values = np.asarray(values, dtype=np.float64)
@@ -715,6 +723,37 @@ class TestScaler:
         matrix = min_max_scale(scaler, np.stack([v.values for v in vectors]))
         assert matrix.tobytes() == np.stack(
             [apply_scaler(scaler, v).values for v in vectors]).tobytes()
+
+    # columns: a plain range, a constant one, a negative range, a tiny span
+    ORACLE_SCALER = Scaler(("a", "b", "c", "d"),
+                           np.array([0.0, 5.0, -2.0, 1.0]),
+                           np.array([10.0, 5.0, 3.0, 1.0 + 2e-16]))
+    ORACLE_ROWS = np.array([
+        [0.0, 5.0, -2.0, 1.0],                  # every minimum
+        [10.0, 5.0, 3.0, 1.0 + 2e-16],          # every maximum
+        [2.5, 5.0, 0.0, 1.0 + 1e-16],
+        [-4.0, 7.0, -9.0, 0.5],                 # below the minimum
+        [13.0, 4.0, 8.0, 2.0],                  # above the maximum
+        [np.inf] * 4,
+        [-np.inf] * 4,
+        [np.nan] * 4,
+        [np.nan, np.inf, -np.inf, 0.25],
+    ])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrix_equals_the_oracle_formula(self, order):
+        rows = np.asarray(self.ORACLE_ROWS, order=order)
+        got = min_max_scale(self.ORACLE_SCALER, rows)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == o_min_max_scale(self.ORACLE_SCALER,
+                                                rows).tobytes()
+
+    def test_row_equals_the_oracle_formula(self):
+        for row in self.ORACLE_ROWS:
+            got = min_max_scale(self.ORACLE_SCALER, row)
+            assert got.shape == row.shape
+            assert got.tobytes() == o_min_max_scale(self.ORACLE_SCALER,
+                                                    row).tobytes()
 
     def test_scaled_features_stay_in_unit_interval(self, table, instances50):
         vectors = [extract(i, table, heuristic_tag, FeatureConfig.ALL)

@@ -104,6 +104,14 @@ class TestAblationReportIo:
         assert header == "embeddings,all,sims-only"
 
 
+def model_bits(model):
+    """A linear model as bytes and scalars, to compare two fits exactly."""
+    return (model.weights.tobytes(), model.intercept, model.c, model.names,
+            model.config, model.scaler.mins.tobytes(),
+            model.scaler.maxs.tobytes(), model.iterations, model.converged,
+            model.grad_inf)
+
+
 class TestLinearCell:
     def test_train_and_evaluate(self, table):
         train = make_instances(24, seed=40)
@@ -127,11 +135,28 @@ class TestLinearCell:
         labels = set(linear_predictor(model, table, heuristic_tag)(test))
         assert labels <= {1, 2}
 
-    def test_unlabeled_training_rejected(self, table):
+    # an unlabeled instance is refused before the fold count
+    @pytest.mark.parametrize("folds", [2, 1])
+    def test_unlabeled_training_rejected(self, table, folds):
         train = make_instances(6, seed=44, labeled=False)
         with pytest.raises(ValueError, match="labeled"):
             train_linear_cell(train, table, FeatureConfig.SIMS_ONLY,
-                              heuristic_tag, folds=2)
+                              heuristic_tag, folds=folds)
+
+    @pytest.mark.parametrize("folds, message", [
+        (1, "need at least 2 folds, got 1"),
+        (100, "80 examples cannot fill 100 folds"),
+    ])
+    def test_folds_refused_before_extraction(self, table, folds, message,
+                                             monkeypatch):
+        def no_extraction(*args):
+            raise AssertionError("extracted an instance")
+
+        monkeypatch.setattr(features_module, "_extract_blocks", no_extraction)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_linear_cell(make_instances(40, seed=44), table,
+                              FeatureConfig.SIMS_ONLY, heuristic_tag,
+                              folds=folds)
 
     def test_unlabeled_test_rejected(self, table):
         train = make_instances(12, seed=45)
@@ -561,7 +586,18 @@ class TestAblationOracle:
         tables = {"toy": table, "toy-300": build_table(dim=300, seed=2017)}
         args = dict(configs=tuple(FeatureConfig), annotator=heuristic_tag,
                     folds=3, c_grid=(0.1, 1.0, 10.0), seed=4)
+        fits = []
+        real_fit = harness_module.fit_linear
+
+        def recording(*args, **kwargs):
+            fit = real_fit(*args, **kwargs)
+            fits.append(fit[0])
+            return fit
+
+        monkeypatch.setattr(harness_module, "fit_linear", recording)
         want = self.per_config_loop(dev, test, tables, **args)
+        cells = [model_bits(model) for model in fits]
+        fits.clear()
 
         calls = collections.Counter()
         real = features_module._extract_blocks
@@ -573,6 +609,9 @@ class TestAblationOracle:
         monkeypatch.setattr(features_module, "_extract_blocks", counting)
         got = run_ablation(dev, test, tables, **args)
         assert got == want
+        # each grid cell fits the model train_linear_cell fits, to the bit
+        assert len(cells) == len(tables) * len(FeatureConfig)
+        assert [model_bits(model) for model in fits] == cells
         extracted = {inst.id for inst in augment_swap(dev) + test}
         assert set(calls) == {(i, t.dim) for i in extracted
                               for t in tables.values()}

@@ -13,6 +13,7 @@ from clozebase.errors import ParseError
 from clozebase.features import (FeatureConfig, FeatureVector, Scaler,
                                 apply_scaler, feature_names, fit_scaler,
                                 min_max_scale)
+from clozebase.harness import fit_linear
 from clozebase.linear import (DEFAULT_C_GRID, FLAT_ITERS, FLAT_RTOL,
                               GRAD_TOL, LBFGS_MEMORY, MAX_ITER, LinearModel, SolveResult,
                               _newton_step, check_folds, cv_tune_c, load_model,
@@ -832,6 +833,36 @@ class TestCvTuneC:
 
     def test_default_grid_shape(self):
         assert DEFAULT_C_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
+
+
+def solve_bits(result):
+    """What a fit's bits are compared by: a model's solve, or a CV report."""
+    if isinstance(result, LinearModel):
+        return (result.weights.tobytes(), result.intercept, result.c,
+                result.iterations, result.converged, result.grad_inf)
+    return result
+
+
+class TestMemoryLayout:
+    """BLAS sums in an order that follows the matrix's layout, so every fit
+    takes its matrix C-ordered: a Fortran-ordered copy fits the same bits."""
+
+    @pytest.mark.parametrize("fit", ["train_logreg", "cv_tune_c",
+                                     "fit_linear"])
+    def test_fortran_order_fits_like_c_order(self, fit):
+        names = feature_names(FeatureConfig.SIMS_ONLY, 0)
+        rng = np.random.default_rng(31)
+        x, y = random_problem(rng, n=80, d=len(names))
+        x = np.ascontiguousarray(3.0 * x + 1.0)
+        run = {
+            "train_logreg": lambda m: train_logreg(m, y, c=5.0),
+            "cv_tune_c": lambda m: cv_tune_c(m, y, folds=5,
+                                             grid=DEFAULT_C_GRID, seed=2),
+            "fit_linear": lambda m: fit_linear(m, names, y,
+                                               FeatureConfig.SIMS_ONLY,
+                                               seed=2)[0],
+        }[fit]
+        assert solve_bits(run(np.asfortranarray(x))) == solve_bits(run(x))
 
 
 class TestModelPersistence:
