@@ -380,24 +380,19 @@ def centroid(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
     nothing resolves, so all-OOV fragments still yield a usable value.
     """
     found = [row for row in (_row(table, t) for t in tokens) if row is not None]
-    return mean_vector(gather(table, found), table.dim)
+    return mean_rows(gather(table, found))
 
 
-def mean_vector(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Mean of the vectors in float64, added in order from +0.0; the zero
-    vector when there are none."""
-    if len(vectors) == 0:
-        return np.zeros(dim)
-    return sum_rows(np.array(vectors, dtype=np.float64)) / len(vectors)
-
-
-def sum_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a float64 matrix added in order from +0.0, to the bit as
-    a loop of `+=` adds them. numpy reduces axis 0 of two or more columns a
-    row at a time, but sums a single column pairwise, so that one is looped."""
+def mean_rows(rows: np.ndarray) -> np.ndarray:
+    """The mean of a matrix's rows in float64, the zero vector for none: the
+    rows widened to one C-ordered matrix and added in order from +0.0, as a
+    `+=` loop adds them. numpy sums a single column pairwise, not row by
+    row, so that one is looped."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.shape[1] > 1:
-        return np.add.reduce(rows, axis=0, initial=0.0)
-    total = np.zeros(rows.shape[1])
-    for row in rows:
-        total += row
-    return total
+        total = np.add.reduce(rows, axis=0, initial=0.0)
+    else:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+    return total / max(len(rows), 1)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .annotate import AnnotatedToken, Annotator, CoarseClass, coarse_class, tokenize
 from .corpus import ClozeInstance
-from .embeddings import EmbeddingTable, _row, gather, sum_rows
+from .embeddings import EmbeddingTable, _row, gather, mean_rows
 from .errors import ParseError
 
 MAX_SIM_TOPNS = (1, 2, 3, 5)
@@ -170,14 +170,12 @@ def _text(tokens: Sequence[str], table: EmbeddingTable) -> _Text:
         r for r in records if r is not None), start=1)}
     at = [found.get(r) for r in records]
     slots = [i for i in at if i is not None]
-    # The distinct rows, gathered and widened in one step. The centroid adds
-    # every word's row in order, as `mean_vector` does; with no word
-    # repeated, those rows are rows[1:] as they stand.
+    # The distinct rows, gathered and widened in one step. The centroid is
+    # `mean_rows` of every word's row in order; with no word repeated,
+    # those rows are rows[1:] as they stand.
     rows = np.zeros((len(found) + 1, table.dim))
     rows[1:] = gather(table, list(found))
-    if slots:
-        in_order = rows[slots] if len(slots) > len(found) else rows[1:]
-        np.divide(sum_rows(in_order), len(slots), out=rows[0])
+    rows[0] = mean_rows(rows[slots] if len(slots) > len(found) else rows[1:])
     return _Text(rows, _norms(rows), at, slots)
 
 
@@ -213,8 +211,8 @@ def _class_centers(annotated: Sequence[AnnotatedToken], text: _Text
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The centroid of each class in POS_CLASSES in the annotated text, one
     row per class, and their norms. The i-th annotated token is the text's
-    i-th token, so its row is `text.at[i]`; each class's rows are added in
-    order from +0.0, as `mean_vector` adds them."""
+    i-th token, so its row is `text.at[i]`; each class's centroid is
+    `mean_rows` of its rows in order, the zero vector for none."""
     if len(annotated) != len(text.at):
         raise ValueError(f"the annotator gave {len(annotated)} tokens for a "
                          f"text of {len(text.at)}")
@@ -225,7 +223,7 @@ def _class_centers(annotated: Sequence[AnnotatedToken], text: _Text
     centers = np.zeros((len(POS_CLASSES), text.rows.shape[1]))
     for center, slots in zip(centers, members):
         if slots:
-            np.divide(sum_rows(text.rows[slots]), len(slots), out=center)
+            center[:] = mean_rows(text.rows[slots])
     return centers, _norms(centers)
 
 

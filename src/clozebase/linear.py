@@ -319,29 +319,36 @@ def train_logreg(x: np.ndarray, y: Sequence[int], c: float,
     )
 
 
+def _probabilities(model: LinearModel, x: np.ndarray, ndim: int) -> np.ndarray:
+    """P(label 2) of a raw row (ndim 1) or of each raw matrix row (ndim 2):
+    the model's scaler, if any, then sigmoid(x @ weights + b). Refuses
+    another shape, and by its index a row holding or scoring a NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != ndim or x.shape[-1] != len(model.weights):
+        raise ValueError(f"expected {len(model.weights)} features, "
+                         f"got {x.shape}")
+    scaled = x if model.scaler is None else min_max_scale(model.scaler, x)
+    p = sigmoid(scaled @ model.weights + model.intercept)
+    bad = np.flatnonzero(np.isnan(p) | np.isnan(x).any(axis=-1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: a NaN feature value or probability")
+    return p
+
+
 def predict(model: LinearModel, v: FeatureVector | np.ndarray) -> tuple[int, float]:
     """Label in {1,2} and p = P(label 2) of one raw row: a FeatureVector of
     the model's layout or an ndarray, scaled by the model's scaler, if any."""
     if isinstance(v, FeatureVector):
         if v.names != model.names:
             raise ValueError("feature layout does not match the model")
-        values = v.values
-    else:
-        values = np.asarray(v, dtype=np.float64)
-        if values.shape != model.weights.shape:
-            raise ValueError(f"expected {model.weights.shape[0]} features, "
-                             f"got {values.shape}")
-    if model.scaler is not None:
-        values = min_max_scale(model.scaler, values)
-    p = float(sigmoid(model.weights @ values + model.intercept))
+        v = v.values
+    p = float(_probabilities(model, v, 1))
     return (2 if p >= 0.5 else 1), p
 
 
 def predict_rows(model: LinearModel, x: np.ndarray) -> np.ndarray:
     """The labels `predict` gives each row of a raw matrix."""
-    if model.scaler is not None:
-        x = min_max_scale(model.scaler, x)
-    return np.where(sigmoid(x @ model.weights + model.intercept) >= 0.5, 2, 1)
+    return np.where(_probabilities(model, x, 2) >= 0.5, 2, 1)
 
 
 @dataclass(frozen=True)

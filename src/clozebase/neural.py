@@ -595,9 +595,18 @@ class TrainResult:
     epoch_train_losses: tuple[float, ...]
 
 
+def _labels(probs: np.ndarray, insts: Sequence[EmbeddedInstance]) -> np.ndarray:
+    """The label in {1, 2} of each instance's row of class probabilities;
+    an instance whose probabilities are NaN is refused by its id."""
+    bad = np.flatnonzero(np.isnan(probs).any(axis=1))
+    if bad.size:
+        raise ValueError(f"instance {insts[bad[0]].id}: probabilities are NaN")
+    return np.argmax(probs, axis=1) + 1
+
+
 def predict_neural(inst: EmbeddedInstance, params: ModelParams) -> tuple[int, np.ndarray]:
     probs, _ = forward(inst, params)
-    return int(np.argmax(probs)) + 1, probs
+    return int(_labels(probs[None], [inst])[0]), probs
 
 
 def chunked_labels(instances: Iterable,
@@ -611,8 +620,8 @@ def chunked_labels(instances: Iterable,
 def predict_labels(instances: Iterable[EmbeddedInstance],
                    params: ModelParams) -> list[int]:
     """Labels in chunks of EVAL_BATCH_SIZE, reading one chunk at a time."""
-    return chunked_labels(instances, lambda chunk: np.argmax(
-        forward_batch(chunk, params)[0], axis=1) + 1)
+    return chunked_labels(instances, lambda chunk: _labels(
+        forward_batch(chunk, params)[0], chunk))
 
 
 def evaluate_model(instances: Sequence[EmbeddedInstance],

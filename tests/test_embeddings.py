@@ -17,7 +17,8 @@ from clozebase import embeddings, features
 from clozebase.annotate import heuristic_tag, tokenize
 from clozebase.corpus import ClozeInstance
 from clozebase.embeddings import (EmbeddingFormat, EmbeddingTable, centroid,
-                                  gather, load_embeddings, lookup, make_table)
+                                  gather, load_embeddings, lookup, make_table,
+                                  mean_rows)
 from clozebase.errors import ParseError
 from clozebase.features import FeatureConfig, extract_matrix
 from clozebase.neural import embed_instance
@@ -811,6 +812,92 @@ class TestCentroid:
 
     def test_empty_is_zero(self, table):
         np.testing.assert_array_equal(centroid(table, []), np.zeros(table.dim))
+
+    def test_is_the_mean_vector_of_its_rows(self, table):
+        tokens = ["dog", "cat", "zzqx0", "Dog", "the"]
+        rows = gather(table, [table.index[t.lower()] for t in tokens
+                              if t.lower() in table.index])
+        assert centroid(table, tokens).tobytes() == (
+            oracle_mean_vector(list(rows), table.dim).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the row means that `mean_rows` replaced, kept as they were. The
+# centroid took `mean_vector` of its vectors; the feature code divided
+# `sum_rows` of a float64 matrix by the row count into a zero row, and left
+# the zero row for no rows.
+# ---------------------------------------------------------------------------
+
+def oracle_sum_rows(rows):
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, initial=0.0)
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
+def oracle_mean_vector(vectors, dim):
+    if len(vectors) == 0:
+        return np.zeros(dim)
+    return oracle_sum_rows(np.array(vectors, dtype=np.float64)) / len(vectors)
+
+
+def oracle_divided_sum(rows):
+    out = np.zeros(rows.shape[1])
+    if len(rows):
+        np.divide(oracle_sum_rows(rows), len(rows), out=out)
+    return out
+
+
+def spread_rows(n, dim, dtype, seed):
+    """Rows of mixed signs and magnitudes, whose sums round differently in
+    another order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-8, 8, (n, dim))
+    return rows.astype(dtype)
+
+
+class TestMeanRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    @pytest.mark.parametrize("n", [0, 1, 3, 200])
+    def test_equals_the_replaced_means(self, dtype, dim, n):
+        rows = spread_rows(n, dim, dtype, seed=100 * dim + n)
+        got = mean_rows(rows)
+        assert got.dtype == np.float64 and got.shape == (dim,)
+        assert got.tobytes() == oracle_mean_vector(list(rows), dim).tobytes()
+        assert got.tobytes() == oracle_divided_sum(
+            rows.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_negative_zero_rows(self, dtype, dim):
+        zeros = np.full((3, dim), -0.0, dtype=dtype)
+        mixed = np.concatenate([zeros, spread_rows(2, dim, dtype, seed=7),
+                                zeros])
+        for rows in (zeros, mixed, zeros[:1]):
+            got = mean_rows(rows)
+            assert got.tobytes() == oracle_mean_vector(list(rows), dim).tobytes()
+            assert got.tobytes() == oracle_divided_sum(
+                rows.astype(np.float64)).tobytes()
+        # added from +0.0, as a `+=` loop adds them: never a -0.0
+        assert not np.signbit(mean_rows(zeros)).any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", [np.asfortranarray,
+                                        lambda rows: rows[::2]])
+    def test_any_memory_layout_is_added_row_by_row(self, dtype, layout):
+        # numpy reduces the contiguous axis of such a matrix pairwise
+        rows = layout(spread_rows(200, 3, dtype, seed=11))
+        assert not rows.flags.c_contiguous
+        assert mean_rows(rows).tobytes() == oracle_mean_vector(
+            list(rows), 3).tobytes()
+
+    def test_single_column_is_added_in_order(self):
+        # numpy's own sum of one column is pairwise, and rounds otherwise
+        rows = spread_rows(200, 1, np.float64, seed=3)
+        assert mean_rows(rows)[0] != rows[:, 0].sum() / len(rows)
 
 
 def cosine(a, b):

@@ -11,8 +11,7 @@ import clozebase.features as features_module
 from clozebase.annotate import (AnnotatedToken, CoarseClass, SidecarAnnotations,
                                 coarse_class, heuristic_tag, tokenize)
 from clozebase.corpus import ClozeInstance, swap_endings
-from clozebase.embeddings import (EmbeddingTable, centroid, lookup,
-                                  make_table, mean_vector)
+from clozebase.embeddings import EmbeddingTable, centroid, lookup, make_table
 from clozebase.errors import ParseError
 from clozebase.features import (CONFIG_BLOCKS, MAX_SIM_TOPNS, POS_CLASSES,
                                 Block, FeatureConfig, FeatureVector, Scaler,
@@ -852,8 +851,9 @@ class TestPersistence:
 
 # ---------------------------------------------------------------------------
 # Per-pair oracle: the memoized extraction that the batched cosines replaced,
-# kept as it was (one `cosine_normed` per pair, `mean_vector` per centroid,
-# `vector_norm` per vector). `extract_matrix` must equal it byte for byte.
+# kept as it was (one `cosine_normed` per pair, `vector_norm` per vector),
+# with each centroid its own `+=` loop from +0.0 over the vectors, divided by
+# their count. `extract_matrix` must equal it byte for byte.
 # ---------------------------------------------------------------------------
 
 
@@ -884,7 +884,11 @@ def pp_resolver(table):
 
 
 def pp_center(vectors, dim):
-    vec = mean_vector(vectors, dim)
+    vec = np.zeros(dim)
+    for vector in vectors:
+        vec += vector
+    if vectors:
+        vec /= len(vectors)
     return vec, vector_norm(vec)
 
 

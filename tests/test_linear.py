@@ -676,6 +676,106 @@ class TestPredict:
         assert predict_rows(model, x).tolist() == want
         assert len(set(want)) == 2
 
+    # Oracles: the two scores that `linear._probabilities` replaced, kept as
+    # they were: `predict`'s of one row and `predict_rows`' of a matrix.
+    @staticmethod
+    def oracle_row_p(model, v):
+        if model.scaler is not None:
+            v = min_max_scale(model.scaler, v)
+        return float(linear_module.sigmoid(model.weights @ v + model.intercept))
+
+    @staticmethod
+    def oracle_rows_p(model, x):
+        if model.scaler is not None:
+            x = min_max_scale(model.scaler, x)
+        return linear_module.sigmoid(x @ model.weights + model.intercept)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_probabilities_are_the_replaced_scores(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        x = 3.0 * np.random.default_rng(18).standard_normal((50, 3)) + 1.0
+        for row in x:
+            p = predict(model, row)[1]
+            assert np.float64(p).tobytes() == np.float64(
+                self.oracle_row_p(model, row)).tobytes()
+        want = self.oracle_rows_p(model, x)
+        assert linear_module._probabilities(model, x, 2).tobytes() == (
+            want.tobytes())
+        assert predict_rows(model, x).tolist() == (
+            np.where(want >= 0.5, 2, 1).tolist())
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nan_row_refused_by_predict(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        with pytest.raises(ValueError, match="row 0: .*NaN"):
+            predict(model, np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="row 0: .*NaN"):
+            predict(model, FeatureVector(model.names,
+                                         np.array([0.0, 0.0, np.nan])))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nan_row_refused_by_predict_rows(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        x = np.zeros((3, 3))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="row 1: .*NaN"):
+            predict_rows(model, x)
+
+    def test_nan_in_a_constant_column_refused(self):
+        # the scaler maps a constant column to 0, NaN or not
+        model = self.scaled_model()
+        constant = Scaler(model.names, model.scaler.mins,
+                          np.where([True, False, True], model.scaler.maxs,
+                                   model.scaler.mins))
+        model = replace(model, scaler=constant)
+        assert predict(model, np.array([0.0, 5.0, 0.0]))[1] == (
+            predict(model, np.array([0.0, 7.0, 0.0]))[1])
+        with pytest.raises(ValueError, match="row 0: .*NaN"):
+            predict(model, np.array([0.0, np.nan, 0.0]))
+
+    def test_nan_probability_refused_without_a_scaler(self):
+        # inf times a zero weight, or inf - inf, is a NaN score
+        model = self.make_model([0.0, 1.0, 1.0], 0.0)
+        for row in ([np.inf, 1.0, 1.0], [0.0, np.inf, -np.inf]):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    ValueError, match="row 0: .*NaN"):
+                predict(model, np.array(row))
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    ValueError, match="row 1: .*NaN"):
+                predict_rows(model, np.array([[0.0, 0.0, 0.0], row]))
+
+    def test_infinite_values_clamp_under_a_scaler(self):
+        model = self.scaled_model()
+        raw = np.array([[np.inf, -np.inf, 0.0], [-np.inf, 1.0, np.inf]])
+        clamped = min_max_scale(model.scaler, raw)
+        assert set(clamped[:, 0]) == {0.0, 1.0}
+        unscaled = replace(model, scaler=None)
+        for row, scaled in zip(raw, clamped):
+            assert predict(model, row) == predict(unscaled, scaled)
+        assert predict_rows(model, raw).tolist() == (
+            predict_rows(unscaled, clamped).tolist())
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_wrong_width_matrix_refused_as_predict_refuses(self, scaled):
+        model = self.scaled_model()
+        if not scaled:
+            model = replace(model, scaler=None)
+        with pytest.raises(ValueError,
+                           match=re.escape("expected 3 features, got (4,)")):
+            predict(model, np.zeros(4))
+        with pytest.raises(ValueError,
+                           match=re.escape("expected 3 features, got (2, 4)")):
+            predict_rows(model, np.zeros((2, 4)))
+        with pytest.raises(ValueError,
+                           match=re.escape("expected 3 features, got (1, 3)")):
+            predict(model, np.zeros((1, 3)))
+
 
 class TestCvTuneC:
     def test_single_value_grid(self):

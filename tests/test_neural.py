@@ -847,6 +847,26 @@ class TestEmbedInstance:
         acc = evaluate_model(data, params)
         assert 0.0 <= acc <= 1.0
 
+    def test_nan_instance_refused_by_every_predictor(self):
+        # argmax of two NaNs is 0, which without the check reads as label 1
+        rng = np.random.default_rng(27)
+        story = rng.standard_normal((6, 4))
+        story[3, 2] = np.nan
+        broken = EmbeddedInstance("nan-story", story, rng.standard_normal((3, 4)),
+                                  rng.standard_normal((2, 4)), 2)
+        fine = random_embedded(rng, d=4, gold=1)
+        params = init_params(0, 4, 5, Variant.COMBINED)
+        assert np.isnan(forward(broken, params)[0]).all()
+        message = "instance nan-story: probabilities are NaN"
+        with pytest.raises(ValueError, match=message):
+            predict_neural(broken, params)
+        with pytest.raises(ValueError, match=message):
+            neural.predict_labels([fine, broken], params)
+        with pytest.raises(ValueError, match=message):
+            evaluate_model([fine, broken], params)
+        assert neural.predict_labels([fine], params) == [
+            predict_neural(fine, params)[0]]
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
